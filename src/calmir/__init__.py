@@ -46,7 +46,7 @@ from .asymptotics import (
     thermal_wavelength,
     upper_gamma,
 )
-from .scenario import Scenario, SweepGrid, parse, serialize, validate_passivity
+from .scenario import Scenario, SweepGrid, parse, serialize
 from .presets import PRESET_NAMES, preset, preset_scenario
 
 __version__ = "0.1.0"
@@ -91,7 +91,6 @@ __all__ = [
     "SweepGrid",
     "parse",
     "serialize",
-    "validate_passivity",
     "PRESET_NAMES",
     "preset",
     "preset_scenario",

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .asymptotics import build_report, hamaker_c3
 from .errors import ConvergenceError, ScenarioError, UnsupportedConfigurationError
-from .lifshitz import QuadratureConfig, bound_envelope, force_finite_T, force_zero_T
+from .lifshitz import QuadratureConfig, force_finite_T, force_zero_T
 from .materials import Kind
 from .presets import PRESET_NAMES, preset_scenario
 from .scenario import Scenario, parse, serialize
@@ -159,8 +159,8 @@ def _sweep_rows(scn: Scenario, tau: float, cfg: QuadratureConfig, workers: int, 
 
     rows = []
     for d, res in zip(distances, results):
-        # independent re-check: the analytic envelopes must contain the result
-        lo, hi = bound_envelope(float(d), tau)
+        # the analytic envelopes carried by the result must contain it
+        lo, hi = res.bound_lo, res.bound_hi
         slack = res.est_error + 1e-12 * max(1.0, abs(res.pressure_norm))
         if not (lo - slack <= res.pressure_norm <= hi + slack):
             raise ConvergenceError(

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics
-from .errors import ConvergenceError, UnsupportedConfigurationError
+from .errors import ConvergenceError
 from .quadrature import adaptive_integral, rowwise_panel_integral
-from .reflection import Kinematics, Pol, _sample_chain, _stack_r
+from .reflection import Kinematics, Pol, ReflectionKernel
 
 __all__ = [
     "QuadratureConfig",
@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 X_CUT = 60.0  # e^{-60} is far below any supported tolerance
+# Abscissae per reflection-kernel call: its temporaries stay cache-sized
+# however many rows and points a refinement level has.
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -94,18 +97,23 @@ def matsubara_xi(n: int, tau: float) -> float:
     return 2.0 * math.pi * n * tau
 
 
-def _damped_term(kappa, g, x):
-    """kappa^2 g e^{-x} / (1 - g e^{-x}) without ever forming e^{+x}.
+def _damped_terms(kappa, x, *gs):
+    """kappa^2 g e^{-x} / (1 - g e^{-x}) for each g, without ever forming e^{+x}.
 
     The denominator is computed as (1 - e^{-x}) + (1 - g) e^{-x}, a sum of
-    two non-negative terms for g <= 1, so it never cancels.
+    two non-negative terms for g <= 1, so it never cancels.  The factors
+    that depend only on x and kappa are computed once for all g.
     """
     damp = np.exp(-x)
-    ge = g * damp
-    if np.any(ge >= 1.0):
-        raise RuntimeError("internal invariant violated: r1 r2 e^{-2 kappa d} >= 1")
-    den = -np.expm1(-x) + (1.0 - g) * damp
-    return kappa * kappa * ge / den
+    edge = -np.expm1(-x)
+    k2 = kappa * kappa
+    out = []
+    for g in gs:
+        ge = g * damp
+        if np.any(ge >= 1.0):
+            raise RuntimeError("internal invariant violated: r1 r2 e^{-2 kappa d} >= 1")
+        out.append(k2 * ge / (edge + (1.0 - g) * damp))
+    return out
 
 
 def integrand(stack1, stack2, gap, pol: Pol, d: float, kin: Kinematics):
@@ -119,7 +127,7 @@ def integrand(stack1, stack2, gap, pol: Pol, d: float, kin: Kinematics):
         raise ValueError("kappa * d must be > 0")
     r1 = stack_reflection(stack1, gap, pol, kin)
     r2 = stack_reflection(stack2, gap, pol, kin)
-    out = _damped_term(kappa, np.asarray(r1) * np.asarray(r2), 2.0 * kappa * d)
+    (out,) = _damped_terms(kappa, 2.0 * kappa * d, np.asarray(r1) * np.asarray(r2))
     return float(out) if out.ndim == 0 else out
 
 
@@ -146,24 +154,19 @@ def _pair_integrals(stack1, stack2, gap, d, xi, cfg):
     refinement change of te + tm (same units).
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    col = xi[:, None]
-    samples1, widths1 = _sample_chain(stack1, gap, col)
-    samples2, widths2 = _sample_chain(stack2, gap, col)
-    s_gap = samples1[0].s
-    if np.any(np.isinf(s_gap)):
-        raise UnsupportedConfigurationError(
-            "gap medium with a doubly metallic response has no propagation band"
-        )
-    static = col == 0.0
-    x_lo = 2.0 * d * np.sqrt(s_gap[:, 0])
+    kernel = ReflectionKernel((stack1, stack2), gap, xi[:, None])
+    x_lo = 2.0 * d * np.sqrt(kernel.s_gap[:, 0])
 
     def fvals(x):
-        kappa = x / (2.0 * d)
         out = np.empty(x.shape + (2,))
-        for c, pol in enumerate((Pol.TE, Pol.TM)):
-            r1 = _stack_r(samples1, widths1, pol, kappa, s_gap, static)
-            r2 = _stack_r(samples2, widths2, pol, kappa, s_gap, static)
-            out[..., c] = _damped_term(kappa, r1 * r2, x)
+        step = max(1, _BLOCK // max(1, x.shape[0]))
+        for c in range(0, x.shape[1], step):
+            xb = x[:, c : c + step]
+            kappa = xb / (2.0 * d)
+            (te1, tm1), (te2, tm2) = kernel(kappa)
+            te, tm = _damped_terms(kappa, xb, te1 * te2, tm1 * tm2)
+            out[:, c : c + step, 0] = te
+            out[:, c : c + step, 1] = tm
         return out
 
     vals, err = rowwise_panel_integral(

@@ -4,8 +4,10 @@ Two flavours are used by the pressure integrals:
 
 * `rowwise_panel_integral` evaluates the same panel structure shifted to a
   per-row lower limit (one row per Matsubara frequency), refining all panels
-  in lockstep until the total stops moving.  Evaluation is a single
-  vectorised call per refinement level, which keeps the Matsubara loop fast.
+  in lockstep until the total stops moving.  Each refinement level makes
+  one call of the integrand on every (row, abscissa) point at once, which
+  keeps the Matsubara loop fast; the integrand may split that call into
+  smaller blocks internally.
 
 * `adaptive_integral` is a greedy global refinement on one axis: the panels
   with the largest local error estimates are split until the summed estimate
@@ -14,6 +16,8 @@ Two flavours are used by the pressure integrals:
   `n_control` components).
 
 Both are deterministic: panel processing order depends only on the inputs.
+Both raise `ConvergenceError` when their refinement budget (`max_level`,
+`max_panels`) runs out before the tolerance is met.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+
+from .errors import ConvergenceError
 
 __all__ = ["gauss_rule", "rowwise_panel_integral", "adaptive_integral"]
 
@@ -72,7 +78,8 @@ def rowwise_panel_integral(
     `fvals(x2d)` must accept an (R, M) array of abscissae and return an
     (R, M, C) array of integrand components.  Returns (I, err) with I of
     shape (R, C) and err the per-row |change| of the component sum in the
-    last refinement.
+    last refinement.  Raises `ConvergenceError` if the change still
+    exceeds the tolerance after `max_level` refinements.
     """
     x_lo = np.asarray(x_lo, dtype=float)
     prev = None
@@ -88,7 +95,11 @@ def rowwise_panel_integral(
             if err.max(initial=0.0) <= rel_tol * max(scale, 1e-300):
                 return cur, err
         prev = cur
-    return prev, err if err is not None else np.zeros(x_lo.shape)
+    last = f"{err.max(initial=0.0):.3e}" if err is not None else "n/a"
+    raise ConvergenceError(
+        f"row-wise panel integral not converged after {max_level} refinements "
+        f"(last change {last}, relative tolerance {rel_tol:.1e})"
+    )
 
 
 @dataclass
@@ -120,6 +131,7 @@ def adaptive_integral(
     `f(x)` takes a 1-D array and returns an (len(x), C) array.  Returns
     (I, err, n_eval) with I of shape (C,); `err` estimates the quadrature
     error of the summed control components (first `n_control` of the C).
+    Raises `ConvergenceError` if `max_panels` panels do not meet the tolerance.
     """
     edges = np.asarray(edges, dtype=float)
     n_eval = 0
@@ -168,19 +180,22 @@ def adaptive_integral(
     heapq.heapify(heap)
     next_id = len(panels)
 
-    while len(store) < max_panels:
+    while True:
         total = sum(p.value for p in store.values())
-        total_err = sum(p.err for p in store.values())
+        total_err = float(sum(p.err for p in store.values()))
         target = max(abs_tol, rel_tol * abs(float(np.sum(total[:n_control]))))
         if total_err <= target:
-            break
+            return total, total_err, n_eval
+        if len(store) >= max_panels:
+            raise ConvergenceError(
+                f"adaptive integral not converged with {len(store)} panels "
+                f"(error estimate {total_err:.3e}, target {target:.3e})"
+            )
         split = []
         while heap and len(split) < batch:
             _, _, pid = heapq.heappop(heap)
             if pid in store:
                 split.append(store.pop(pid))
-        if not split:
-            break
         child_bounds = []
         child_coarse = []
         for p in split:
@@ -191,7 +206,3 @@ def adaptive_integral(
             store[next_id] = child
             heapq.heappush(heap, (-child.err, child.a, next_id))
             next_id += 1
-
-    total = sum(p.value for p in store.values())
-    total_err = float(sum(p.err for p in store.values()))
-    return total, total_err, n_eval

@@ -20,6 +20,11 @@ substrate c composes through the Moebius map
 which maps [-1, 1] onto itself, so multilayer coefficients of passive media
 stay within [-1, 1].
 
+One kernel, `ReflectionKernel`, evaluates all of this: it samples each
+distinct medium (gap included) once per xi grid and computes each medium's
+decay constant once per call; every interface yields TE and TM from one
+pair of decay constants, and each layer's e^{-2 kappa_b w} serves both.
+
 Sign convention: a perfectly conducting substrate gives r_TM = +1 and
 r_TE = -1.  Only products of coefficients from the two mirrors enter the
 pressure, so results do not depend on this choice.
@@ -47,6 +52,7 @@ __all__ = [
     "Layer",
     "MirrorStack",
     "Kinematics",
+    "ReflectionKernel",
     "kappa_in_medium",
     "fresnel",
     "stack_reflection",
@@ -101,21 +107,143 @@ class Kinematics:
     kappa_gap: object
 
 
-def _clamped_sqrt(rad):
-    """sqrt with tiny negative round-off clamped to zero."""
-    rad = np.asarray(rad, dtype=float)
-    scale = np.maximum(1.0, np.abs(rad))
-    bad = rad < -1e-12 * scale
-    if np.any(bad):
+def _decay(kappa_sq, excess):
+    """sqrt(kappa^2 + excess), the decay constant in a medium whose xi^2 eps mu
+    exceeds the gap's by `excess`; an infinite excess (perfect mirror) gives inf.
+
+    Negative radicands down to -1e-12 are round-off and clamp to zero.
+    """
+    with np.errstate(invalid="ignore"):
+        rad = kappa_sq + excess
+    if np.any(np.isinf(excess)):
+        rad = np.where(np.isinf(excess), np.inf, rad)
+    if np.any(rad < -1e-12):
         raise ValueError("negative radicand: kinematics violate kappa >= xi*sqrt(eps0*mu0)")
     return np.sqrt(np.maximum(rad, 0.0))
 
 
 def _clamp_reflection(r):
-    mag = np.abs(r)
-    if np.any(mag > 1.0 + _CLAMP_SLACK) or np.any(np.isnan(r)):
+    if np.size(r) == 0:
+        return r
+    lo, hi = np.min(r), np.max(r)
+    if not (lo >= -1.0 - _CLAMP_SLACK and hi <= 1.0 + _CLAMP_SLACK):  # also catches NaN
         raise RuntimeError("reflection coefficient left [-1, 1] beyond round-off")
-    return np.clip(r, -1.0, 1.0)
+    return np.clip(r, -1.0, 1.0) if lo < -1.0 or hi > 1.0 else r
+
+
+# r_TM of a perfect mirror seen from a transparent medium; r_TE is its negative
+_IDEAL_TM = {Kind.PERFECT_ELECTRIC: 1.0, Kind.PERFECT_MAGNETIC: -1.0}
+
+
+def _ideal_interface(sa: ResponseSample, sb: ResponseSample, shape):
+    """(r_TE, r_TM) when medium a or b is a perfect mirror, else None."""
+    ra, rb = _IDEAL_TM.get(sa.kind), _IDEAL_TM.get(sb.kind)
+    if ra is None and rb is None:
+        return None
+    if ra is not None and rb is not None:
+        if ra != rb:
+            raise UnsupportedConfigurationError(
+                "interface between perfect electric and perfect magnetic media"
+            )
+        return np.zeros(shape), np.zeros(shape)
+    r_tm = rb if ra is None else -ra
+    return np.full(shape, -r_tm), np.full(shape, r_tm)
+
+
+def _static_interface(sa, sb, fa, fb, pa, pb, ka, kb):
+    """xi = 0 limit of one polarization's interface coefficient for pole-type
+    responses; (f, p) are the response and its pole strength (eps for TM,
+    mu for TE)."""
+    double_a = sa.eps_pole > 0.0 and sa.mu_pole > 0.0
+    double_b = sb.eps_pole > 0.0 and sb.mu_pole > 0.0
+    # (B - A)/(B + A) with B = f_b * kappa_a, A = f_a * kappa_b; each factor
+    # may carry a power of 1/xi (2 from a response pole, 1 from a doubly
+    # metallic kappa), and the higher total power wins outright.
+    deg_b = (2 if pb > 0.0 else 0) + (1 if double_a else 0)
+    deg_a = (2 if pa > 0.0 else 0) + (1 if double_b else 0)
+    if deg_b != deg_a:
+        return 1.0 if deg_b > deg_a else -1.0
+    coef_b = (pb if pb > 0.0 else fb) * (math.sqrt(sa.eps_pole * sa.mu_pole) if double_a else ka)
+    coef_a = (pa if pa > 0.0 else fa) * (math.sqrt(sb.eps_pole * sb.mu_pole) if double_b else kb)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return (coef_b - coef_a) / (coef_b + coef_a)
+
+
+def _interface(sa: ResponseSample, sb: ResponseSample, ka, kb, static):
+    """(r_TE, r_TM) from medium a onto medium b, neither a perfect mirror,
+    given their decay constants; `static` marks the xi = 0 points."""
+    out = []
+    for fa, fb, pa, pb in (
+        (sa.mu, sb.mu, sa.mu_pole, sb.mu_pole),
+        (sa.eps, sb.eps, sa.eps_pole, sb.eps_pole),
+    ):
+        with np.errstate(invalid="ignore", over="ignore"):
+            big_b = fb * ka
+            big_a = fa * kb
+            r = (big_b - big_a) / (big_b + big_a)
+        if (pa > 0.0 or pb > 0.0) and np.any(static):
+            r = np.where(static, _static_interface(sa, sb, fa, fb, pa, pb, ka, kb), r)
+        out.append(_clamp_reflection(r))
+    return out
+
+
+class ReflectionKernel:
+    """TE and TM coefficients of mirror stacks facing one gap, on one xi grid.
+
+    Media shared between stacks are matched by equality and sampled once.
+    Calling the kernel with gap decay constants broadcastable against `xi`
+    returns one (r_TE, r_TM) pair per stack, evaluated substrate outward.
+    """
+
+    def __init__(self, stacks, gap: ResponseModel, xi):
+        xi = np.asarray(xi, dtype=float)
+        unique = list(dict.fromkeys(stacks))
+        self._slot = [unique.index(st) for st in stacks]
+        chains = [(gap, *(lay.material for lay in st.layers), st.substrate) for st in unique]
+        media = list(dict.fromkeys(m for chain in chains for m in chain))
+        self._chains = [
+            ([media.index(m) for m in chain], tuple(lay.thickness for lay in st.layers))
+            for chain, st in zip(chains, unique)
+        ]
+        self._samples = [response_sample(m, xi) for m in media]
+        self.s_gap = self._samples[0].s
+        if np.any(np.isinf(self.s_gap)):
+            raise UnsupportedConfigurationError(
+                "gap medium with a doubly metallic response has no propagation band"
+            )
+        self._excess = [smp.s - self.s_gap for smp in self._samples]
+        self._static = xi == 0.0
+
+    def __call__(self, kappa):
+        samples, static = self._samples, self._static
+        shape = np.broadcast_shapes(np.shape(kappa), np.shape(self.s_gap))
+        kappa_sq = kappa * kappa
+        kap = [_decay(kappa_sq, e) for e in self._excess]
+
+        def interface(a, b):
+            pair = _ideal_interface(samples[a], samples[b], shape)
+            return pair or _interface(samples[a], samples[b], kap[a], kap[b], static)
+
+        out = []
+        for chain, widths in self._chains:
+            n = len(widths)
+            r = interface(chain[n], chain[n + 1])
+            for j in range(n - 1, -1, -1):
+                with np.errstate(over="ignore"):
+                    damp = np.exp(-2.0 * kap[chain[j + 1]] * widths[j])
+                # Moebius step: layer j + 1 over the part below, seen from medium j
+                r = [_clamp_reflection((r_ab + r_p * damp) / (1.0 + r_ab * r_p * damp))
+                     for r_ab, r_p in zip(interface(chain[j], chain[j + 1]), r)]
+            out.append(r)
+        return [out[i] for i in self._slot]
+
+
+def stack_reflection(stack: MirrorStack, gap: ResponseModel, pol: Pol, kin: Kinematics):
+    """Multilayer reflection coefficient of `stack` seen from the gap."""
+    kernel = ReflectionKernel((stack,), gap, kin.xi)
+    r_te, r_tm = kernel(np.asarray(kin.kappa_gap, dtype=float))[0]
+    out = r_tm if pol is Pol.TM else r_te
+    return float(out) if np.ndim(kin.xi) == 0 and np.ndim(kin.kappa_gap) == 0 else out
 
 
 def kappa_in_medium(eps, mu, kin: Kinematics, gap_eps=1.0, gap_mu=1.0):
@@ -126,136 +254,23 @@ def kappa_in_medium(eps, mu, kin: Kinematics, gap_eps=1.0, gap_mu=1.0):
     the limit analytically.
     """
     xi = np.asarray(kin.xi, dtype=float)
-    kap = np.asarray(kin.kappa_gap, dtype=float)
     prod = np.asarray(eps, dtype=float) * np.asarray(mu, dtype=float)
     with np.errstate(invalid="ignore"):
-        rad = kap * kap + (prod - gap_eps * gap_mu) * xi * xi
-    rad = np.where(np.isinf(prod), np.inf, rad)
-    out = _clamped_sqrt(rad)
+        excess = np.where(np.isinf(prod), np.inf, (prod - gap_eps * gap_mu) * xi * xi)
+    kap = np.asarray(kin.kappa_gap, dtype=float)
+    out = _decay(kap * kap, excess)
     return float(out) if out.ndim == 0 else out
 
 
-def _sentinel(kind: Kind):
-    if kind is Kind.PERFECT_ELECTRIC:
-        return "electric"
-    if kind is Kind.PERFECT_MAGNETIC:
-        return "magnetic"
-    return None
-
-
-def _sentinel_r(pol: Pol, which: str, incident_from_sentinel: bool):
-    r_tm = 1.0 if which == "electric" else -1.0
-    r = r_tm if pol is Pol.TM else -r_tm
-    return -r if incident_from_sentinel else r
-
-
-def _kappa_from_s(kappa, s_med, s_gap):
+def _given_medium(medium, xi) -> ResponseSample:
+    """Pole-free sample of a medium given as an (eps, mu) pair; an infinite
+    eps or mu anywhere marks a perfect mirror."""
+    eps, mu = (np.asarray(v, dtype=float) for v in medium)
+    kind = (Kind.PERFECT_ELECTRIC if np.any(np.isinf(eps))
+            else Kind.PERFECT_MAGNETIC if np.any(np.isinf(mu)) else Kind.LORENTZ_DRUDE)
     with np.errstate(invalid="ignore"):
-        rad = kappa * kappa + (s_med - s_gap)
-    rad = np.where(np.isinf(s_med), np.inf, rad)
-    return _clamped_sqrt(rad)
-
-
-def _static_ratio(coef_b, deg_b, coef_a, deg_a):
-    """Limit of (B - A)/(B + A) for B ~ coef_b xi^-deg_b, A ~ coef_a xi^-deg_a."""
-    if deg_b > deg_a:
-        return 1.0
-    if deg_a > deg_b:
-        return -1.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return (coef_b - coef_a) / (coef_b + coef_a)
-
-
-def _static_interface(pol, sa, sb, ka, kb):
-    """xi = 0 limit of the interface coefficient for pole-type responses."""
-    if pol is Pol.TM:
-        fa, fb = sa.eps, sb.eps
-        pa, pb = sa.eps_pole, sb.eps_pole
-    else:
-        fa, fb = sa.mu, sb.mu
-        pa, pb = sa.mu_pole, sb.mu_pole
-    double_a = sa.eps_pole > 0.0 and sa.mu_pole > 0.0
-    double_b = sb.eps_pole > 0.0 and sb.mu_pole > 0.0
-    # B = f_b * kappa_a, A = f_a * kappa_b; each factor may carry a power
-    # of 1/xi (2 from a response pole, 1 from a doubly metallic kappa).
-    coef_b = (pb if pb > 0.0 else fb) * (
-        math.sqrt(sa.eps_pole * sa.mu_pole) if double_a else ka
-    )
-    deg_b = (2 if pb > 0.0 else 0) + (1 if double_a else 0)
-    coef_a = (pa if pa > 0.0 else fa) * (
-        math.sqrt(sb.eps_pole * sb.mu_pole) if double_b else kb
-    )
-    deg_a = (2 if pa > 0.0 else 0) + (1 if double_b else 0)
-    return _static_ratio(coef_b, deg_b, coef_a, deg_a)
-
-
-def _interface_r(pol, sa: ResponseSample, sb: ResponseSample, kappa, s_gap, static_mask):
-    """Single-interface coefficient from medium a onto medium b (arrays)."""
-    a_s, b_s = _sentinel(sa.kind), _sentinel(sb.kind)
-    shape = np.broadcast_shapes(np.shape(kappa), np.shape(s_gap))
-    if a_s and b_s:
-        if a_s == b_s:
-            return np.zeros(shape)
-        raise UnsupportedConfigurationError(
-            "interface between perfect electric and perfect magnetic media"
-        )
-    if b_s or a_s:
-        return np.full(shape, _sentinel_r(pol, b_s or a_s, incident_from_sentinel=bool(a_s)))
-
-    ka = _kappa_from_s(kappa, sa.s, s_gap)
-    kb = _kappa_from_s(kappa, sb.s, s_gap)
-    if pol is Pol.TM:
-        fa, fb = sa.eps, sb.eps
-        has_pole = sa.eps_pole > 0.0 or sb.eps_pole > 0.0
-    else:
-        fa, fb = sa.mu, sb.mu
-        has_pole = sa.mu_pole > 0.0 or sb.mu_pole > 0.0
-    with np.errstate(invalid="ignore", over="ignore"):
-        r = (fb * ka - fa * kb) / (fb * ka + fa * kb)
-    static_mask = np.broadcast_to(static_mask, np.shape(r))
-    if has_pole and np.any(static_mask):
-        r = np.where(static_mask, _static_interface(pol, sa, sb, ka, kb), r)
-    return _clamp_reflection(r)
-
-
-def _stack_r(samples, thicknesses, pol, kappa, s_gap, static_mask):
-    """Reflection of the sampled media chain [gap, layer..., substrate].
-
-    Evaluated substrate outward: each Moebius step keeps the coefficient
-    inside [-1, 1], so clamping only absorbs round-off.
-    """
-    n_layers = len(thicknesses)
-    r = _interface_r(pol, samples[n_layers], samples[n_layers + 1], kappa, s_gap, static_mask)
-    for j in range(n_layers - 1, -1, -1):
-        lay = samples[j + 1]
-        k_lay = _kappa_from_s(kappa, lay.s, s_gap)
-        with np.errstate(over="ignore"):
-            damp = np.exp(-2.0 * k_lay * thicknesses[j])
-        r_ab = _interface_r(pol, samples[j], lay, kappa, s_gap, static_mask)
-        r = _clamp_reflection((r_ab + r * damp) / (1.0 + r_ab * r * damp))
-    return r
-
-
-def _sample_chain(stack: MirrorStack, gap: ResponseModel, xi):
-    media = [gap] + [lay.material for lay in stack.layers] + [stack.substrate]
-    return [response_sample(m, xi) for m in media], tuple(
-        lay.thickness for lay in stack.layers
-    )
-
-
-def stack_reflection(stack: MirrorStack, gap: ResponseModel, pol: Pol, kin: Kinematics):
-    """Multilayer reflection coefficient of `stack` seen from the gap."""
-    xi = np.asarray(kin.xi, dtype=float)
-    kappa = np.asarray(kin.kappa_gap, dtype=float)
-    samples, widths = _sample_chain(stack, gap, xi)
-    s_gap = samples[0].s
-    if np.any(np.isinf(s_gap)):
-        raise UnsupportedConfigurationError(
-            "gap medium with a doubly metallic response has no propagation band"
-        )
-    static = xi == 0.0
-    out = _stack_r(samples, widths, pol, kappa, s_gap, static)
-    return float(out) if np.ndim(kin.xi) == 0 and np.ndim(kin.kappa_gap) == 0 else out
+        s = np.where(np.isinf(eps * mu), np.inf, xi * xi * eps * mu)
+    return ResponseSample(kind, eps, mu, s, 0.0, 0.0)
 
 
 def fresnel(pol: Pol, medium_a, medium_b, kin: Kinematics, gap=None):
@@ -267,28 +282,13 @@ def fresnel(pol: Pol, medium_a, medium_b, kin: Kinematics, gap=None):
     sentinels; an interface between a perfect electric and a perfect
     magnetic medium is rejected.
     """
-    ea, ma = (np.asarray(v, dtype=float) for v in medium_a)
-    eb, mb = (np.asarray(v, dtype=float) for v in medium_b)
-    if gap is None:
-        gap = medium_a
-    ge, gm = (float(v) for v in gap)
-
-    a_s = "electric" if np.any(np.isinf(ea)) else ("magnetic" if np.any(np.isinf(ma)) else None)
-    b_s = "electric" if np.any(np.isinf(eb)) else ("magnetic" if np.any(np.isinf(mb)) else None)
-    if a_s and b_s:
-        if a_s == b_s:
-            return 0.0
-        raise UnsupportedConfigurationError(
-            "interface between perfect electric and perfect magnetic media"
-        )
-    if b_s or a_s:
-        return _sentinel_r(pol, b_s or a_s, incident_from_sentinel=bool(a_s))
-
-    ka = kappa_in_medium(ea, ma, kin, ge, gm)
-    kb = kappa_in_medium(eb, mb, kin, ge, gm)
-    if pol is Pol.TM:
-        num, den = eb * ka - ea * kb, eb * ka + ea * kb
-    else:
-        num, den = mb * ka - ma * kb, mb * ka + ma * kb
-    out = _clamp_reflection(num / den)
+    xi = np.asarray(kin.xi, dtype=float)
+    sa, sb = _given_medium(medium_a, xi), _given_medium(medium_b, xi)
+    shape = np.broadcast_shapes(xi.shape, np.shape(kin.kappa_gap), sa.eps.shape, sb.eps.shape)
+    ge, gm = (float(v) for v in (medium_a if gap is None else gap))
+    pair = _ideal_interface(sa, sb, shape) or _interface(
+        sa, sb, kappa_in_medium(sa.eps, sa.mu, kin, ge, gm),
+        kappa_in_medium(sb.eps, sb.mu, kin, ge, gm), static=False,
+    )
+    out = np.asarray(pair[1] if pol is Pol.TM else pair[0])
     return float(out) if out.ndim == 0 else out

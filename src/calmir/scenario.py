@@ -40,7 +40,7 @@ from .errors import ScenarioError
 from .materials import Kind, ResponseModel, VACUUM, PERFECT_ELECTRIC, PERFECT_MAGNETIC
 from .reflection import Layer, MirrorStack
 
-__all__ = ["SweepGrid", "Scenario", "parse", "serialize", "validate_passivity"]
+__all__ = ["SweepGrid", "Scenario", "parse", "serialize"]
 
 _MATERIAL_KEYS = ("eps_strength", "eps_resonance", "mu_strength", "mu_resonance")
 _IDEALS = {
@@ -120,16 +120,6 @@ def _check_gap(gap: ResponseModel):
         raise ValueError(
             "gap medium cannot carry both electric and magnetic zero-frequency poles"
         )
-
-
-def validate_passivity(scenario: Scenario) -> list[str]:
-    """Diagnostics for non-passive responses.
-
-    All constructible models (non-negative oscillator parameters, ideal
-    limits) are passive, so this currently always returns []; it is the hook
-    where tabulated data would be screened.
-    """
-    return []
 
 
 class _Parser:

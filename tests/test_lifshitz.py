@@ -213,6 +213,26 @@ def test_matsubara_budget_enforced():
         force_finite_T(st, st, VACUUM, 0.05, 1e-3, QuadratureConfig(max_matsubara=50))
 
 
+@pytest.mark.parametrize("block", [1 << 12, None])
+def test_blocked_pair_integrals_bit_identical(monkeypatch, block):
+    # the reflection callback evaluates its (rows x abscissae) grid in column
+    # blocks; every point's arithmetic is unchanged, so the integrals must
+    # equal the single-block evaluation bit for bit
+    from calmir import lifshitz, preset
+
+    st1, st2, gap = preset("fig1c")
+    d = 2.0 * math.pi / 400.0
+    xi = np.concatenate(([0.0], np.geomspace(0.01, 60.0, 15)))
+    cfg = lifshitz.DEFAULT_CONFIG
+    if block is not None:
+        monkeypatch.setattr(lifshitz, "_BLOCK", block)
+    blocked = lifshitz._pair_integrals(st1, st2, gap, d, xi, cfg)
+    monkeypatch.setattr(lifshitz, "_BLOCK", 1 << 40)
+    single = lifshitz._pair_integrals(st1, st2, gap, d, xi, cfg)
+    for a, b in zip(blocked, single):
+        assert np.array_equal(a, b)
+
+
 def test_identical_mirrors_attract():
     rng = np.random.default_rng(21)
     for _ in range(20):

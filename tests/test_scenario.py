@@ -15,7 +15,6 @@ from calmir import (
     parse,
     preset_scenario,
     serialize,
-    validate_passivity,
 )
 from conftest import random_material
 
@@ -37,7 +36,6 @@ def test_minimal_file():
     assert s.gap == VACUUM
     assert s.temperature == 0.0
     assert s.sweep.points == 1
-    assert validate_passivity(s) == []
 
 
 def test_comments_and_whitespace():
