@@ -253,7 +253,7 @@ def hamaker_c3(mat1: ResponseModel, mat2: ResponseModel, tau: float = 0.0, *, re
             return val[:, None]
 
         total, _, _ = adaptive_integral(
-            f, _xi_map_edges(), nodes=24, rel_tol=rel_tol, abs_tol=1e-300, n_control=1
+            f, _xi_map_edges(), nodes=24, rel_tol=rel_tol, abs_tol=1e-300
         )
         return float(total[0]) / (8.0 * math.pi**2)
 
@@ -323,7 +323,7 @@ def matched_media_force(
             return np.where(xi == 0.0, 0.0, val)[:, None]
 
         total_n, _, _ = adaptive_integral(
-            f, _xi_map_edges(), nodes=24, rel_tol=rel_tol, abs_tol=1e-300, n_control=1
+            f, _xi_map_edges(), nodes=24, rel_tol=rel_tol, abs_tol=1e-300
         )
         term = (2.0 * n * d) ** (2 * n - 3) * float(total_n[0]) / (2.0 * math.pi**2)
         if prev is not None and abs(term) > abs(prev):

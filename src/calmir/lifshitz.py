@@ -29,7 +29,7 @@ import numpy as np
 from . import asymptotics
 from .errors import ConvergenceError
 from .quadrature import adaptive_integral, rowwise_panel_integral
-from .reflection import Kinematics, Pol, ReflectionKernel
+from .reflection import Kinematics, Pol, ReflectionKernel, stack_reflection
 
 __all__ = [
     "QuadratureConfig",
@@ -120,8 +120,6 @@ def integrand(stack1, stack2, gap, pol: Pol, d: float, kin: Kinematics):
     """Per-mode contribution kappa^2 r1 r2 e^{-2 kappa d}/(1 - r1 r2 e^{-2 kappa d})."""
     if d <= 0.0:
         raise ValueError("d must be > 0")
-    from .reflection import stack_reflection
-
     kappa = np.asarray(kin.kappa_gap, dtype=float)
     if np.any(kappa * d <= 0.0):
         raise ValueError("kappa * d must be > 0")
@@ -150,8 +148,8 @@ def _x_offsets(d: float) -> np.ndarray:
 def _pair_integrals(stack1, stack2, gap, d, xi, cfg):
     """TE and TM kappa-integrals (1/2pi) int kappa^2/D dkappa at each xi.
 
-    Returns (te, tm, err) arrays of shape (len(xi),); err is the last
-    refinement change of te + tm (same units).
+    Returns (te, tm, err) arrays of shape (len(xi),); err is the summed
+    change of te + tm between whole and halved panels (same units).
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     kernel = ReflectionKernel((stack1, stack2), gap, xi[:, None])
@@ -269,18 +267,15 @@ def force_zero_T(stack1, stack2, gap, d, cfg: QuadratureConfig | None = None) ->
         raise ValueError("d must be > 0")
     cfg = cfg or DEFAULT_CONFIG
     d3 = d**3
-    n_eval_rows = 0
 
     def outer(t):
-        nonlocal n_eval_rows
-        n_eval_rows += t.size
         t = np.asarray(t, dtype=float)
         xi = t / (1.0 - t)
         te, tm, qerr = _pair_integrals(stack1, stack2, gap, d, xi, cfg)
         jac = 1.0 / (1.0 - t) ** 2
         return np.stack([te * jac, tm * jac, qerr * jac], axis=-1)
 
-    total, qerr, _ = adaptive_integral(
+    total, qerr, n_rows = adaptive_integral(
         outer,
         _xi_edges(d),
         nodes=cfg.xi_nodes,
@@ -298,7 +293,7 @@ def force_zero_T(stack1, stack2, gap, d, cfg: QuadratureConfig | None = None) ->
         pressure_norm=te + tm,
         te_part=te,
         tm_part=tm,
-        n_terms_used=n_eval_rows,
+        n_terms_used=n_rows,
         est_error=est,
         bound_lo=lo,
         bound_hi=hi,

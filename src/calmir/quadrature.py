@@ -1,29 +1,24 @@
-"""Gauss-Legendre panel quadrature helpers.
+"""Gauss-Legendre panel quadrature: one globally adaptive engine.
 
-Two flavours are used by the pressure integrals:
+`adaptive_integral` integrates an integrand with a row axis over shared
+panels.  `f(x)` takes M abscissae and returns (M, ..., C) values: any number
+of rows (one per Matsubara frequency, say), each with C components.  Every
+panel is evaluated whole and then as two halves; its error is the largest
+change over rows of the sum of the first `n_control` components.  Until every
+row's summed panel error meets the tolerance, the worst panels are split,
+a few per pass, so each pass makes one call of f on every (abscissa, row)
+point it needs; the integrand may split that call into smaller blocks
+internally.
 
-* `rowwise_panel_integral` evaluates the same panel structure shifted to a
-  per-row lower limit (one row per Matsubara frequency), refining all panels
-  in lockstep until the total stops moving.  Each refinement level makes
-  one call of the integrand on every (row, abscissa) point at once, which
-  keeps the Matsubara loop fast; the integrand may split that call into
-  smaller blocks internally.
-
-* `adaptive_integral` is a greedy global refinement on one axis: the panels
-  with the largest local error estimates are split until the summed estimate
-  meets the tolerance.  Integrands may be vector valued (components are
-  integrated together; the error is controlled on the sum of the first
-  `n_control` components).
-
-Both are deterministic: panel processing order depends only on the inputs.
-Both raise `ConvergenceError` when their refinement budget (`max_level`,
-`max_panels`) runs out before the tolerance is met.
+`rowwise_panel_integral` adapts the engine to panels shifted to a per-row
+lower limit; it is the kappa integral's named entry point, through which the
+benchmark's per-layer trace (benchmarks/spans.py) sees the reflection
+callback.  Processing order depends only on the inputs, and running out of
+the panel budget raises `ConvergenceError`.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -31,6 +26,8 @@ import numpy as np
 from .errors import ConvergenceError
 
 __all__ = ["gauss_rule", "rowwise_panel_integral", "adaptive_integral"]
+
+_BATCH = 8  # panels split per refinement pass
 
 
 @lru_cache(maxsize=None)
@@ -40,169 +37,79 @@ def gauss_rule(n: int):
     return x, w
 
 
-def _flatten_panels(edges, nodes):
-    """Nodes/weights for Gauss rules on consecutive intervals, concatenated."""
+def _pairs(u, v):
+    """Interleave u and v along the first axis: u[0], v[0], u[1], v[1], ..."""
+    return np.stack([u, v], axis=1).reshape((2 * len(u),) + u.shape[1:])
+
+
+def adaptive_integral(f, edges, *, nodes, rel_tol, abs_tol, n_control=None, max_panels=800):
+    """Adaptively integrate f over the panels in `edges`.
+
+    `f(x)` takes a 1-D array of M abscissae and returns an (M, ..., C) array.
+    Returns (I, err, n_eval): I of shape (..., C); err, one entry per row,
+    the summed |halves - whole| of the first `n_control` components (all by
+    default); n_eval the number of (abscissa, row) points evaluated.  Raises
+    `ConvergenceError` if `max_panels` panels do not meet the tolerance.
+    """
     x, w = gauss_rule(nodes)
-    lo = edges[:-1]
-    hi = edges[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    pts = mid[:, None] + half[:, None] * x[None, :]
-    wts = half[:, None] * w[None, :]
-    return pts.ravel(), wts.ravel()
-
-
-def _refine_edges(edges, level):
-    """Split every interval of `edges` into 2**level equal parts."""
-    if level == 0:
-        return edges
-    k = 1 << level
-    lo = edges[:-1]
-    hi = edges[1:]
-    frac = np.arange(k) / k
-    sub = lo[:, None] + (hi - lo)[:, None] * frac[None, :]
-    return np.append(sub.ravel(), edges[-1])
-
-
-def rowwise_panel_integral(
-    fvals,
-    x_lo,
-    offsets,
-    *,
-    nodes,
-    rel_tol,
-    max_level=4,
-):
-    """Integrate f over [x_lo[r], x_lo[r] + offsets[-1]] for every row r.
-
-    `fvals(x2d)` must accept an (R, M) array of abscissae and return an
-    (R, M, C) array of integrand components.  Returns (I, err) with I of
-    shape (R, C) and err the per-row |change| of the component sum in the
-    last refinement.  Raises `ConvergenceError` if the change still
-    exceeds the tolerance after `max_level` refinements.
-    """
-    x_lo = np.asarray(x_lo, dtype=float)
-    prev = None
-    err = None
-    for level in range(max_level + 1):
-        pts, wts = _flatten_panels(_refine_edges(offsets, level), nodes)
-        x = x_lo[:, None] + pts[None, :]
-        vals = fvals(x)
-        cur = np.einsum("rmc,m->rc", vals, wts)
-        if prev is not None:
-            err = np.abs(cur.sum(axis=1) - prev.sum(axis=1))
-            scale = np.abs(cur.sum(axis=1)).max() if cur.size else 0.0
-            if err.max(initial=0.0) <= rel_tol * max(scale, 1e-300):
-                return cur, err
-        prev = cur
-    last = f"{err.max(initial=0.0):.3e}" if err is not None else "n/a"
-    raise ConvergenceError(
-        f"row-wise panel integral not converged after {max_level} refinements "
-        f"(last change {last}, relative tolerance {rel_tol:.1e})"
-    )
-
-
-@dataclass
-class _Panel:
-    a: float
-    b: float
-    half_lo: np.ndarray = field(repr=False)
-    half_hi: np.ndarray = field(repr=False)
-    err: float
-
-    @property
-    def value(self):
-        return self.half_lo + self.half_hi
-
-
-def adaptive_integral(
-    f,
-    edges,
-    *,
-    nodes,
-    rel_tol,
-    abs_tol,
-    n_control=1,
-    max_panels=800,
-    batch=8,
-):
-    """Adaptively integrate a vector-valued f over the panels in `edges`.
-
-    `f(x)` takes a 1-D array and returns an (len(x), C) array.  Returns
-    (I, err, n_eval) with I of shape (C,); `err` estimates the quadrature
-    error of the summed control components (first `n_control` of the C).
-    Raises `ConvergenceError` if `max_panels` panels do not meet the tolerance.
-    """
-    edges = np.asarray(edges, dtype=float)
     n_eval = 0
 
-    def eval_bounds(bounds):
-        """Gauss value of f on each (a, b) pair; one vectorised f call."""
+    def gauss(a, b):
+        """Gauss value of f on each panel [a[i], b[i]]; one f call for all."""
         nonlocal n_eval
-        pts = []
-        wts = []
-        for a, b in bounds:
-            p, w = _flatten_panels(np.array([a, b]), nodes)
-            pts.append(p)
-            wts.append(w)
-        allx = np.concatenate(pts)
-        n_eval += allx.size
-        vals = np.asarray(f(allx))
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        out = []
-        pos = 0
-        for w in wts:
-            out.append(w @ vals[pos : pos + w.size])
-            pos += w.size
-        return out
+        half = 0.5 * (b - a)
+        pts = (0.5 * (a + b))[:, None] + half[:, None] * x
+        vals = np.asarray(f(pts.ravel()))
+        n_eval += vals.size // vals.shape[-1]
+        # (panel, *rows, C, node) @ (panel, node, 1): a batched matrix product
+        vals = np.moveaxis(vals.reshape(pts.shape + vals.shape[1:]), 1, -1)
+        wts = (half[:, None] * w).reshape((len(a),) + (1,) * (vals.ndim - 3) + (len(x), 1))
+        return (vals @ wts)[..., 0]
 
-    def halve(bounds_list, coarse_list):
-        """Build refined panels for each (a, b): one f call for all halves."""
-        hb = []
-        for a, b in bounds_list:
-            m = 0.5 * (a + b)
-            hb.extend([(a, m), (m, b)])
-        hv = eval_bounds(hb)
-        out = []
-        for i, (a, b) in enumerate(bounds_list):
-            lo, hi = hv[2 * i], hv[2 * i + 1]
-            delta = float(np.sum((lo + hi - coarse_list[i])[:n_control]))
-            out.append(_Panel(a, b, lo, hi, abs(delta)))
-        return out
+    def halve(a, b, whole):
+        """Values of both halves of each panel, (P, 2, ..., C), and each row's
+        |halves - whole| on the control components."""
+        m = 0.5 * (a + b)
+        vals = gauss(_pairs(a, m), _pairs(m, b))
+        halves = vals.reshape((len(a), 2) + vals.shape[1:])
+        return halves, np.abs((halves.sum(axis=1) - whole)[..., :n_control].sum(axis=-1))
 
-    init_bounds = list(zip(edges[:-1], edges[1:]))
-    coarse = eval_bounds(init_bounds)
-    panels = halve(init_bounds, coarse)
-
-    store = {i: p for i, p in enumerate(panels)}
-    heap = [(-p.err, p.a, i) for i, p in store.items()]
-    heapq.heapify(heap)
-    next_id = len(panels)
-
+    edges = np.asarray(edges, dtype=float)
+    a, b = edges[:-1], edges[1:]
+    halves, change = halve(a, b, gauss(a, b))
     while True:
-        total = sum(p.value for p in store.values())
-        total_err = float(sum(p.err for p in store.values()))
-        target = max(abs_tol, rel_tol * abs(float(np.sum(total[:n_control]))))
-        if total_err <= target:
-            return total, total_err, n_eval
-        if len(store) >= max_panels:
+        total = halves.sum(axis=1).sum(axis=0)
+        err = change.sum(axis=0)
+        scale = np.abs(total[..., :n_control].sum(axis=-1)).max(initial=0.0)
+        target = max(abs_tol, rel_tol * scale)
+        if np.all(err <= target):
+            return total, (err if err.ndim else float(err)), n_eval
+        if len(a) >= max_panels:
             raise ConvergenceError(
-                f"adaptive integral not converged with {len(store)} panels "
-                f"(error estimate {total_err:.3e}, target {target:.3e})"
+                f"adaptive integral not converged with {len(a)} panels "
+                f"(error estimate {err.max():.3e}, target {target:.3e})"
             )
-        split = []
-        while heap and len(split) < batch:
-            _, _, pid = heapq.heappop(heap)
-            if pid in store:
-                split.append(store.pop(pid))
-        child_bounds = []
-        child_coarse = []
-        for p in split:
-            mid = 0.5 * (p.a + p.b)
-            child_bounds.extend([(p.a, mid), (mid, p.b)])
-            child_coarse.extend([p.half_lo, p.half_hi])
-        for child in halve(child_bounds, child_coarse):
-            store[next_id] = child
-            heapq.heappush(heap, (-child.err, child.a, next_id))
-            next_id += 1
+        worst = change.reshape(len(a), -1).max(axis=1)
+        split = np.zeros(len(a), dtype=bool)
+        split[np.lexsort((a, -worst))[:_BATCH]] = True
+        m = 0.5 * (a[split] + b[split])
+        ca, cb = _pairs(a[split], m), _pairs(m, b[split])
+        chalves, cchange = halve(ca, cb, halves[split].reshape((len(ca),) + halves.shape[2:]))
+        keep = ~split
+        a, b = np.concatenate([a[keep], ca]), np.concatenate([b[keep], cb])
+        halves = np.concatenate([halves[keep], chalves])
+        change = np.concatenate([change[keep], cchange])
+
+
+def rowwise_panel_integral(fvals, x_lo, offsets, *, nodes, rel_tol):
+    """Integrate over [x_lo[r], x_lo[r] + offsets[-1]] for every row r.
+
+    `fvals(x2d)` maps an (R, M) array of abscissae to (R, M, C) values.
+    Returns (I, err) of shapes (R, C) and (R,) as `adaptive_integral` does.
+    """
+    x_lo = np.asarray(x_lo, dtype=float)[:, None]
+    total, err, _ = adaptive_integral(
+        lambda x: np.swapaxes(fvals(x_lo + x), 0, 1),
+        offsets, nodes=nodes, rel_tol=rel_tol, abs_tol=0.0,
+    )
+    return total, err

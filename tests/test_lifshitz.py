@@ -213,6 +213,20 @@ def test_matsubara_budget_enforced():
         force_finite_T(st, st, VACUUM, 0.05, 1e-3, QuadratureConfig(max_matsubara=50))
 
 
+@pytest.mark.parametrize("name", ["fig1c", "fig1d", "fig3c"])
+def test_tight_tolerance_converges_above_roundoff(name):
+    # the per-row kappa error sums |panel changes|, which cannot fall below
+    # the integrand's round-off (~1e-13 relative on high-xi rows): 1e-11 must
+    # still converge, and agree with the default within its error estimate
+    from calmir import preset
+
+    st1, st2, gap = preset(name)
+    d, tau = 2.0 * math.pi / 20.0, 0.01
+    default = force_finite_T(st1, st2, gap, d, tau)
+    tight = force_finite_T(st1, st2, gap, d, tau, QuadratureConfig(rel_tol=1e-11))
+    assert abs(tight.pressure_norm - default.pressure_norm) <= default.est_error
+
+
 @pytest.mark.parametrize("block", [1 << 12, None])
 def test_blocked_pair_integrals_bit_identical(monkeypatch, block):
     # the reflection callback evaluates its (rows x abscissae) grid in column
