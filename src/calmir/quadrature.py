@@ -1,14 +1,16 @@
-"""Gauss-Legendre panel quadrature: one globally adaptive engine.
+"""Gauss-Kronrod panel quadrature: one globally adaptive engine.
 
 `adaptive_integral` integrates an integrand with a row axis over shared
 panels.  `f(x)` takes M abscissae and returns (M, ..., C) values: any number
-of rows (one per Matsubara frequency, say), each with C components.  Every
-panel is evaluated whole and then as two halves; its error is the largest
-change over rows of the sum of the first `n_control` components.  Until every
-row's summed panel error meets the tolerance, the worst panels are split,
-a few per pass, so each pass makes one call of f on every (abscissa, row)
-point it needs; the integrand may split that call into smaller blocks
-internally.
+of rows (one per Matsubara frequency, say), each with C components.  Each
+panel is evaluated once, at the 2n+1 nodes of the (2n+1)-point Kronrod
+extension of the n-point Gauss rule (`nodes` = n); its value is the Kronrod
+sum K, and its error is the largest change |K - G| over rows of the sum of
+the first `n_control` components, where G is the Gauss sum on the same
+nodes.  Until every row's summed panel error meets the tolerance, the worst
+panels are split, a few per pass, and only the new halves are evaluated, so
+each pass makes one call of f on every (abscissa, row) point it needs; the
+integrand may split that call into smaller blocks internally.
 
 `rowwise_panel_integral` adapts the engine to panels shifted to a per-row
 lower limit; it is the kappa integral's named entry point, through which the
@@ -19,13 +21,14 @@ the panel budget raises `ConvergenceError`.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConvergenceError
 
-__all__ = ["gauss_rule", "rowwise_panel_integral", "adaptive_integral"]
+__all__ = ["gauss_rule", "kronrod_rule", "rowwise_panel_integral", "adaptive_integral"]
 
 _BATCH = 8  # panels split per refinement pass
 
@@ -34,6 +37,66 @@ _BATCH = 8  # panels split per refinement pass
 def gauss_rule(n: int):
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
     x, w = np.polynomial.legendre.leggauss(int(n))
+    return x, w
+
+
+@lru_cache(maxsize=None)
+def kronrod_rule(n: int):
+    """Nodes x (2n+1,) and weights (2n+1, 2) of the Gauss-Kronrod pair on [-1, 1].
+
+    Column 0 holds the Kronrod weights, exact for degree 3n+1; column 1 the
+    n-point Gauss weights at the Gauss nodes x[1::2], zero elsewhere.  The
+    Jacobi-Kronrod matrix comes from the Legendre recurrence (a_k = 0,
+    b_0 = 2, b_k = k^2/(4k^2 - 1)) by Laurie's algorithm (Math. Comp. 66,
+    1133 (1997)); its eigenvalues are the nodes, and the weights are the
+    Christoffel numbers 1/sum_k p_k(x)^2 of its orthonormal polynomials.
+    """
+    n = int(n)
+    a = np.zeros(2 * n + 1)
+    b = np.zeros(2 * n + 1)
+    deg = np.arange(-(-3 * n // 2) + 1, dtype=float)  # ceil(3n/2) + 1 Legendre terms
+    b[: len(deg)] = deg * deg / (4.0 * deg * deg - 1.0)
+    b[0] = 2.0
+    s = np.zeros(n // 2 + 2)
+    t = np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        u = 0.0
+        for k in range((m + 1) // 2, -1, -1):
+            l = m - k
+            u += (a[k + n + 1] - a[l]) * t[k + 1] + b[k + n + 1] * s[k] - b[l] * s[k + 1]
+            s[k + 1] = u
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        u = 0.0
+        for k in range(m + 1 - n, (m - 1) // 2 + 1):
+            l = m - k
+            j = n - 1 - l
+            u += b[l] * s[j + 2] - (a[k + n + 1] - a[l]) * t[j + 1] - b[k + n + 1] * s[j + 1]
+            s[j + 1] = u
+        k = (m + 1) // 2
+        if m % 2 == 0:
+            a[k + n + 1] = a[k] + (s[j + 1] - b[k + n + 1] * s[j + 2]) / t[j + 2]
+        else:
+            b[k + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+
+    off = np.sqrt(b[1:])
+    x = np.linalg.eigvalsh(np.diag(a) + np.diag(off, 1) + np.diag(off, -1))
+    p_prev, p = np.zeros_like(x), np.full_like(x, 1.0 / math.sqrt(b[0]))
+    norm = p * p
+    for j in range(2 * n):
+        p_prev, p = p, ((x - a[j]) * p - (off[j - 1] * p_prev if j else 0.0)) / off[j]
+        norm += p * p
+    # the rule is symmetric about 0: average out the eigensolver's asymmetry
+    x = 0.5 * (x - x[::-1])
+    w = np.zeros((2 * n + 1, 2))
+    w[:, 0] = 0.5 * (1.0 / norm + 1.0 / norm[::-1])
+    w[1::2, 1] = gauss_rule(n)[1]
+    # the cached arrays are shared by every caller, so they are read-only
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
@@ -47,38 +110,34 @@ def adaptive_integral(f, edges, *, nodes, rel_tol, abs_tol, n_control=None, max_
 
     `f(x)` takes a 1-D array of M abscissae and returns an (M, ..., C) array.
     Returns (I, err, n_eval): I of shape (..., C); err, one entry per row,
-    the summed |halves - whole| of the first `n_control` components (all by
-    default); n_eval the number of (abscissa, row) points evaluated.  Raises
-    `ConvergenceError` if `max_panels` panels do not meet the tolerance.
+    the summed |K - G| of the first `n_control` components (all by default);
+    n_eval the number of (abscissa, row) points evaluated, 2 `nodes` + 1 per
+    panel.  Raises `ConvergenceError` if `max_panels` panels do not meet the
+    tolerance.
     """
-    x, w = gauss_rule(nodes)
+    x, w = kronrod_rule(nodes)
     n_eval = 0
 
-    def gauss(a, b):
-        """Gauss value of f on each panel [a[i], b[i]]; one f call for all."""
+    def panels(a, b):
+        """Kronrod value of f on each panel [a[i], b[i]], (P, ..., C), and each
+        row's |K - G| on the control components; one f call for all."""
         nonlocal n_eval
         half = 0.5 * (b - a)
         pts = (0.5 * (a + b))[:, None] + half[:, None] * x
         vals = np.asarray(f(pts.ravel()))
         n_eval += vals.size // vals.shape[-1]
-        # (panel, *rows, C, node) @ (panel, node, 1): a batched matrix product
+        # (panel, *rows, C, node) @ (panel, node, 2): a batched matrix product
         vals = np.moveaxis(vals.reshape(pts.shape + vals.shape[1:]), 1, -1)
-        wts = (half[:, None] * w).reshape((len(a),) + (1,) * (vals.ndim - 3) + (len(x), 1))
-        return (vals @ wts)[..., 0]
-
-    def halve(a, b, whole):
-        """Values of both halves of each panel, (P, 2, ..., C), and each row's
-        |halves - whole| on the control components."""
-        m = 0.5 * (a + b)
-        vals = gauss(_pairs(a, m), _pairs(m, b))
-        halves = vals.reshape((len(a), 2) + vals.shape[1:])
-        return halves, np.abs((halves.sum(axis=1) - whole)[..., :n_control].sum(axis=-1))
+        wts = (half[:, None, None] * w).reshape((len(a),) + (1,) * (vals.ndim - 3) + w.shape)
+        kg = vals @ wts
+        kron = kg[..., 0]
+        return kron, np.abs((kron - kg[..., 1])[..., :n_control].sum(axis=-1))
 
     edges = np.asarray(edges, dtype=float)
     a, b = edges[:-1], edges[1:]
-    halves, change = halve(a, b, gauss(a, b))
+    value, change = panels(a, b)
     while True:
-        total = halves.sum(axis=1).sum(axis=0)
+        total = value.sum(axis=0)
         err = change.sum(axis=0)
         scale = np.abs(total[..., :n_control].sum(axis=-1)).max(initial=0.0)
         target = max(abs_tol, rel_tol * scale)
@@ -94,10 +153,10 @@ def adaptive_integral(f, edges, *, nodes, rel_tol, abs_tol, n_control=None, max_
         split[np.lexsort((a, -worst))[:_BATCH]] = True
         m = 0.5 * (a[split] + b[split])
         ca, cb = _pairs(a[split], m), _pairs(m, b[split])
-        chalves, cchange = halve(ca, cb, halves[split].reshape((len(ca),) + halves.shape[2:]))
+        cvalue, cchange = panels(ca, cb)
         keep = ~split
         a, b = np.concatenate([a[keep], ca]), np.concatenate([b[keep], cb])
-        halves = np.concatenate([halves[keep], chalves])
+        value = np.concatenate([value[keep], cvalue])
         change = np.concatenate([change[keep], cchange])
 
 

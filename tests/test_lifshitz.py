@@ -213,18 +213,37 @@ def test_matsubara_budget_enforced():
         force_finite_T(st, st, VACUUM, 0.05, 1e-3, QuadratureConfig(max_matsubara=50))
 
 
+@pytest.mark.parametrize("tau", [0.01, 0.0])
 @pytest.mark.parametrize("name", ["fig1c", "fig1d", "fig3c"])
-def test_tight_tolerance_converges_above_roundoff(name):
-    # the per-row kappa error sums |panel changes|, which cannot fall below
-    # the integrand's round-off (~1e-13 relative on high-xi rows): 1e-11 must
-    # still converge, and agree with the default within its error estimate
+def test_tight_tolerance_converges_above_roundoff(name, tau):
+    # the per-row kappa error sums |K - G| over panels, which cannot fall
+    # below the integrand's round-off (~1e-13 relative on high-xi rows):
+    # 1e-11 must still converge, and agree with the default within its
+    # error estimate
     from calmir import preset
 
     st1, st2, gap = preset(name)
-    d, tau = 2.0 * math.pi / 20.0, 0.01
-    default = force_finite_T(st1, st2, gap, d, tau)
-    tight = force_finite_T(st1, st2, gap, d, tau, QuadratureConfig(rel_tol=1e-11))
+    d = 2.0 * math.pi / 20.0
+
+    def force(cfg=None):
+        if tau == 0.0:
+            return force_zero_T(st1, st2, gap, d, cfg)
+        return force_finite_T(st1, st2, gap, d, tau, cfg)
+
+    default = force()
+    tight = force(QuadratureConfig(rel_tol=1e-11))
     assert abs(tight.pressure_norm - default.pressure_norm) <= default.est_error
+
+
+@pytest.mark.parametrize("name, d, tau", [("fig3c", 20.0 * math.pi, 0.1), ("fig1d", 314.2, 0.01)])
+def test_est_error_not_below_roundoff(name, d, tau):
+    # a few Matsubara terms with a tiny tail: the estimate must still cover
+    # the rounding error of summing the terms
+    from calmir import preset
+
+    st1, st2, gap = preset(name)
+    res = force_finite_T(st1, st2, gap, d, tau)
+    assert res.est_error >= np.finfo(float).eps * abs(res.pressure_norm)
 
 
 @pytest.mark.parametrize("block", [1 << 12, None])

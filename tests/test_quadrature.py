@@ -1,10 +1,11 @@
-"""Quadrature engine: the row axis, and running out of the panel budget is an error."""
+"""Quadrature engine: the Gauss-Kronrod rule, the row axis, and running out of
+the panel budget is an error."""
 
 import numpy as np
 import pytest
 
 from calmir import ConvergenceError
-from calmir.quadrature import adaptive_integral, rowwise_panel_integral
+from calmir.quadrature import adaptive_integral, kronrod_rule, rowwise_panel_integral
 
 
 def test_rowwise_budget_raises():
@@ -28,18 +29,52 @@ def test_adaptive_budget_raises():
         )
 
 
-def test_row_axis_matches_closed_form():
-    # row r integrates e^{-x} over [x_lo[r], x_lo[r] + 60]
+@pytest.mark.parametrize("n", [4, 6, 16, 24, 64])
+def test_kronrod_rule(n):
+    x, w = kronrod_rule(n)
+    xg, wg = np.polynomial.legendre.leggauss(n)
+    assert x.shape == (2 * n + 1,) and w.shape == (2 * n + 1, 2)
+    assert np.all(np.diff(x) > 0.0)
+    # the Gauss nodes sit at the odd indices, carrying the Gauss weights
+    assert np.max(np.abs(x[1::2] - xg)) <= 1e-14
+    assert np.array_equal(w[1::2, 1], wg) and not np.any(w[::2, 1])
+    assert np.all(w[:, 0] > 0.0)
+    assert abs(w[:, 0].sum() - 2.0) <= 1e-14
+    # the Kronrod rule integrates every Legendre polynomial up to degree 3n+1
+    for k in range(1, 3 * n + 2):
+        pk = np.polynomial.legendre.Legendre.basis(k)(x)
+        assert abs(pk @ w[:, 0]) <= 1e-14, k
+
+
+@pytest.mark.parametrize(
+    "f, exact",
+    [
+        (lambda x: np.exp(-x), lambda lo, hi: np.exp(-lo) - np.exp(-hi)),
+        # a narrow peak at x = 5 inside some rows' ranges; arctan2 gives the
+        # difference of the two arctans without cancellation
+        (
+            lambda x: 1.0 / ((x - 5.0) ** 2 + 1e-4),
+            lambda lo, hi: np.arctan2(100.0 * (hi - lo), 1.0 + 1e4 * (lo - 5.0) * (hi - 5.0)) * 100.0,
+        ),
+    ],
+    ids=["exp", "lorentz"],
+)
+def test_row_axis_matches_closed_form(f, exact):
+    # row r integrates f over [x_lo[r], x_lo[r] + 60]
     x_lo = np.array([0.0, 0.5, 3.0, 20.0])
     offsets = np.array([0.0, 1.0, 4.0, 16.0, 60.0])
+    calls = []
 
     def fvals(x):
-        return np.stack([np.exp(-x), 2.0 * np.exp(-x)], axis=-1)
+        calls.append(x.size)
+        return np.stack([f(x), 2.0 * f(x)], axis=-1)
 
     total, err = rowwise_panel_integral(fvals, x_lo, offsets, nodes=6, rel_tol=1e-10)
-    exact = np.exp(-x_lo) - np.exp(-(x_lo + 60.0))
+    want = exact(x_lo, x_lo + 60.0)
     assert total.shape == (4, 2)
     assert err.shape == (4,)
-    actual = np.abs(total.sum(axis=1) - 3.0 * exact)
+    # the estimate must bound the actual error also after panels were split
+    assert len(calls) > 1
+    actual = np.abs(total.sum(axis=1) - 3.0 * want)
     assert np.all(actual <= err)
-    assert np.all(err <= 1e-10 * 3.0 * exact.max())
+    assert np.all(err <= 1e-10 * 3.0 * want.max())
