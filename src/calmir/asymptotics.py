@@ -6,9 +6,13 @@ nonretarded reflection amplitudes R(x) = (x - 1)/(x + 1):
 
     c3 = (tau/4 pi) sum'_n { Li3[R(eps1) R(eps2)] + Li3[R(mu1) R(mu2)] }
 
-(arguments at xi_n; tau = 0 turns the sum into (1/8 pi^2) int dxi).  For
-homogeneous plates c3/d^3 is also a strict upper bound on the pressure,
-because r_TM <= R(eps), r_TE <= R(mu) mode by mode and Li3 is monotone.
+(arguments at xi_n; tau = 0 turns the sum into (1/8 pi^2) int dxi).  c3/d^3
+is not a bound on the pressure in general: at tau > 0 the retarded terms
+can exceed it (fig1a at tau = 0.3, d = 2: F d^3 = 1.626e-2 > c3 = 1.475e-2),
+and two Drude TE amplitudes are both negative, so their product is not
+capped by R(mu1) R(mu2) = 0.  The acceptance gate checks the cap only at
+T = 0, on the fig1a grid.  `matsubara_series` sums the closed-form
+Matsubara series of c3 and of the ideal-mirror envelopes.
 
 For a gap whose permittivity matches mirror 2 exactly (and mu0 = mu1 = 1)
 the leading attraction cancels and the short-distance pressure follows from
@@ -46,6 +50,7 @@ __all__ = [
     "polylog3",
     "nonretarded_R",
     "upper_gamma",
+    "matsubara_series",
     "hamaker_c3",
     "matched_media_force",
     "ideal_limits",
@@ -214,11 +219,49 @@ def upper_gamma(k: int, z):
     return float(out) if np.ndim(z) == 0 else out
 
 
-def _xi_map_edges(scale=1.0):
-    """Edges in t = xi/(scale + xi) covering resonance and cutoff scales."""
-    breaks = (0.02, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 40.0)
-    ts = sorted({0.0} | {b / (scale + b) for b in breaks} | {1.0})
-    return np.array(ts)
+# panel edges in t = xi/(1 + xi) at the resonance and cutoff scales of xi
+_XI_MAP_EDGES = np.array(
+    [0.0] + [b / (1.0 + b) for b in (0.02, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 40.0)] + [1.0]
+)
+
+
+def _xi_integral(g, rel_tol):
+    """int_0^inf g(xi) dxi on the map t = xi/(1 + xi), 24-point Gauss-Kronrod panels."""
+
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        return (g(t / (1.0 - t)) / (1.0 - t) ** 2)[:, None]
+
+    total, _, _ = adaptive_integral(f, _XI_MAP_EDGES, nodes=24, rel_tol=rel_tol, abs_tol=1e-300)
+    return float(total[0])
+
+
+def matsubara_series(terms, tau, first, rel_tol):
+    """Primed Matsubara sums 0.5 first + sum_{n >= 1} terms(xi_n), xi_n = 2 pi n tau.
+
+    `terms(xi)` maps a block of frequencies (B,) to (C, B) values, one row
+    per column summed; `first` holds the C values at xi = 0.  Blocks start
+    at 512 terms and double up to 65536.  Summing stops once n last <=
+    rel_tol times the sum in every column, with `last` the column's term at
+    the end of a block, and n last is added to each sum.  It bounds the tail
+    for non-negative terms that do not increase and decay at least like
+    1/n^2, and for geometric decay of ratio q once n >= 1/(1 - q).  Returns
+    the C sums; raises `ConvergenceError` past 10^8 terms.
+    """
+    acc = 0.5 * np.asarray(first, dtype=float)
+    n = 1
+    block = 512
+    while True:
+        ns = np.arange(n, n + block)
+        vals = terms(2.0 * math.pi * tau * ns)
+        acc += vals.sum(axis=-1)
+        tail = vals[:, -1] * float(ns[-1])
+        if np.all(tail <= rel_tol * np.maximum(acc, 1e-300)):
+            return acc + tail
+        n += block
+        block = min(2 * block, 1 << 16)
+        if n > 10**8:
+            raise ConvergenceError(f"Matsubara series did not converge after {n - 1} terms")
 
 
 def _R_products(mat1: ResponseModel, mat2: ResponseModel, xi):
@@ -234,8 +277,8 @@ def hamaker_c3(mat1: ResponseModel, mat2: ResponseModel, tau: float = 0.0, *, re
     when both mirrors reflect perfectly at all frequencies in the same
     channel, since the nonretarded amplitudes then do not decay.  At tau = 0
     the xi integral runs on 24-point Gauss-Kronrod panels (49 points each);
-    at tau > 0 the Matsubara terms are summed in blocks that double up to
-    65536 terms, until the tail bound meets `rel_tol`.
+    at tau > 0 `matsubara_series` sums the terms until its tail bound meets
+    `rel_tol`.
     """
     if tau < 0.0:
         raise ValueError("tau must be >= 0")
@@ -248,38 +291,19 @@ def hamaker_c3(mat1: ResponseModel, mat2: ResponseModel, tau: float = 0.0, *, re
 
     if tau == 0.0:
 
-        def f(t):
-            t = np.asarray(t, dtype=float)
-            xi = t / (1.0 - t)
+        def g(xi):
             re, rm = _R_products(mat1, mat2, xi)
-            val = (polylog3(re) + polylog3(rm)) / (1.0 - t) ** 2
-            return val[:, None]
+            return polylog3(re) + polylog3(rm)
 
-        total, _, _ = adaptive_integral(
-            f, _xi_map_edges(), nodes=24, rel_tol=rel_tol, abs_tol=1e-300
-        )
-        return float(total[0]) / (8.0 * math.pi**2)
+        return _xi_integral(g, rel_tol) / (8.0 * math.pi**2)
+
+    def terms(xi):
+        re, rm = _R_products(mat1, mat2, xi)
+        return (polylog3(re) + polylog3(rm))[None, :]
 
     re0, rm0 = _R_products(mat1, mat2, 0.0)
-    acc = 0.5 * (polylog3(re0) + polylog3(rm0))
-    n = 1
-    block = 512
-    while True:
-        ns = np.arange(n, n + block)
-        xi = 2.0 * math.pi * tau * ns
-        re, rm = _R_products(mat1, mat2, xi)
-        terms = polylog3(re) + polylog3(rm)
-        acc += float(terms.sum())
-        # terms decay at least like 1/n^2, so last * n bounds the tail
-        tail = float(terms[-1]) * float(ns[-1])
-        if tail <= rel_tol * max(acc, 1e-300):
-            acc += tail
-            break
-        n += block
-        block = min(2 * block, 1 << 16)
-        if n > 10**8:
-            raise ConvergenceError("Matsubara sum for c3 did not converge")
-    return tau / (4.0 * math.pi) * acc
+    (acc,) = matsubara_series(terms, tau, [polylog3(re0) + polylog3(rm0)], rel_tol)
+    return tau / (4.0 * math.pi) * float(acc)
 
 
 def matched_media_force(
@@ -313,9 +337,7 @@ def matched_media_force(
     prev = None
     for n in range(1, n_max + 1):
 
-        def f(t, n=n):
-            t = np.asarray(t, dtype=float)
-            xi = t / (1.0 - t)
+        def g(xi, n=n):
             e1v = epsilon_i(mat1, xi)
             e0v = epsilon_i(mat2, xi)  # gap matched to mirror 2
             m2v = mu_i(mat2, xi)
@@ -324,13 +346,9 @@ def matched_media_force(
             p_tm = (diff / (e1v + e0v)) * e0v * contrast * xi * xi / 4.0
             p_te = diff * contrast / (m2v + 1.0) * xi * xi / 4.0
             gam = upper_gamma(3 - 2 * n, np.maximum(2.0 * n * xi * d, 1e-290))
-            val = gam * ((-p_tm) ** n + (-p_te) ** n) / (1.0 - t) ** 2
-            return np.where(xi == 0.0, 0.0, val)[:, None]
+            return np.where(xi == 0.0, 0.0, gam * ((-p_tm) ** n + (-p_te) ** n))
 
-        total_n, _, _ = adaptive_integral(
-            f, _xi_map_edges(), nodes=24, rel_tol=rel_tol, abs_tol=1e-300
-        )
-        term = (2.0 * n * d) ** (2 * n - 3) * float(total_n[0]) / (2.0 * math.pi**2)
+        term = (2.0 * n * d) ** (2 * n - 3) * _xi_integral(g, rel_tol) / (2.0 * math.pi**2)
         if prev is not None and abs(term) > abs(prev):
             raise ConvergenceError(
                 f"reflection expansion grows at order {n}: |term| = {abs(term):.3e}"

@@ -78,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("scenario", type=Path)
     sp.add_argument("-d", "--distance", type=float, required=True)
     sp.add_argument("--tau", type=float, default=None)
-    common(sp)
 
     sp = sub.add_parser("preset", help="write a bundled scenario file")
     sp.add_argument("name", choices=PRESET_NAMES)
@@ -114,12 +113,12 @@ def _si_pressure(pressure_norm: float, d: float, omega: float) -> float:
     return pressure_norm * HBAR * omega**4 / (C_LIGHT**3 * d**3)
 
 
-def _c3_or_none(scn: Scenario):
+def _c3_or_none(scn: Scenario, tau: float):
     homogeneous = not scn.mirror1.layers and not scn.mirror2.layers
     if not homogeneous or scn.gap.kind is not Kind.VACUUM:
         return None
     try:
-        return hamaker_c3(scn.mirror1.substrate, scn.mirror2.substrate, scn.temperature)
+        return hamaker_c3(scn.mirror1.substrate, scn.mirror2.substrate, tau)
     except UnsupportedConfigurationError:
         return None
 
@@ -148,7 +147,7 @@ def cmd_force(args) -> int:
 
 def _sweep_rows(scn: Scenario, tau: float, cfg: QuadratureConfig, workers: int, omega):
     distances = scn.sweep.distances()
-    c3 = _c3_or_none(scn)
+    c3 = _c3_or_none(scn, tau)
 
     def one(d: float):
         res = _force_at(scn, float(d), tau, cfg)

@@ -311,23 +311,16 @@ def force_zero_T(stack1, stack2, gap, d, cfg: QuadratureConfig | None = None) ->
     )
 
 
-def _envelope_integral(xi, d, attract: bool):
-    """(1/2pi) int_xi^inf kappa^2 [2/(e^{2 kappa d} -+ 1)] dkappa, closed form.
+def _envelope_integral(xi, d):
+    """(1/2pi) int_xi^inf kappa^2 [2/(e^{2 kappa d} - 1)] dkappa, closed form.
 
-    Expanding the Bose/Fermi factor in powers of e^{-2 kappa d} and
-    integrating term by term gives polylogarithms of e^{-2 xi d}.
+    Expanding the Bose factor in powers of e^{-2 kappa d} and integrating
+    term by term gives polylogarithms of e^{-2 xi d}.
     """
-    xi = np.asarray(xi, dtype=float)
-    a = 2.0 * d * xi
-    z = np.exp(-a)
-    if attract:
-        l1 = -np.log1p(-z)
-        l2 = asymptotics.polylog2(z)
-        l3 = asymptotics.polylog3(z)
-    else:
-        l1 = np.log1p(z)
-        l2 = -asymptotics.polylog2(-z)
-        l3 = -asymptotics.polylog3(-z)
+    z = np.exp(-2.0 * d * xi)
+    l1 = -np.log1p(-z)
+    l2 = asymptotics.polylog2(z)
+    l3 = asymptotics.polylog3(z)
     return (xi * xi / (2.0 * d) * l1 + xi / (2.0 * d * d) * l2 + l3 / (4.0 * d**3)) / math.pi
 
 
@@ -336,9 +329,12 @@ def bound_envelope(d: float, tau: float) -> tuple[float, float]:
 
     hi is the pressure between identical perfect mirrors, lo the (negative)
     pressure between a perfectly conducting and a perfectly permeable one.
-    At tau = 0 these are (-7/8, 1) pi^2/(240 d^4); the finite-temperature
-    sums are evaluated from their exact polylogarithm form, independently of
-    the quadrature engine.
+    At tau = 0 these are (-7/8, 1) pi^2/(240 d^4).  At tau > 0 both are
+    Matsubara sums of exact polylogarithm forms, evaluated independently of
+    the quadrature engine.  The repulsive mode sum replaces Li_s(z) by
+    -Li_s(-z) = Li_s(z) - 2^{1-s} Li_s(z^2), and z^2 = e^{-2 xi (2d)}, so
+    mode by mode lo = -(A(d) - 2 A(2d)) for the attractive mode sum A;
+    `asymptotics.matsubara_series` sums A at d and 2d together.
     """
     if d <= 0.0:
         raise ValueError("d must be > 0")
@@ -348,20 +344,10 @@ def bound_envelope(d: float, tau: float) -> tuple[float, float]:
         fc_norm = math.pi**2 / (240.0 * d)
         return (-0.875 * fc_norm, fc_norm)
 
-    zeta3 = asymptotics.ZETA3
-    hi = 0.5 * zeta3 / (4.0 * math.pi * d**3)
-    lo = 0.5 * 0.75 * zeta3 / (4.0 * math.pi * d**3)
-    n = 1
-    block = 4096
-    while True:
-        ns = np.arange(n, n + block)
-        xi = 2.0 * math.pi * tau * ns
-        t_hi = _envelope_integral(xi, d, attract=True)
-        t_lo = _envelope_integral(xi, d, attract=False)
-        hi += float(t_hi.sum())
-        lo += float(t_lo.sum())
-        if t_hi[-1] <= 1e-16 * hi and t_lo[-1] <= 1e-16 * lo:
-            break
-        n += block
+    def terms(xi):
+        return np.stack([_envelope_integral(xi, d), _envelope_integral(xi, 2.0 * d)])
+
+    first = [asymptotics.ZETA3 / (4.0 * math.pi * dd**3) for dd in (d, 2.0 * d)]
+    hi_d, hi_2d = asymptotics.matsubara_series(terms, tau, first, 1e-16)
     scale = 2.0 * tau * d**3
-    return (-scale * lo, scale * hi)
+    return (-scale * float(hi_d - 2.0 * hi_2d), scale * float(hi_d))

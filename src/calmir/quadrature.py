@@ -28,16 +28,9 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-__all__ = ["gauss_rule", "kronrod_rule", "rowwise_panel_integral", "adaptive_integral"]
+__all__ = ["kronrod_rule", "rowwise_panel_integral", "adaptive_integral"]
 
 _BATCH = 8  # panels split per refinement pass
-
-
-@lru_cache(maxsize=None)
-def gauss_rule(n: int):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
-    x, w = np.polynomial.legendre.leggauss(int(n))
-    return x, w
 
 
 @lru_cache(maxsize=None)
@@ -94,7 +87,7 @@ def kronrod_rule(n: int):
     x = 0.5 * (x - x[::-1])
     w = np.zeros((2 * n + 1, 2))
     w[:, 0] = 0.5 * (1.0 / norm + 1.0 / norm[::-1])
-    w[1::2, 1] = gauss_rule(n)[1]
+    w[1::2, 1] = np.polynomial.legendre.leggauss(n)[1]
     # the cached arrays are shared by every caller, so they are read-only
     x.flags.writeable = w.flags.writeable = False
     return x, w

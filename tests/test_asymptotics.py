@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate
 
 from calmir import (
+    ConvergenceError,
     MirrorStack,
     PERFECT_ELECTRIC,
     PERFECT_MAGNETIC,
@@ -25,7 +26,7 @@ from calmir import (
     thermal_wavelength,
     upper_gamma,
 )
-from calmir.asymptotics import ZETA3
+from calmir.asymptotics import ZETA3, matsubara_series
 
 
 def brute_li3(z, terms=4_000_000):
@@ -139,6 +140,22 @@ def test_hamaker_against_direct_quadrature():
     want, _ = integrate.quad(f, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=200)
     got = hamaker_c3(drude, drude, 0.0)
     assert got == pytest.approx(want / (8.0 * math.pi**2), rel=1e-9)
+
+
+def test_matsubara_series_tail_bound_and_budget():
+    tau = 0.1
+
+    def terms(xi):
+        n = xi / (2.0 * math.pi * tau)
+        return np.stack([n**-3.0, 0.5**n])
+
+    rel_tol = 1e-10
+    got = matsubara_series(terms, tau, [2.0, 2.0], rel_tol)
+    # the added tail bound keeps each sum at or above its exact value
+    for g, want in zip(got, (1.0 + ZETA3, 2.0)):
+        assert want * (1.0 - 1e-15) <= g <= want * (1.0 + rel_tol)
+    with pytest.raises(ConvergenceError):
+        matsubara_series(lambda xi: np.ones((1, xi.size)), tau, [1.0], rel_tol)
 
 
 def test_hamaker_short_distance_asymptote():

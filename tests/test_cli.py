@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from calmir import parse, preset_scenario, serialize
+from calmir import ResponseModel, hamaker_c3, parse, preset_scenario, serialize
 from calmir.cli import main
 
 
@@ -137,13 +137,16 @@ def test_sweep_temperature_family(capsys, tmp_path):
     src.write_text(
         "[material m]\neps_strength = 1\n"
         "[mirror 1]\nsubstrate = m\n[mirror 2]\nsubstrate = m\n"
-        "[run]\nT = 0.5 0.1\nd = 1 2 2 log\n"
+        "[run]\nT = 0.5 0.1 0\nd = 1 2 2 log\n"
     )
     out_csv = tmp_path / "fam.csv"
     code, _, _ = run(capsys, "sweep", str(src), "-o", str(out_csv), "--tol", "1e-6", "--quiet")
     assert code == 0
-    assert (tmp_path / "fam_tau0.5.csv").exists()
-    assert (tmp_path / "fam_tau0.1.csv").exists()
+    drude = ResponseModel.drude(1.0)
+    for tau in (0.5, 0.1, 0.0):
+        rows = (tmp_path / f"fam_tau{tau:g}.csv").read_text().strip().splitlines()[1:]
+        # each file carries c3 at its own temperature, not the family's first
+        assert {r.split(",")[7] for r in rows} == {f"{hamaker_c3(drude, drude, tau):.12e}"}
 
 
 def test_asympt_outputs(capsys, fig1a_file, ideal_file):
@@ -156,6 +159,14 @@ def test_asympt_outputs(capsys, fig1a_file, ideal_file):
     code, out, _ = run(capsys, "asympt", str(ideal_file), "-d", "0.5")
     assert code == 0
     assert "unavailable" in parse_kv(out)["c3_norm"]
+
+
+@pytest.mark.parametrize(
+    "option", [["--quiet"], ["--tol", "1e-6"], ["--max-matsubara", "10"], ["--omega-rad-s", "1e15"]]
+)
+def test_asympt_rejects_force_options(capsys, fig1a_file, option):
+    code, out, err = run(capsys, "asympt", str(fig1a_file), "-d", "0.5", *option)
+    assert code == 1 and "usage error" in err and out == ""
 
 
 def test_preset_roundtrip(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -162,6 +163,35 @@ def test_bound_envelope_straddles_zero():
     for d, tau in ((0.3, 0.0), (1.0, 0.2), (5.0, 3.0)):
         lo, hi = bound_envelope(d, tau)
         assert lo < 0.0 < hi
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.3])
+@pytest.mark.parametrize("d", [0.5, 2.0, 10.0])
+def test_bound_envelope_against_mpmath(d, tau):
+    # both mode sums directly, with the Fermi-type polylogs at -z for lo
+    with mpmath.workdps(30):
+        md, mt = mpmath.mpf(d), mpmath.mpf(tau)
+
+        def mode(xi, z):
+            li = [mpmath.polylog(s, z) for s in (1, 2, 3)]
+            return (xi**2 / (2 * md) * li[0] + xi / (2 * md**2) * li[1] + li[2] / (4 * md**3)) / mpmath.pi
+
+        z3 = mpmath.zeta(3) / (8 * mpmath.pi * md**3)
+        hi, lo = z3, 0.75 * z3
+        n = 1
+        while True:
+            xi = 2 * mpmath.pi * mt * n
+            z = mpmath.exp(-2 * xi * md)
+            t_hi = mode(xi, z)
+            hi += t_hi
+            lo -= mode(xi, -z)
+            if t_hi < mpmath.mpf(10) ** -25 * hi:
+                break
+            n += 1
+        want_lo, want_hi = float(-2 * mt * md**3 * lo), float(2 * mt * md**3 * hi)
+    lo, hi = bound_envelope(d, tau)
+    assert lo == pytest.approx(want_lo, rel=1e-14)
+    assert hi == pytest.approx(want_hi, rel=1e-14)
 
 
 def test_envelope_saturated_by_ideal_mirrors():
