@@ -16,7 +16,8 @@ at x_min + 60 (the integrand carries e^{-x}); results are reported in the
 normalized form F d^3 (i.e. F d^3/(hbar Omega) in physical units).  Since
 |r1 r2| <= 1 for passive materials, every term lies between the envelopes
 obtained for r1 r2 = +/-1, which integrate to ideal perfect-mirror
-pressures; those envelopes are returned alongside each result.
+pressures; those envelopes are returned alongside each result, and a
+result that leaves them raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -55,6 +56,9 @@ class QuadratureConfig:
     `kappa_nodes` and `xi_nodes` are the Gauss orders n of the Gauss-Kronrod
     panels of the kappa integral and of the tau = 0 xi integral; each panel
     costs 2n + 1 integrand points (129 and 33 by default).
+    `max_matsubara` is the highest Matsubara index the tau > 0 sum may reach:
+    a sum not converged after its max_matsubara + 1 terms (n = 0 ... max)
+    raises ConvergenceError.
     """
 
     rel_tol: float = 1e-8
@@ -185,6 +189,18 @@ def _pair_integrals(stack1, stack2, gap, d, xi, cfg):
     return vals[:, 0] * scale, vals[:, 1] * scale, err * scale
 
 
+def _result(te, tm, n_terms_used, est, d, tau) -> ForceResult:
+    """The ForceResult of (te, tm); raises ConvergenceError if the pressure
+    leaves the ideal-mirror envelopes by more than est + 1e-12 relative."""
+    p = te + tm
+    lo, hi = bound_envelope(d, tau)
+    slack = est + 1e-12 * max(1.0, abs(p))
+    if not (lo - slack <= p <= hi + slack):
+        raise ConvergenceError(f"bound check failed at d={d}: {p} not in [{lo}, {hi}]")
+    return ForceResult(pressure_norm=p, te_part=te, tm_part=tm, n_terms_used=n_terms_used,
+                       est_error=est, bound_lo=lo, bound_hi=hi)
+
+
 def force_finite_T(stack1, stack2, gap, d, tau, cfg: QuadratureConfig | None = None) -> ForceResult:
     """Pressure at temperature tau > 0, truncating the Matsubara sum once the
     running term and a geometric tail estimate drop below tolerance."""
@@ -200,19 +216,11 @@ def force_finite_T(stack1, stack2, gap, d, tau, cfg: QuadratureConfig | None = N
     est = 0.0
     prev_mag = None
     n_decreasing = 0
-    n_used = 0
     tail = math.inf
-    done = False
 
     n0 = 0
     block = 8
-    while not done:
-        if n0 > cfg.max_matsubara:
-            last = f"{prev_mag:.3e}" if prev_mag is not None else "n/a"
-            raise ConvergenceError(
-                f"Matsubara sum not converged after {cfg.max_matsubara} terms "
-                f"(last term magnitude {last}, tail estimate {tail:.3e})"
-            )
+    while n0 <= cfg.max_matsubara:
         ns = np.arange(n0, min(n0 + block, cfg.max_matsubara + 1))
         xi = 2.0 * math.pi * tau * ns
         te, tm, qerr = _pair_integrals(stack1, stack2, gap, d, xi, cfg)
@@ -225,7 +233,6 @@ def force_finite_T(stack1, stack2, gap, d, tau, cfg: QuadratureConfig | None = N
             s_tm += term_tm
             s_abs += abs(term_te) + abs(term_tm)
             est += factor * qerr[i]
-            n_used = int(n) + 1
             mag = abs(term_te + term_tm)
             if prev_mag is not None:
                 if mag < prev_mag or (mag == 0.0 and prev_mag == 0.0):
@@ -233,29 +240,23 @@ def force_finite_T(stack1, stack2, gap, d, tau, cfg: QuadratureConfig | None = N
                 else:
                     n_decreasing = 0
             thresh = cfg.rel_tol * abs(s_te + s_tm) + cfg.abs_tol
-            if n >= 2 and n_decreasing >= 2 and mag <= thresh:
+            if n_decreasing >= 2 and mag <= thresh:
                 ratio = mag / prev_mag if prev_mag else 0.0
                 tail = mag * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
                 if tail <= thresh:
                     # factor 3: early terms may decay slower than the last ratio
                     est += 3.0 * tail
-                    done = True
-                    break
+                    # never report less than the rounding error of summing n + 1 terms
+                    est += (n + 1) * sys.float_info.epsilon * s_abs
+                    return _result(s_te, s_tm, int(n) + 1, est, d, tau)
             prev_mag = mag
         n0 += len(ns)
         block = min(2 * block, 256)
 
-    # never report less than the rounding error of summing n_used terms
-    est += n_used * sys.float_info.epsilon * s_abs
-    lo, hi = bound_envelope(d, tau)
-    return ForceResult(
-        pressure_norm=s_te + s_tm,
-        te_part=s_te,
-        tm_part=s_tm,
-        n_terms_used=n_used,
-        est_error=est,
-        bound_lo=lo,
-        bound_hi=hi,
+    last = f"{prev_mag:.3e}" if prev_mag is not None else "n/a"
+    raise ConvergenceError(
+        f"Matsubara sum not converged after {n0} terms "
+        f"(last term magnitude {last}, tail estimate {tail:.3e})"
     )
 
 
@@ -299,16 +300,7 @@ def force_zero_T(stack1, stack2, gap, d, cfg: QuadratureConfig | None = None) ->
     inner_err = total[2] / math.pi * d3
     est = qerr / math.pi * d3 + abs(inner_err)
 
-    lo, hi = bound_envelope(d, 0.0)
-    return ForceResult(
-        pressure_norm=te + tm,
-        te_part=te,
-        tm_part=tm,
-        n_terms_used=n_rows,
-        est_error=est,
-        bound_lo=lo,
-        bound_hi=hi,
-    )
+    return _result(te, tm, n_rows, est, d, 0.0)
 
 
 def _envelope_integral(xi, d):

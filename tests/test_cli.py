@@ -195,6 +195,25 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 3 and "error" in err
 
 
+def test_force_and_sweep_fail_outside_envelope(capsys, monkeypatch, tmp_path, ideal_file):
+    from calmir import lifshitz
+
+    monkeypatch.setattr(lifshitz, "bound_envelope", lambda d, tau: (-1e-6, 1e-6))
+    code, out, err = run(capsys, "force", str(ideal_file), "-d", "1.0")
+    assert code == 3 and "bound check failed" in err and out == ""
+    code, _, err = run(capsys, "sweep", str(ideal_file), "-o", str(tmp_path / "o.csv"))
+    assert code == 3 and "bound check failed" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweep_rejects_nonpositive_workers(capsys, tmp_path, ideal_file, workers):
+    out_csv = tmp_path / "o.csv"
+    code, _, err = run(capsys, "sweep", str(ideal_file), "-o", str(out_csv), "--workers", workers)
+    assert code == 1 and "usage error" in err and "--workers" in err
+    assert not out_csv.exists()
+
+
 def test_sweep_deterministic_across_workers(capsys, tmp_path):
     src = tmp_path / "det.txt"
     src.write_text(

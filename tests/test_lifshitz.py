@@ -243,6 +243,35 @@ def test_matsubara_budget_enforced():
         force_finite_T(st, st, VACUUM, 0.05, 1e-3, QuadratureConfig(max_matsubara=50))
 
 
+def test_matsubara_budget_boundary():
+    # max_matsubara is the highest index summed: a budget that just admits
+    # the K terms the sum needs returns the same result, one index less
+    # raises after summing K - 1 terms
+    from calmir import preset
+
+    st1, st2, gap = preset("fig1d")
+    full = force_finite_T(st1, st2, gap, 10.0, 0.3)
+    k = full.n_terms_used
+    assert k == 3
+    capped = force_finite_T(st1, st2, gap, 10.0, 0.3, QuadratureConfig(max_matsubara=k - 1))
+    assert capped == full
+    with pytest.raises(ConvergenceError, match=f"after {k - 1} terms"):
+        force_finite_T(st1, st2, gap, 10.0, 0.3, QuadratureConfig(max_matsubara=k - 2))
+
+
+def test_results_outside_envelope_raise(monkeypatch):
+    # every result is checked against the envelopes it carries, through the
+    # module's bound_envelope
+    from calmir import lifshitz
+
+    st = MirrorStack.homogeneous(ResponseModel.drude(1.0))
+    monkeypatch.setattr(lifshitz, "bound_envelope", lambda d, tau: (-1e-6, 1e-6))
+    with pytest.raises(ConvergenceError, match="bound check failed"):
+        force_zero_T(st, st, VACUUM, 1.0)
+    with pytest.raises(ConvergenceError, match="bound check failed"):
+        force_finite_T(st, st, VACUUM, 1.0, 0.3)
+
+
 @pytest.mark.parametrize("tau", [0.01, 0.0])
 @pytest.mark.parametrize("name", ["fig1c", "fig1d", "fig3c"])
 def test_tight_tolerance_converges_above_roundoff(name, tau):
