@@ -204,9 +204,9 @@ def _result(te, tm, n_terms_used, est, d, tau) -> ForceResult:
 def force_finite_T(stack1, stack2, gap, d, tau, cfg: QuadratureConfig | None = None) -> ForceResult:
     """Pressure at temperature tau > 0, truncating the Matsubara sum once the
     running term and a geometric tail estimate drop below tolerance."""
-    if d <= 0.0:
-        raise ValueError("d must be > 0")
-    if tau <= 0.0:
+    asymptotics.check_distance(d)
+    asymptotics.check_tau(tau)
+    if tau == 0.0:
         raise ValueError("tau must be > 0 (use force_zero_T at tau = 0)")
     cfg = cfg or DEFAULT_CONFIG
     d3 = d**3
@@ -275,8 +275,7 @@ def _xi_edges(d: float) -> np.ndarray:
 
 def force_zero_T(stack1, stack2, gap, d, cfg: QuadratureConfig | None = None) -> ForceResult:
     """Zero-temperature pressure: (1/pi) int_0^inf dxi of the kappa integral."""
-    if d <= 0.0:
-        raise ValueError("d must be > 0")
+    asymptotics.check_distance(d)
     cfg = cfg or DEFAULT_CONFIG
     d3 = d**3
 
@@ -303,17 +302,9 @@ def force_zero_T(stack1, stack2, gap, d, cfg: QuadratureConfig | None = None) ->
     return _result(te, tm, n_rows, est, d, 0.0)
 
 
-def _envelope_integral(xi, d):
-    """(1/2pi) int_xi^inf kappa^2 [2/(e^{2 kappa d} - 1)] dkappa, closed form.
-
-    Expanding the Bose factor in powers of e^{-2 kappa d} and integrating
-    term by term gives polylogarithms of e^{-2 xi d}.
-    """
-    z = np.exp(-2.0 * d * xi)
-    l1 = -np.log1p(-z)
-    l2 = asymptotics.polylog2(z)
-    l3 = asymptotics.polylog3(z)
-    return (xi * xi / (2.0 * d) * l1 + xi / (2.0 * d * d) * l2 + l3 / (4.0 * d**3)) / math.pi
+# At and below this tau d the low-temperature closed form is exact to
+# round-off: the terms it drops are ~2 e^{-pi/(2 tau d)} = 8e-35 relative.
+_LOW_T = 0.02
 
 
 def bound_envelope(d: float, tau: float) -> tuple[float, float]:
@@ -321,25 +312,45 @@ def bound_envelope(d: float, tau: float) -> tuple[float, float]:
 
     hi is the pressure between identical perfect mirrors, lo the (negative)
     pressure between a perfectly conducting and a perfectly permeable one.
-    At tau = 0 these are (-7/8, 1) pi^2/(240 d^4).  At tau > 0 both are
-    Matsubara sums of exact polylogarithm forms, evaluated independently of
-    the quadrature engine.  The repulsive mode sum replaces Li_s(z) by
-    -Li_s(-z) = Li_s(z) - 2^{1-s} Li_s(z^2), and z^2 = e^{-2 xi (2d)}, so
-    mode by mode lo = -(A(d) - 2 A(2d)) for the attractive mode sum A;
-    `asymptotics.matsubara_series` sums A at d and 2d together.
+    Both are closed forms, independent of the quadrature engine.  For
+    tau d <= 0.02, with t = 2 tau d (Brown & Maclay, Phys. Rev. 184, 1272
+    (1969)),
+
+        hi = pi^2/(240 d) (1 + t^4/3),   lo = -pi^2/(240 d) (7/8 - t^4/3),
+
+    which tau = 0 turns into the Casimir and Boyer values.  Above, the
+    Bose factor is expanded in images, 1/(e^{2 kappa d} - 1) =
+    sum_k e^{-2 k kappa d}, and each image sums over the Matsubara
+    frequencies xi_n = n h, h = 2 pi tau, as geometric series in
+    q = e^{-a h}, a = 2 k d.  With S0 = q/(1-q), S1 = q/(1-q)^2 and
+    S2 = q (1+q)/(1-q)^3 the attractive mode sum is
+
+        sum'_n A(xi_n, d) = (1/pi) [zeta(3)/(8 d^3)
+                                    + sum_k (h^2/a S2 + 2h/a^2 S1 + 2/a^3 S0)],
+
+    whose images fall as e^{-4 pi k tau d}: the first
+    ceil(42/(4 pi tau d)) + 1 of them reach round-off.  The repulsive mode
+    sum replaces Li_s(z) by -Li_s(-z) = Li_s(z) - 2^{1-s} Li_s(z^2), and
+    z^2 = e^{-2 xi (2d)}, so mode by mode lo = -(A(d) - 2 A(2d)); A at d and
+    2d is summed together.
     """
-    if d <= 0.0:
-        raise ValueError("d must be > 0")
-    if tau < 0.0:
-        raise ValueError("tau must be >= 0")
-    if tau == 0.0:
-        fc_norm = math.pi**2 / (240.0 * d)
-        return (-0.875 * fc_norm, fc_norm)
+    asymptotics.check_distance(d)
+    asymptotics.check_tau(tau)
+    fc_norm = math.pi**2 / (240.0 * d)
+    if tau * d <= _LOW_T:
+        t4 = (2.0 * tau * d) ** 4 / 3.0
+        return (-fc_norm * (0.875 - t4), fc_norm * (1.0 + t4))
 
-    def terms(xi):
-        return np.stack([_envelope_integral(xi, d), _envelope_integral(xi, 2.0 * d)])
-
-    first = [asymptotics.ZETA3 / (4.0 * math.pi * dd**3) for dd in (d, 2.0 * d)]
-    hi_d, hi_2d = asymptotics.matsubara_series(terms, tau, first, 1e-16)
+    h = 2.0 * math.pi * tau
+    k = np.arange(1.0, math.ceil(42.0 / (4.0 * math.pi * tau * d)) + 2.0)
+    a = 2.0 * np.array([[d], [2.0 * d]]) * k  # images at d and at 2d
+    q = np.exp(-a * h)
+    one_q = -np.expm1(-a * h)  # 1 - q without cancellation
+    s0 = q / one_q
+    s1 = s0 / one_q
+    s2 = s1 * (1.0 + q) / one_q
+    images = (h * h / a * s2 + 2.0 * h / a**2 * s1 + 2.0 / a**3 * s0).sum(axis=1)
+    # sum'_n A(xi_n, .) at d and at 2d
+    att = (asymptotics.ZETA3 / (8.0 * np.array([d, 2.0 * d]) ** 3) + images) / math.pi
     scale = 2.0 * tau * d**3
-    return (-scale * float(hi_d - 2.0 * hi_2d), scale * float(hi_d))
+    return (-scale * float(att[0] - 2.0 * att[1]), scale * float(att[0]))

@@ -1,5 +1,6 @@
 """Special functions and closed-form limits."""
 
+import functools
 import math
 
 import numpy as np
@@ -26,7 +27,8 @@ from calmir import (
     thermal_wavelength,
     upper_gamma,
 )
-from calmir.asymptotics import ZETA3, matsubara_series
+from calmir import asymptotics, preset_scenario
+from calmir.asymptotics import ZETA3
 
 
 def brute_li3(z, terms=4_000_000):
@@ -142,20 +144,103 @@ def test_hamaker_against_direct_quadrature():
     assert got == pytest.approx(want / (8.0 * math.pi**2), rel=1e-9)
 
 
-def test_matsubara_series_tail_bound_and_budget():
-    tau = 0.1
+PRESETS = ("fig1a", "fig1b", "fig1c", "fig1d", "fig3a", "fig3b", "fig3c", "fig3d")
 
-    def terms(xi):
-        n = xi / (2.0 * math.pi * tau)
-        return np.stack([n**-3.0, 0.5**n])
 
-    rel_tol = 1e-10
-    got = matsubara_series(terms, tau, [2.0, 2.0], rel_tol)
-    # the added tail bound keeps each sum at or above its exact value
-    for g, want in zip(got, (1.0 + ZETA3, 2.0)):
-        assert want * (1.0 - 1e-15) <= g <= want * (1.0 + rel_tol)
-    with pytest.raises(ConvergenceError):
-        matsubara_series(lambda xi: np.ones((1, xi.size)), tau, [1.0], rel_tol)
+def preset_substrates(name):
+    scn = preset_scenario(name)
+    return scn.mirror1.substrate, scn.mirror2.substrate
+
+
+@functools.lru_cache(maxsize=None)
+def brute_c3(mat1, mat2, tau, terms=1 << 20):
+    """c3 from `terms` explicit Matsubara terms plus a quad integral of the rest."""
+
+    def g(xi):
+        re, rm = asymptotics._R_products(mat1, mat2, np.atleast_1d(xi))
+        return polylog3(re) + polylog3(rm)
+
+    h = 2.0 * math.pi * tau
+    blocks = [math.fsum(g(h * np.arange(a, a + (1 << 16)))) for a in range(0, terms, 1 << 16)]
+    x0 = terms * h
+    # int_{x0}^inf g on xi = x0/t; far out g is ~1e-26 and carries the
+    # round-off of (x - 1)/(x + 1), so an absolute tolerance ends the search
+    tail, _ = integrate.quad(lambda t: g(x0 / t)[0] * x0 / t**2, 0.0, 1.0, epsabs=1e-20)
+    total = math.fsum(blocks) - 0.5 * float(g(0.0)[0]) + tail / h + 0.5 * float(g(x0)[0])
+    return tau / (4.0 * math.pi) * total
+
+
+@pytest.mark.parametrize("tau", [1e-3, 1e-2, 0.1, 0.3])
+@pytest.mark.parametrize("name", PRESETS)
+def test_hamaker_c3_against_brute_sum(name, tau):
+    m1, m2 = preset_substrates(name)
+    assert hamaker_c3(m1, m2, tau) == pytest.approx(brute_c3(m1, m2, tau), rel=1e-10, abs=1e-300)
+
+
+@pytest.mark.parametrize("name", ["fig1b", "fig1d", "fig3b", "fig3c", "fig3d"])
+def test_hamaker_c3_poisson_analytic_terms(name):
+    # for terms analytic in xi the Matsubara sum differs from the integral by
+    # O(e^{-1/tau}), so c3(0.01) and c3(0) agree to the tolerance
+    m1, m2 = preset_substrates(name)
+    c3_cold = hamaker_c3(m1, m2, 0.01, rel_tol=1e-13)
+    assert c3_cold == pytest.approx(hamaker_c3(m1, m2, 0.0, rel_tol=1e-13), rel=1e-10)
+
+
+def test_hamaker_c3_drude_not_analytic():
+    # Li3 is not analytic at argument 1, which the Drude amplitudes reach at
+    # xi = 0, so here c3(0.01) - c3(0) is ~2e-7 relative, not O(e^{-1/tau})
+    m1, m2 = preset_substrates("fig1a")
+    c3_cold, c3_zero = hamaker_c3(m1, m2, 0.01), hamaker_c3(m1, m2, 0.0)
+    assert abs(c3_cold / c3_zero - 1.0) > 1e-8
+
+
+def test_hamaker_c3_unmeetable_tolerance_raises():
+    m1, m2 = preset_substrates("fig1d")
+    with pytest.raises(ConvergenceError, match="c3 Matsubara sum not converged"):
+        hamaker_c3(m1, m2, 0.01, rel_tol=1e-300)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_hamaker_c3_cost_does_not_grow_as_one_over_tau(monkeypatch, name):
+    # each frequency puts its two channel products into polylog3
+    seen = []
+    monkeypatch.setattr(asymptotics, "polylog3", lambda z: seen.append(np.size(z)) or polylog3(z))
+    m1, m2 = preset_substrates(name)
+    for tau in (1e-2, 1e-6):
+        seen.clear()
+        hamaker_c3(m1, m2, tau)
+        assert sum(seen) // 2 <= 4096
+
+
+def test_hamaker_c3_reaches_features_of_strong_oscillators():
+    # the tail panels reach past the largest oscillator frequency, so a
+    # strong, fast material converges as cheaply and matches its own tau = 0
+    # integral (its terms are analytic)
+    strong = ResponseModel.lorentz(1e4, 3e3)
+    want = hamaker_c3(strong, strong, 0.0, rel_tol=1e-13)
+    assert hamaker_c3(strong, strong, 1e-3) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("bad", [-0.5, math.inf, math.nan])
+def test_closed_forms_reject_bad_tau(bad):
+    drude = ResponseModel.drude(1.0)
+    with pytest.raises(ValueError, match="tau must be finite"):
+        hamaker_c3(drude, drude, bad)
+    with pytest.raises(ValueError, match="tau must be finite"):
+        ideal_limits(1.0, bad)
+    with pytest.raises(ValueError, match="tau must be finite"):
+        build_report(1.0, bad)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_closed_forms_reject_bad_distance(bad):
+    with pytest.raises(ValueError, match="d must be finite"):
+        ideal_limits(bad, 0.1)
+    with pytest.raises(ValueError, match="d must be finite"):
+        build_report(bad, 0.1)
+    with pytest.raises(ValueError, match="d must be finite"):
+        matched_media_force(ResponseModel.lorentz(3.0, 1.0), ResponseModel.lorentz(0.1, 1.0, 0.3, 1.0),
+                            bad)
 
 
 def test_hamaker_short_distance_asymptote():

@@ -206,6 +206,14 @@ def test_force_and_sweep_fail_outside_envelope(capsys, monkeypatch, tmp_path, id
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["force", "asympt"])
+@pytest.mark.parametrize("point", ["-d nan", "-d inf", "-d 1 --tau nan", "-d 1 --tau inf", "-d 1 --tau -0.5"])
+def test_bad_distance_or_tau_is_a_usage_error(capsys, fig1a_file, command, point):
+    code, out, err = run(capsys, command, str(fig1a_file), *point.split())
+    message = "tau must be finite" if "--tau" in point else "d must be finite"
+    assert code == 1 and message in err and out == ""
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_sweep_rejects_nonpositive_workers(capsys, tmp_path, ideal_file, workers):
     out_csv = tmp_path / "o.csv"

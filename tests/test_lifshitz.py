@@ -22,6 +22,7 @@ from calmir import (
     integrand,
     matsubara_xi,
 )
+from calmir import asymptotics, lifshitz
 from calmir.asymptotics import ZETA3
 from conftest import random_material, trapezoid_force
 
@@ -165,8 +166,9 @@ def test_bound_envelope_straddles_zero():
         assert lo < 0.0 < hi
 
 
-@pytest.mark.parametrize("tau", [0.05, 0.3])
-@pytest.mark.parametrize("d", [0.5, 2.0, 10.0])
+@pytest.mark.parametrize(
+    "d, tau", [(d, tau) for d in (0.5, 2.0, 10.0) for tau in (0.05, 0.3)] + [(0.5, 0.01)]
+)
 def test_bound_envelope_against_mpmath(d, tau):
     # both mode sums directly, with the Fermi-type polylogs at -z for lo
     with mpmath.workdps(30):
@@ -192,6 +194,36 @@ def test_bound_envelope_against_mpmath(d, tau):
     lo, hi = bound_envelope(d, tau)
     assert lo == pytest.approx(want_lo, rel=1e-14)
     assert hi == pytest.approx(want_hi, rel=1e-14)
+
+
+@pytest.mark.parametrize("tau_d", [0.005, 0.01, 0.015, 0.02, 0.025, 0.03])
+@pytest.mark.parametrize("d", [0.05, 0.5, 20.0])
+def test_bound_envelope_closed_form_meets_image_sum(monkeypatch, d, tau_d):
+    # on both sides of the switch at tau d = 0.02 the low-temperature closed
+    # form and the image sum agree to round-off
+    monkeypatch.setattr(lifshitz, "_LOW_T", math.inf)
+    closed = bound_envelope(d, tau_d / d)
+    monkeypatch.setattr(lifshitz, "_LOW_T", 0.0)
+    images = bound_envelope(d, tau_d / d)
+    assert images == pytest.approx(closed, rel=1e-15)
+
+
+def test_bound_envelope_closed_form_at_tiny_tau_d():
+    # tau d = 1e-8: the closed form, where a Matsubara series would need ~1e8 terms
+    lo, hi = bound_envelope(1e-4, 1e-4)
+    assert hi == pytest.approx(F_C_COEF / 1e-4, rel=1e-15)
+    assert lo == pytest.approx(-0.875 * F_C_COEF / 1e-4, rel=1e-15)
+
+
+@pytest.mark.parametrize("d, tau", [(0.5, 0.01), (1.0, 0.3)])
+def test_bound_envelope_calls_no_polylog(monkeypatch, d, tau):
+    def refuse(z):
+        raise AssertionError("bound_envelope evaluated a polylogarithm")
+
+    want = bound_envelope(d, tau)
+    monkeypatch.setattr(asymptotics, "polylog2", refuse)
+    monkeypatch.setattr(asymptotics, "polylog3", refuse)
+    assert bound_envelope(d, tau) == want
 
 
 def test_envelope_saturated_by_ideal_mirrors():
@@ -345,3 +377,15 @@ def test_invalid_arguments():
         force_finite_T(PE, PE, VACUUM, 1.0, 0.0)
     with pytest.raises(ValueError):
         bound_envelope(-1.0, 0.1)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="d must be finite"):
+            force_zero_T(PE, PE, VACUUM, bad)
+        with pytest.raises(ValueError, match="d must be finite"):
+            force_finite_T(PE, PE, VACUUM, bad, 0.1)
+        with pytest.raises(ValueError, match="d must be finite"):
+            bound_envelope(bad, 0.1)
+    for bad in (-0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            force_finite_T(PE, PE, VACUUM, 1.0, bad)
+        with pytest.raises(ValueError, match="tau must be finite"):
+            bound_envelope(1.0, bad)
