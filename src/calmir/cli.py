@@ -14,6 +14,7 @@ so output bytes do not depend on the worker count.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -57,7 +58,9 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The calmir parser, built once per process: parse_args leaves it unchanged."""
     p = _Parser(prog="calmir", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -47,6 +47,8 @@ X_CUT = 60.0  # e^{-60} is far below any supported tolerance
 # Abscissae per reflection-kernel call: its temporaries stay cache-sized
 # however many rows and points a refinement level has.
 _BLOCK = 1 << 15
+# First kappa panel width, as a fraction of d/w for the thickest layer w.
+_LAYER_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,9 @@ class QuadratureConfig:
 
     `kappa_nodes` and `xi_nodes` are the Gauss orders n of the Gauss-Kronrod
     panels of the kappa integral and of the tau = 0 xi integral; each panel
-    costs 2n + 1 integrand points (129 and 33 by default).
+    costs 2n + 1 integrand points (25 and 33 by default).  The kappa order
+    comes from a scan of reflection points and time per pressure over
+    orders 8 to 64 (ROADMAP item 4).
     `max_matsubara` is the highest Matsubara index the tau > 0 sum may reach:
     a sum not converged after its max_matsubara + 1 terms (n = 0 ... max)
     raises ConvergenceError.
@@ -64,7 +68,7 @@ class QuadratureConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-14
     max_matsubara: int = 10**6
-    kappa_nodes: int = 64
+    kappa_nodes: int = 12
     xi_nodes: int = 16
 
     def __post_init__(self):
@@ -139,13 +143,19 @@ def integrand(stack1, stack2, gap, pol: Pol, d: float, kin: Kinematics):
     return float(out) if out.ndim == 0 else out
 
 
-def _x_offsets(d: float) -> np.ndarray:
+def _x_offsets(d: float, w_max: float) -> np.ndarray:
     """Panel edges for the x = 2 kappa d integral, geometric near the origin.
 
     Reflection data varies on kappa scales of order the material resonances,
-    i.e. on x scales of order d, so the first panel width tracks d.
+    i.e. on x scales of order d, so the first panel width tracks d.  A
+    layer of thickness w contributes e^{-2 kappa_b w} ~ e^{-x w/d}, which
+    varies on the x scale d/w, so with w_max the thickest layer of either
+    stack (0 without layers) the first panel is also at most
+    _LAYER_FRACTION d/w_max wide.
     """
     delta = min(1.0, max(0.1 * d, 1e-6))
+    if w_max > 0.0:
+        delta = max(min(delta, _LAYER_FRACTION * d / w_max), 1e-6)
     offs = [0.0]
     v = delta
     while v < X_CUT:
@@ -159,14 +169,22 @@ def _pair_integrals(stack1, stack2, gap, d, xi, cfg):
     """TE and TM kappa-integrals (1/2pi) int kappa^2/D dkappa at each xi.
 
     Returns (te, tm, err) arrays of shape (len(xi),); err is the summed
-    |K - G| of te + tm over the Gauss-Kronrod panels (same units).  Each
-    panel costs 2 kappa_nodes + 1 reflection points per row.
+    |K - G| of te + tm over the Gauss-Kronrod panels plus a round-off floor,
+    N eps (|te| + |tm|) for the N points evaluated per row (same units).
+    The floor enters no refinement decision.  Each panel costs
+    2 kappa_nodes + 1 reflection points per row; the initial panels are
+    `_x_offsets` for the thickest layer of either stack.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    w_max = max((layer.thickness for st in (stack1, stack2) for layer in st.layers), default=0.0)
     kernel = ReflectionKernel((stack1, stack2), gap, xi[:, None])
     x_lo = 2.0 * d * np.sqrt(kernel.s_gap[:, 0])
 
+    n_pts = 0  # abscissae per row
+
     def fvals(x):
+        nonlocal n_pts
+        n_pts += x.shape[1]
         out = np.empty(x.shape + (2,))
         step = max(1, _BLOCK // max(1, x.shape[0]))
         for c in range(0, x.shape[1], step):
@@ -181,10 +199,12 @@ def _pair_integrals(stack1, stack2, gap, d, xi, cfg):
     vals, err = rowwise_panel_integral(
         fvals,
         x_lo,
-        _x_offsets(d),
+        _x_offsets(d, w_max),
         nodes=cfg.kappa_nodes,
         rel_tol=0.1 * cfg.rel_tol,
     )
+    # never report less than the rounding error of summing a row's n_pts points
+    err = err + n_pts * sys.float_info.epsilon * np.abs(vals).sum(axis=1)
     scale = 1.0 / (2.0 * math.pi * 2.0 * d)
     return vals[:, 0] * scale, vals[:, 1] * scale, err * scale
 

@@ -161,6 +161,24 @@ def test_asympt_outputs(capsys, fig1a_file, ideal_file):
     assert "unavailable" in parse_kv(out)["c3_norm"]
 
 
+def test_cached_parser_matches_a_fresh_one(capsys, monkeypatch, fig1a_file):
+    # main reuses one parser per process: a usage error in between must not
+    # change what the calls after it parse or print
+    from calmir import cli
+
+    calls = [
+        ("force", str(fig1a_file), "-d", "3.0", "--tau", "0.1"),
+        ("force", str(fig1a_file), "-d", "3.0", "--workers", "2"),
+        ("asympt", str(fig1a_file), "-d", "0.5", "--tau", "0.1"),
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    cached = [run(capsys, *argv) for argv in calls]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in cached] == [0, 1, 0]
+    assert cached == fresh
+
+
 @pytest.mark.parametrize(
     "option", [["--quiet"], ["--tol", "1e-6"], ["--max-matsubara", "10"], ["--omega-rad-s", "1e15"]]
 )

@@ -30,6 +30,7 @@ PE = MirrorStack.homogeneous(PERFECT_ELECTRIC)
 PM = MirrorStack.homogeneous(PERFECT_MAGNETIC)
 VAC_MIRROR = MirrorStack.homogeneous(VACUUM)
 F_C_COEF = math.pi**2 / 240.0
+LAMBDA = 2.0 * math.pi
 
 
 def test_matsubara_xi():
@@ -337,6 +338,18 @@ def test_est_error_not_below_roundoff(name, d, tau):
     assert res.est_error >= np.finfo(float).eps * abs(res.pressure_norm)
 
 
+@pytest.mark.parametrize("name, d, tau", [("fig1d", 268.45998111608964, 0.01), ("fig3a", 20.0 * math.pi, 0.1)])
+def test_est_error_covers_kappa_roundoff(name, d, tau):
+    # 3 and 2 Matsubara terms whose kappa integrals change by a few ulp with
+    # the Gauss order: the kappa round-off floor must cover that change
+    from calmir import preset
+
+    st1, st2, gap = preset(name)
+    res = force_finite_T(st1, st2, gap, d, tau)
+    ref = force_finite_T(st1, st2, gap, d, tau, QuadratureConfig(kappa_nodes=64))
+    assert abs(res.pressure_norm - ref.pressure_norm) <= res.est_error
+
+
 @pytest.mark.parametrize("block", [1 << 12, None])
 def test_blocked_pair_integrals_bit_identical(monkeypatch, block):
     # the reflection callback evaluates its (rows x abscissae) grid in column
@@ -355,6 +368,104 @@ def test_blocked_pair_integrals_bit_identical(monkeypatch, block):
     single = lifshitz._pair_integrals(st1, st2, gap, d, xi, cfg)
     for a, b in zip(blocked, single):
         assert np.array_equal(a, b)
+
+
+def test_x_offsets_first_panel_follows_thickest_layer():
+    # without layers the edges double from min(1, 0.1 d) up to X_CUT; a layer
+    # of thickness w (e^{-2 kappa_b w} ~ e^{-x w/d}) caps the first panel at a
+    # fraction of d/w
+    x_cut = lifshitz.X_CUT
+    for d in (LAMBDA / 400.0, LAMBDA / 20.0, LAMBDA, 10.0 * LAMBDA):
+        delta = min(1.0, 0.1 * d)
+        doublings = [delta * 2.0**k for k in range(20) if delta * 2.0**k < x_cut]
+        plain = lifshitz._x_offsets(d, 0.0)
+        assert np.array_equal(plain, [0.0, *doublings, x_cut])
+        w = 20.0 * math.pi  # fig1c's coating
+        layered = lifshitz._x_offsets(d, w)
+        assert layered[1] <= lifshitz._LAYER_FRACTION * d / w
+        assert layered[0] == 0.0 and layered[-1] == x_cut
+        assert np.all(np.diff(layered) > 0.0)
+    # a layer thin against d leaves the layout alone
+    assert np.array_equal(lifshitz._x_offsets(LAMBDA, 0.01), lifshitz._x_offsets(LAMBDA, 0.0))
+
+
+def test_pair_integrals_lay_out_by_the_thickest_layer_of_either_stack(monkeypatch):
+    from calmir import Layer
+
+    seen = []
+    layout = lifshitz._x_offsets
+    monkeypatch.setattr(lifshitz, "_x_offsets", lambda d, w_max: seen.append(w_max) or layout(d, w_max))
+    coat = ResponseModel.lorentz(0.1, 1.0, 0.3, 1.0)
+    metal = ResponseModel.drude(3.0)
+    thin = MirrorStack((Layer(coat, 2.0), Layer(coat, 5.0)), metal)
+    thick = MirrorStack((Layer(coat, 3.0),), metal)
+    bare = MirrorStack.homogeneous(metal)
+    for st1, st2 in ((thin, thick), (thick, thin), (bare, bare)):
+        lifshitz._pair_integrals(st1, st2, VACUUM, 1.0, [0.5], lifshitz.DEFAULT_CONFIG)
+    assert seen == [5.0, 5.0, 0.0]
+
+
+@pytest.mark.parametrize("d", [LAMBDA, 10.0 * LAMBDA])
+def test_coated_stack_kappa_points_under_ceiling(monkeypatch, d):
+    # points do not depend on the machine: the default rule on fig1c's 16
+    # rows stays under a ceiling that the order-64 rule, whose first panel
+    # ignored the coating, exceeds (16512 and 14448 points); one more split
+    # pass would add 3200
+    from calmir import preset, quadrature
+
+    ceiling = 10000
+    st1, st2, gap = preset("fig1c")
+    xi = np.concatenate(([0.0], np.geomspace(0.01, 0.5 * lifshitz.X_CUT / d, 15)))
+    counts = []
+    engine = quadrature.adaptive_integral
+
+    def counting(*args, **kwargs):
+        out = engine(*args, **kwargs)
+        counts.append(out[2])
+        return out
+
+    monkeypatch.setattr(quadrature, "adaptive_integral", counting)
+    lifshitz._pair_integrals(st1, st2, gap, d, xi, lifshitz.DEFAULT_CONFIG)
+    layout = lifshitz._x_offsets
+    monkeypatch.setattr(lifshitz, "_x_offsets", lambda d, w_max: layout(d, 0.0))
+    lifshitz._pair_integrals(st1, st2, gap, d, xi, QuadratureConfig(kappa_nodes=64))
+    new, old = counts
+    assert new <= ceiling < old
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.01])
+@pytest.mark.parametrize("d", [LAMBDA, 10.0 * LAMBDA])
+def test_coated_stack_est_error_is_honest(d, tau):
+    # fig1c's 10 Lambda coating on the default kappa rule, against Gauss
+    # order 64 at rel_tol 1e-11
+    from calmir import preset
+
+    st1, st2, gap = preset("fig1c")
+
+    def force(cfg=None):
+        if tau == 0.0:
+            return force_zero_T(st1, st2, gap, d, cfg)
+        return force_finite_T(st1, st2, gap, d, tau, cfg)
+
+    res = force()
+    ref = force(QuadratureConfig(rel_tol=1e-11, kappa_nodes=64))
+    assert abs(res.pressure_norm - ref.pressure_norm) <= res.est_error
+
+
+@pytest.mark.xfail(strict=True, reason="the Matsubara sum stops at a sign change of its summand (ROADMAP)")
+def test_matsubara_sum_runs_past_a_sign_change():
+    # fig1d at Lambda/400, tau = 0.01: the summand crosses zero near n = 340,
+    # where |term| dips under the threshold and the geometric tail estimate
+    # reads ~0, so the sum stops ~2500 est_error short of the full series
+    from calmir import preset
+
+    st1, st2, gap = preset("fig1d")
+    d, tau = LAMBDA / 400.0, 0.01
+    res = force_finite_T(st1, st2, gap, d, tau)
+    n = np.arange(8000)  # the terms past n = 8000 add ~1e-17
+    te, tm, _ = lifshitz._pair_integrals(st1, st2, gap, d, 2.0 * math.pi * tau * n, lifshitz.DEFAULT_CONFIG)
+    full = 2.0 * tau * d**3 * float(np.sum(np.where(n == 0, 0.5, 1.0) * (te + tm)))
+    assert abs(res.pressure_norm - full) <= res.est_error
 
 
 def test_identical_mirrors_attract():
