@@ -42,7 +42,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConvergenceError, UnsupportedConfigurationError
-from .materials import Kind, ResponseModel, epsilon_i, mu_i
+from .materials import Kind, ResponseModel, _eps_mu
 from .quadrature import adaptive_integral, kronrod_rule
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
     "nonretarded_R",
     "upper_gamma",
     "hamaker_c3",
+    "c3_or_none",
     "matched_media_force",
     "ideal_limits",
     "thermal_wavelength",
@@ -249,9 +250,8 @@ def check_tau(tau: float) -> None:
 
 
 def _R_products(mat1: ResponseModel, mat2: ResponseModel, xi):
-    re = nonretarded_R(epsilon_i(mat1, xi)) * nonretarded_R(epsilon_i(mat2, xi))
-    rm = nonretarded_R(mu_i(mat1, xi)) * nonretarded_R(mu_i(mat2, xi))
-    return re, rm
+    (e1, m1), (e2, m2) = _eps_mu(mat1, xi), _eps_mu(mat2, xi)
+    return nonretarded_R(e1) * nonretarded_R(e2), nonretarded_R(m1) * nonretarded_R(m2)
 
 
 # g_N/2 - h g'_N/12 + h^3 g'''_N/720 as weights on g_{N-2} ... g_{N+2}, with
@@ -342,6 +342,22 @@ def hamaker_c3(mat1: ResponseModel, mat2: ResponseModel, tau: float = 0.0, *, re
     return tau / (4.0 * math.pi) * _c3_sum(g, 2.0 * math.pi * tau, 16.0 * scale, rel_tol)
 
 
+def c3_or_none(mirror1: ResponseModel | None, mirror2: ResponseModel | None,
+               gap: ResponseModel | None, tau: float) -> float | None:
+    """`hamaker_c3` where c3 exists, else None.
+
+    c3 needs homogeneous mirrors, given as their materials (None stands for
+    a layered or absent mirror), and a vacuum gap (None means vacuum); it
+    does not exist when `hamaker_c3` raises UnsupportedConfigurationError.
+    """
+    if mirror1 is None or mirror2 is None or not (gap is None or gap.kind is Kind.VACUUM):
+        return None
+    try:
+        return hamaker_c3(mirror1, mirror2, tau)
+    except UnsupportedConfigurationError:
+        return None
+
+
 def matched_media_force(
     mat1: ResponseModel,
     mat2: ResponseModel,
@@ -373,9 +389,8 @@ def matched_media_force(
     for n in range(1, n_max + 1):
 
         def g(xi, n=n):
-            e1v = epsilon_i(mat1, xi)
-            e0v = epsilon_i(mat2, xi)  # gap matched to mirror 2
-            m2v = mu_i(mat2, xi)
+            e1v = _eps_mu(mat1, xi)[0]
+            e0v, m2v = _eps_mu(mat2, xi)  # gap matched to mirror 2
             diff = e1v - e0v
             contrast = m2v - 1.0
             p_tm = (diff / (e1v + e0v)) * e0v * contrast * xi * xi / 4.0
@@ -411,7 +426,8 @@ def ideal_limits(d: float, tau: float, derived_thermal: bool = False):
 
 def thermal_wavelength(tau: float) -> float:
     """Thermal wavelength hbar c/(k_B T) in units c/Omega, i.e. 1/tau."""
-    if tau <= 0.0:
+    check_tau(tau)
+    if tau == 0.0:
         raise ValueError("tau must be > 0")
     return 1.0 / tau
 
@@ -459,12 +475,7 @@ def build_report(
     """
     check_distance(d)
     check_tau(tau)
-    c3 = None
-    if mirror1 is not None and mirror2 is not None and (gap is None or gap.kind is Kind.VACUUM):
-        try:
-            c3 = hamaker_c3(mirror1, mirror2, tau)
-        except UnsupportedConfigurationError:
-            c3 = None
+    c3 = c3_or_none(mirror1, mirror2, gap, tau)
     c1 = None
     if (
         mirror1 is not None

@@ -20,10 +20,9 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .asymptotics import build_report, hamaker_c3
+from .asymptotics import build_report, c3_or_none
 from .errors import ConvergenceError, ScenarioError, UnsupportedConfigurationError
 from .lifshitz import QuadratureConfig, force_finite_T, force_zero_T
-from .materials import Kind
 from .presets import PRESET_NAMES, preset_scenario
 from .scenario import Scenario, parse, serialize
 
@@ -123,14 +122,11 @@ def _si_pressure(pressure_norm: float, d: float, omega: float) -> float:
     return pressure_norm * HBAR * omega**4 / (C_LIGHT**3 * d**3)
 
 
-def _c3_or_none(scn: Scenario, tau: float):
-    homogeneous = not scn.mirror1.layers and not scn.mirror2.layers
-    if not homogeneous or scn.gap.kind is not Kind.VACUUM:
-        return None
-    try:
-        return hamaker_c3(scn.mirror1.substrate, scn.mirror2.substrate, tau)
-    except UnsupportedConfigurationError:
-        return None
+def _substrates(scn: Scenario):
+    """The mirrors' materials if both are homogeneous, else (None, None)."""
+    if scn.mirror1.layers or scn.mirror2.layers:
+        return None, None
+    return scn.mirror1.substrate, scn.mirror2.substrate
 
 
 def cmd_force(args) -> int:
@@ -157,7 +153,7 @@ def cmd_force(args) -> int:
 
 def _sweep_rows(scn: Scenario, tau: float, cfg: QuadratureConfig, workers: int, omega):
     distances = scn.sweep.distances()
-    c3 = _c3_or_none(scn, tau)
+    c3 = c3_or_none(*_substrates(scn), scn.gap, tau)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(lambda d: _force_at(scn, float(d), tau, cfg), distances))
 
@@ -201,17 +197,11 @@ def cmd_sweep(args) -> int:
 def cmd_asympt(args) -> int:
     scn = _load(args.scenario)
     tau = scn.temperature if args.tau is None else args.tau
-    homogeneous = not scn.mirror1.layers and not scn.mirror2.layers
-    report = build_report(
-        args.distance,
-        tau,
-        mirror1=scn.mirror1.substrate if homogeneous else None,
-        mirror2=scn.mirror2.substrate if homogeneous else None,
-        gap=scn.gap,
-    )
+    mirror1, mirror2 = _substrates(scn)
+    report = build_report(args.distance, tau, mirror1=mirror1, mirror2=mirror2, gap=scn.gap)
     if report.c3_norm is not None:
         print(f"c3_norm={report.c3_norm:.12e}")
-    elif not homogeneous:
+    elif mirror1 is None:
         print("c3_norm=unavailable (layered mirrors)")
     else:
         print("c3_norm=unavailable (nonretarded limit diverges)")

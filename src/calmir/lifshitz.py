@@ -31,7 +31,7 @@ import numpy as np
 from . import asymptotics
 from .errors import ConvergenceError
 from .quadrature import adaptive_integral, rowwise_panel_integral
-from .reflection import Kinematics, Pol, ReflectionKernel, stack_reflection
+from .reflection import Kinematics, Pol, ReflectionKernel
 
 __all__ = [
     "QuadratureConfig",
@@ -104,7 +104,8 @@ class ForceResult:
 
 def matsubara_xi(n: int, tau: float) -> float:
     """The n-th Matsubara frequency 2 pi n tau (dimensionless)."""
-    if tau <= 0.0:
+    asymptotics.check_tau(tau)
+    if tau == 0.0:
         raise ValueError("tau must be > 0")
     if n < 0 or int(n) != n:
         raise ValueError("n must be a non-negative integer")
@@ -132,14 +133,12 @@ def _damped_terms(kappa, x, *gs):
 
 def integrand(stack1, stack2, gap, pol: Pol, d: float, kin: Kinematics):
     """Per-mode contribution kappa^2 r1 r2 e^{-2 kappa d}/(1 - r1 r2 e^{-2 kappa d})."""
-    if d <= 0.0:
-        raise ValueError("d must be > 0")
+    asymptotics.check_distance(d)
     kappa = np.asarray(kin.kappa_gap, dtype=float)
     if np.any(kappa * d <= 0.0):
         raise ValueError("kappa * d must be > 0")
-    r1 = stack_reflection(stack1, gap, pol, kin)
-    r2 = stack_reflection(stack2, gap, pol, kin)
-    (out,) = _damped_terms(kappa, 2.0 * kappa * d, np.asarray(r1) * np.asarray(r2))
+    (te1, tm1), (te2, tm2) = ReflectionKernel((stack1, stack2), gap, kin.xi)(kappa)
+    (out,) = _damped_terms(kappa, 2.0 * kappa * d, tm1 * tm2 if pol is Pol.TM else te1 * te2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -236,7 +235,6 @@ def force_finite_T(stack1, stack2, gap, d, tau, cfg: QuadratureConfig | None = N
     est = 0.0
     prev_mag = None
     n_decreasing = 0
-    tail = math.inf
 
     n0 = 0
     block = 8
@@ -259,24 +257,23 @@ def force_finite_T(stack1, stack2, gap, d, tau, cfg: QuadratureConfig | None = N
                     n_decreasing += 1
                 else:
                     n_decreasing = 0
-            thresh = cfg.rel_tol * abs(s_te + s_tm) + cfg.abs_tol
-            if n_decreasing >= 2 and mag <= thresh:
+                # geometric tail after the last two terms, inf unless they fall
                 ratio = mag / prev_mag if prev_mag else 0.0
                 tail = mag * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-                if tail <= thresh:
-                    # factor 3: early terms may decay slower than the last ratio
-                    est += 3.0 * tail
-                    # never report less than the rounding error of summing n + 1 terms
-                    est += (n + 1) * sys.float_info.epsilon * s_abs
-                    return _result(s_te, s_tm, int(n) + 1, est, d, tau)
+            thresh = cfg.rel_tol * abs(s_te + s_tm) + cfg.abs_tol
+            if n_decreasing >= 2 and mag <= thresh and tail <= thresh:
+                # factor 3: early terms may decay slower than the last ratio
+                est += 3.0 * tail
+                # never report less than the rounding error of summing n + 1 terms
+                est += (n + 1) * sys.float_info.epsilon * s_abs
+                return _result(s_te, s_tm, int(n) + 1, est, d, tau)
             prev_mag = mag
         n0 += len(ns)
         block = min(2 * block, 256)
 
-    last = f"{prev_mag:.3e}" if prev_mag is not None else "n/a"
     raise ConvergenceError(
         f"Matsubara sum not converged after {n0} terms "
-        f"(last term magnitude {last}, tail estimate {tail:.3e})"
+        f"(last term magnitude {prev_mag:.3e}, tail estimate {tail:.3e})"
     )
 
 

@@ -12,6 +12,11 @@ non-increasing in xi, which is what the strict pressure bounds rely on.
 A zero resonance frequency gives the metallic (Drude-type) response with a
 1/xi^2 pole at zero frequency; downstream reflection code evaluates that
 limit analytically instead of propagating infinities.
+
+One private evaluator, `_eps_mu`, turns a model into eps and mu on a grid
+of frequencies.  `epsilon_i` and `mu_i` validate xi and pick one of the
+pair; `response_sample` validates xi once and adds s = xi^2 eps mu in
+pole-safe form, which is all the reflection module reads of a model.
 """
 
 from __future__ import annotations
@@ -127,6 +132,19 @@ def _oscillator(strength, resonance, xi):
         return 1.0 + (strength * strength) / denom
 
 
+def _eps_mu(model: ResponseModel, xi):
+    """(eps, mu) of `model` at validated frequencies `xi`: the one place a
+    response turns into numbers.  Perfect mirrors carry the +inf sentinel."""
+    if model.kind is Kind.LORENTZ_DRUDE:
+        return (_oscillator(model.eps_strength, model.eps_resonance, xi),
+                _oscillator(model.mu_strength, model.mu_resonance, xi))
+    one = np.ones_like(xi)
+    if model.kind is Kind.VACUUM:
+        return one, one
+    inf = np.full_like(xi, np.inf)
+    return (inf, one) if model.kind is Kind.PERFECT_ELECTRIC else (one, inf)
+
+
 def epsilon_i(model: ResponseModel, xi):
     """Permittivity eps(i xi), real and >= 1.
 
@@ -135,25 +153,13 @@ def epsilon_i(model: ResponseModel, xi):
     that need the xi -> 0 limit of reflection coefficients should go through
     `stack_reflection`, which evaluates it analytically).
     """
-    arr = _as_freq(xi)
-    if model.kind is Kind.PERFECT_ELECTRIC:
-        out = np.full_like(arr, np.inf)
-    elif model.kind is Kind.LORENTZ_DRUDE:
-        out = _oscillator(model.eps_strength, model.eps_resonance, arr)
-    else:
-        out = np.ones_like(arr)
+    out = _eps_mu(model, _as_freq(xi))[0]
     return float(out) if np.ndim(xi) == 0 else out
 
 
 def mu_i(model: ResponseModel, xi):
     """Permeability mu(i xi), real and >= 1.  Mirror image of `epsilon_i`."""
-    arr = _as_freq(xi)
-    if model.kind is Kind.PERFECT_MAGNETIC:
-        out = np.full_like(arr, np.inf)
-    elif model.kind is Kind.LORENTZ_DRUDE:
-        out = _oscillator(model.mu_strength, model.mu_resonance, arr)
-    else:
-        out = np.ones_like(arr)
+    out = _eps_mu(model, _as_freq(xi))[1]
     return float(out) if np.ndim(xi) == 0 else out
 
 
@@ -176,24 +182,17 @@ class ResponseSample:
 
 
 def response_sample(model: ResponseModel, xi) -> ResponseSample:
+    """eps, mu and s of `model` on the frequencies `xi` (validated once)."""
     arr = _as_freq(xi)
-    eps = np.asarray(epsilon_i(model, arr))
-    mu = np.asarray(mu_i(model, arr))
+    eps, mu = _eps_mu(model, arr)
     if model.kind in (Kind.PERFECT_ELECTRIC, Kind.PERFECT_MAGNETIC):
-        s = np.full_like(arr, np.inf)
-        return ResponseSample(model.kind, eps, mu, s, 0.0, 0.0)
+        return ResponseSample(model.kind, eps, mu, np.full_like(arr, np.inf), 0.0, 0.0)
 
     pe, pm = model.eps_pole, model.mu_pole
     # Exact split eps = eps_f + pe/xi^2, mu = mu_f + pm/xi^2 keeps
     # s = xi^2 eps mu finite and correct at xi = 0.
-    if pe > 0.0:
-        eps_f = np.ones_like(arr)
-    else:
-        eps_f = eps
-    if pm > 0.0:
-        mu_f = np.ones_like(arr)
-    else:
-        mu_f = mu
+    eps_f = 1.0 if pe > 0.0 else eps
+    mu_f = 1.0 if pm > 0.0 else mu
     s = arr * arr * eps_f * mu_f + pe * mu_f + pm * eps_f
     if pe > 0.0 and pm > 0.0:
         with np.errstate(divide="ignore"):

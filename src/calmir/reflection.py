@@ -24,6 +24,9 @@ One kernel, `ReflectionKernel`, evaluates all of this: it samples each
 distinct medium (gap included) once per xi grid and computes each medium's
 decay constant once per call; every interface yields TE and TM from one
 pair of decay constants, and each layer's e^{-2 kappa_b w} serves both.
+eps, mu and s = xi^2 eps mu come from `materials.response_sample` for a
+`ResponseModel` and from `_given_medium` for a raw (eps, mu) pair; every
+decay constant is `_decay(kappa^2, s - s_gap)` of such samples.
 
 Sign convention: a perfectly conducting substrate gives r_TM = +1 and
 r_TE = -1.  Only products of coefficients from the two mirrors enter the
@@ -108,16 +111,14 @@ class Kinematics:
 
 
 def _decay(kappa_sq, excess):
-    """sqrt(kappa^2 + excess), the decay constant in a medium whose xi^2 eps mu
-    exceeds the gap's by `excess`; an infinite excess (perfect mirror) gives inf.
+    """sqrt(kappa^2 + excess), the decay constant in a medium whose s = xi^2 eps mu
+    exceeds the gap's by `excess`; a perfect mirror's excess is +inf, and so is
+    its decay constant.
 
     Negative radicands down to -1e-12 are round-off and clamp to zero.
     """
-    with np.errstate(invalid="ignore"):
-        rad = kappa_sq + excess
-    if np.any(np.isinf(excess)):
-        rad = np.where(np.isinf(excess), np.inf, rad)
-    if np.any(rad < -1e-12):
+    rad = kappa_sq + excess
+    if not np.all(rad >= -1e-12):  # also catches NaN, from a perfect gap
         raise ValueError("negative radicand: kinematics violate kappa >= xi*sqrt(eps0*mu0)")
     return np.sqrt(np.maximum(rad, 0.0))
 
@@ -246,6 +247,17 @@ def stack_reflection(stack: MirrorStack, gap: ResponseModel, pol: Pol, kin: Kine
     return float(out) if np.ndim(kin.xi) == 0 and np.ndim(kin.kappa_gap) == 0 else out
 
 
+def _given_medium(medium, xi) -> ResponseSample:
+    """Pole-free sample of a medium given as an (eps, mu) pair; an infinite
+    eps or mu anywhere marks a perfect mirror, whose s is +inf."""
+    eps, mu = (np.asarray(v, dtype=float) for v in medium)
+    kind = (Kind.PERFECT_ELECTRIC if np.any(np.isinf(eps))
+            else Kind.PERFECT_MAGNETIC if np.any(np.isinf(mu)) else Kind.LORENTZ_DRUDE)
+    with np.errstate(invalid="ignore"):
+        s = np.where(np.isinf(eps * mu), np.inf, xi * xi * eps * mu)
+    return ResponseSample(kind, eps, mu, s, 0.0, 0.0)
+
+
 def kappa_in_medium(eps, mu, kin: Kinematics, gap_eps=1.0, gap_mu=1.0):
     """Decay constant inside a medium of response (eps, mu).
 
@@ -254,23 +266,10 @@ def kappa_in_medium(eps, mu, kin: Kinematics, gap_eps=1.0, gap_mu=1.0):
     the limit analytically.
     """
     xi = np.asarray(kin.xi, dtype=float)
-    prod = np.asarray(eps, dtype=float) * np.asarray(mu, dtype=float)
-    with np.errstate(invalid="ignore"):
-        excess = np.where(np.isinf(prod), np.inf, (prod - gap_eps * gap_mu) * xi * xi)
     kap = np.asarray(kin.kappa_gap, dtype=float)
+    excess = _given_medium((eps, mu), xi).s - _given_medium((gap_eps, gap_mu), xi).s
     out = _decay(kap * kap, excess)
     return float(out) if out.ndim == 0 else out
-
-
-def _given_medium(medium, xi) -> ResponseSample:
-    """Pole-free sample of a medium given as an (eps, mu) pair; an infinite
-    eps or mu anywhere marks a perfect mirror."""
-    eps, mu = (np.asarray(v, dtype=float) for v in medium)
-    kind = (Kind.PERFECT_ELECTRIC if np.any(np.isinf(eps))
-            else Kind.PERFECT_MAGNETIC if np.any(np.isinf(mu)) else Kind.LORENTZ_DRUDE)
-    with np.errstate(invalid="ignore"):
-        s = np.where(np.isinf(eps * mu), np.inf, xi * xi * eps * mu)
-    return ResponseSample(kind, eps, mu, s, 0.0, 0.0)
 
 
 def fresnel(pol: Pol, medium_a, medium_b, kin: Kinematics, gap=None):
@@ -285,10 +284,11 @@ def fresnel(pol: Pol, medium_a, medium_b, kin: Kinematics, gap=None):
     xi = np.asarray(kin.xi, dtype=float)
     sa, sb = _given_medium(medium_a, xi), _given_medium(medium_b, xi)
     shape = np.broadcast_shapes(xi.shape, np.shape(kin.kappa_gap), sa.eps.shape, sb.eps.shape)
-    ge, gm = (float(v) for v in (medium_a if gap is None else gap))
-    pair = _ideal_interface(sa, sb, shape) or _interface(
-        sa, sb, kappa_in_medium(sa.eps, sa.mu, kin, ge, gm),
-        kappa_in_medium(sb.eps, sb.mu, kin, ge, gm), static=False,
-    )
+    pair = _ideal_interface(sa, sb, shape)
+    if pair is None:
+        s_gap = (sa if gap is None else _given_medium(gap, xi)).s
+        kap = np.asarray(kin.kappa_gap, dtype=float)
+        pair = _interface(sa, sb, _decay(kap * kap, sa.s - s_gap), _decay(kap * kap, sb.s - s_gap),
+                          static=False)
     out = np.asarray(pair[1] if pol is Pol.TM else pair[0])
     return float(out) if out.ndim == 0 else out

@@ -230,6 +230,8 @@ def test_closed_forms_reject_bad_tau(bad):
         ideal_limits(1.0, bad)
     with pytest.raises(ValueError, match="tau must be finite"):
         build_report(1.0, bad)
+    with pytest.raises(ValueError, match="tau must be finite"):
+        thermal_wavelength(bad)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])

@@ -292,6 +292,27 @@ def test_matsubara_budget_boundary():
         force_finite_T(st1, st2, gap, 10.0, 0.3, QuadratureConfig(max_matsubara=k - 2))
 
 
+def test_matsubara_budget_error_reports_the_tail():
+    # the tail is the geometric one of the last two terms summed, and inf
+    # only when they do not fall
+    from calmir import preset
+
+    st1, st2, gap = preset("fig1d")
+    cfg = QuadratureConfig(max_matsubara=1)
+    te, tm, _ = lifshitz._pair_integrals(st1, st2, gap, 10.0, 2.0 * math.pi * 0.3 * np.arange(2), cfg)
+    first, last = 0.5 * abs(te[0] + tm[0]), abs(te[1] + tm[1])
+    assert last < first
+    ratio = last / first
+    tail = 2.0 * 0.3 * 10.0**3 * last * ratio / (1.0 - ratio)
+    with pytest.raises(ConvergenceError, match=rf"after 2 terms .*tail estimate {tail:.3e}\)"):
+        force_finite_T(st1, st2, gap, 10.0, 0.3, cfg)
+    # at tau d = 1e-8 the full-weight n = 1 term outweighs the half-weight n = 0 one
+    with pytest.raises(ConvergenceError, match=r"tail estimate inf\)"):
+        force_finite_T(st1, st2, gap, 1e-4, 1e-4, cfg)
+    with pytest.raises(ConvergenceError, match=r"after 101 terms .*tail estimate \d\.\d{3}e-\d+\)"):
+        force_finite_T(st1, st2, gap, 1e-4, 1e-4, QuadratureConfig(max_matsubara=100))
+
+
 def test_results_outside_envelope_raise(monkeypatch):
     # every result is checked against the envelopes it carries, through the
     # module's bound_envelope
@@ -490,12 +511,16 @@ def test_invalid_arguments():
         bound_envelope(-1.0, 0.1)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="d must be finite"):
+            integrand(PE, PE, VACUUM, Pol.TM, bad, Kinematics(xi=0.5, kappa_gap=1.0))
+        with pytest.raises(ValueError, match="d must be finite"):
             force_zero_T(PE, PE, VACUUM, bad)
         with pytest.raises(ValueError, match="d must be finite"):
             force_finite_T(PE, PE, VACUUM, bad, 0.1)
         with pytest.raises(ValueError, match="d must be finite"):
             bound_envelope(bad, 0.1)
     for bad in (-0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            matsubara_xi(1, bad)
         with pytest.raises(ValueError, match="tau must be finite"):
             force_finite_T(PE, PE, VACUUM, 1.0, bad)
         with pytest.raises(ValueError, match="tau must be finite"):

@@ -115,3 +115,64 @@ def test_preset_parameter_sets():
 def test_unknown_preset():
     with pytest.raises(ValueError):
         preset_scenario("fig9z")
+
+
+def _reference_eps_mu(model, xi):
+    """eps and mu written out per kind, independently of the library."""
+    def osc(strength, resonance):
+        if strength == 0.0:
+            return np.ones_like(xi)
+        with np.errstate(divide="ignore"):
+            return 1.0 + (strength * strength) / (resonance * resonance + xi * xi)
+
+    if model.kind is Kind.LORENTZ_DRUDE:
+        return osc(model.eps_strength, model.eps_resonance), osc(model.mu_strength, model.mu_resonance)
+    eps = np.full_like(xi, np.inf) if model.kind is Kind.PERFECT_ELECTRIC else np.ones_like(xi)
+    mu = np.full_like(xi, np.inf) if model.kind is Kind.PERFECT_MAGNETIC else np.ones_like(xi)
+    return eps, mu
+
+
+def _reference_s(model, xi, eps, mu):
+    """s = xi^2 eps mu with each 1/xi^2 pole split off, so it stays finite at
+    xi = 0 unless both eps and mu have a pole."""
+    if model.kind in (Kind.PERFECT_ELECTRIC, Kind.PERFECT_MAGNETIC):
+        return np.full_like(xi, np.inf)
+    pe, pm = model.eps_pole, model.mu_pole
+    eps_f = np.ones_like(xi) if pe > 0.0 else eps
+    mu_f = np.ones_like(xi) if pm > 0.0 else mu
+    s = xi * xi * eps_f * mu_f + pe * mu_f + pm * eps_f
+    if pe > 0.0 and pm > 0.0:
+        with np.errstate(divide="ignore"):
+            s = s + (pe * pm) / (xi * xi)
+    return s
+
+
+@pytest.mark.parametrize("model", [
+    VACUUM,
+    PERFECT_ELECTRIC,
+    PERFECT_MAGNETIC,
+    ResponseModel.drude(1.0),
+    ResponseModel.lorentz(2.0, 0.0, 0.5, 0.0),  # doubly metallic: poles in eps and mu
+    ResponseModel.lorentz(0.1, 1.0, 0.3, 0.0),  # magnetic pole only
+    ResponseModel.lorentz(3.0, 1.0, 0.3, 1.0),
+], ids=lambda m: f"{m.kind.value}-{m.eps_strength}-{m.eps_resonance}-{m.mu_strength}-{m.mu_resonance}")
+def test_one_evaluator_for_eps_mu_and_s(model):
+    # epsilon_i, mu_i and response_sample all read one evaluator and agree
+    # bit for bit with the formulas, at xi = 0 (poles) and on a grid
+    from calmir.materials import response_sample
+
+    xi = np.array([0.0, 1e-300, 1e-3, 0.3, 1.0, 7.0, 1e150])
+    eps, mu = _reference_eps_mu(model, xi)
+    s = _reference_s(model, xi, eps, mu)
+    smp = response_sample(model, xi)
+    for got, want in ((epsilon_i(model, xi), eps), (mu_i(model, xi), mu),
+                      (smp.eps, eps), (smp.mu, mu), (smp.s, s)):
+        np.testing.assert_array_equal(got, want, strict=True)
+    assert smp.kind is model.kind
+    assert (smp.eps_pole, smp.mu_pole) == ((model.eps_pole, model.mu_pole)
+                                           if model.kind is Kind.LORENTZ_DRUDE else (0.0, 0.0))
+    for k, x in enumerate(xi):
+        assert epsilon_i(model, float(x)) == eps[k] and mu_i(model, float(x)) == mu[k]
+        assert float(response_sample(model, float(x)).s) == s[k]
+    with pytest.raises(ValueError):
+        response_sample(model, np.array([0.5, math.nan]))

@@ -32,6 +32,27 @@ def test_kappa_in_medium():
     k = kappa_in_medium(4.0, 1.0, Kinematics(xi=0.7, kappa_gap=2.0), gap_eps=4.0, gap_mu=1.0)
     assert k == pytest.approx(2.0)
     assert kappa_in_medium(math.inf, 1.0, KIN) == math.inf
+    # also a perfect magnetic medium, at xi = 0 and on arrays
+    kin = Kinematics(xi=np.array([0.0, 0.5, 3.0]), kappa_gap=np.array([0.2, 1.0, 4.0]))
+    for eps, mu in ((math.inf, 1.0), (1.0, math.inf), (np.full(3, math.inf), np.ones(3))):
+        assert np.all(kappa_in_medium(eps, mu, kin) == math.inf)
+    # a perfect gap has no propagating band, not even into a perfect medium
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="negative radicand"):
+        kappa_in_medium(math.inf, 1.0, KIN, gap_eps=math.inf)
+
+
+def test_fresnel_runs_on_kappa_in_medium():
+    # fresnel's coefficients are the textbook formula on kappa_in_medium's
+    # decay constants, bit for bit, with and without a dielectric gap
+    a, b, gap = (2.0, 1.5), (np.array([3.0, 2.0, 1.2]), np.array([1.1, 1.0, 1.3])), (1.2, 1.0)
+    kin = Kinematics(xi=np.array([0.0, 0.5, 3.0]), kappa_gap=np.array([1.4, 1.0, 4.0]))
+    for g in (None, gap):
+        ge, gm = a if g is None else g
+        ka = kappa_in_medium(*a, kin, gap_eps=ge, gap_mu=gm)
+        kb = kappa_in_medium(*b, kin, gap_eps=ge, gap_mu=gm)
+        for pol, fa, fb in ((Pol.TM, a[0], b[0]), (Pol.TE, a[1], b[1])):
+            want = (fb * ka - fa * kb) / (fb * ka + fa * kb)
+            np.testing.assert_array_equal(fresnel(pol, a, b, kin, gap=g), want)
 
 
 def test_fresnel_ideal_limits():
