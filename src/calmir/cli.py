@@ -57,6 +57,13 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The calmir parser, built once per process: parse_args leaves it unchanged."""
@@ -67,8 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tol", type=float, default=None, help="relative tolerance")
         sp.add_argument("--max-matsubara", type=int, default=None,
                         help="highest Matsubara index summed at tau > 0")
-        sp.add_argument("--omega-rad-s", type=float, default=None,
-                        help="reference frequency in rad/s; adds SI pressure output")
+        sp.add_argument("--omega-rad-s", type=_positive_float, default=None,
+                        help="reference frequency in rad/s, > 0; adds SI pressure output")
         sp.add_argument("--quiet", action="store_true")
 
     sp = sub.add_parser("force", help="pressure at one distance")
@@ -185,9 +192,15 @@ def cmd_sweep(args) -> int:
     scn = _load(args.scenario)
     cfg = _config(args)
     taus = scn.temperatures if scn.temperatures is not None else (scn.temperature,)
-    for tau in taus:
+    outs = [_suffixed(args.output, tau) for tau in taus] if len(taus) > 1 else [args.output]
+    for i, out in enumerate(outs):
+        if out in outs[:i]:
+            raise ValueError(
+                f"temperatures {taus[outs.index(out)]!r} and {taus[i]!r} would both "
+                f"write {out}: a family's temperatures must differ at 6 significant digits"
+            )
+    for tau, out in zip(taus, outs):
         text = _sweep_rows(scn, tau, cfg, args.workers, args.omega_rad_s)
-        out = _suffixed(args.output, tau) if len(taus) > 1 else args.output
         out.write_text(text)
         if not args.quiet:
             print(f"wrote {out}")

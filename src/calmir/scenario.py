@@ -26,7 +26,11 @@ Line-oriented format, `#` starts a comment, whitespace around `=` is free:
     d = 0.1 100 64 log      # min max points log|lin
 
 Every diagnostic carries a 1-based line and column.  Parsing arbitrary bytes
-never raises anything but `ScenarioError`.
+never raises anything but `ScenarioError`.  The parser checks each line where
+it reads it, so it reports the first defect in file order; only what the whole
+file decides (a missing mirror or substrate, a reference to an undefined
+material, a gap medium that is not transparent) is reported after the last
+line.
 """
 
 from __future__ import annotations
@@ -122,235 +126,180 @@ def _check_gap(gap: ResponseModel):
         )
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.lines = text.split("\n")
-        self.materials: dict[str, ResponseModel] = {}
-        self.material_lines: dict[str, int] = {}
-        self.mirrors: dict[int, dict] = {}
-        self.gap_ref = None  # (id, line, col)
-        self.gap_line = None
-        self.run = {}
-        self.run_line = None
+class _KeyDefect(Exception):
+    """A defect in a line's key rather than its value: reported at the key."""
 
-    def fail(self, msg, line, col=1):
-        raise ScenarioError(msg, line, col)
 
-    def parse(self) -> Scenario:
-        section = None  # ("material", id) | ("mirror", 1|2) | ("gap",) | ("run",)
-        seen_keys: dict = {}
-        pending_material: dict = {}
+def _section(name, lineno, col):
+    """The table key of a section header's name: ("material", id),
+    ("mirror", "1" | "2"), ("gap",) or ("run",)."""
+    parts = name.split()
+    if len(parts) == 2 and parts[0] == "material":
+        if not parts[1].replace("_", "").isalnum():
+            raise ScenarioError(f"invalid material id '{parts[1]}'", lineno, col)
+        return ("material", parts[1])
+    if len(parts) == 2 and parts[0] == "mirror" and parts[1] in ("1", "2"):
+        return ("mirror", parts[1])
+    if name in ("gap", "run"):
+        return (name,)
+    raise ScenarioError(f"unknown section '[{name}]'", lineno, col)
 
-        def close_material():
-            nonlocal pending_material
-            if section is not None and section[0] == "material":
-                mid = section[1]
-                self.materials[mid] = self._build_material(
-                    pending_material, self.material_lines[mid]
-                )
-            pending_material = {}
 
-        for lineno, raw in enumerate(self.lines, start=1):
-            line = raw.split("#", 1)[0]
-            if not line.strip():
-                continue
-            stripped = line.strip()
-            col0 = line.index(stripped[0]) + 1
+def _float(token, what):
+    try:
+        v = float(token)
+    except ValueError:
+        raise ValueError(f"{what}: '{token}' is not a number") from None
+    if not math.isfinite(v):
+        raise ValueError(f"{what} must be finite")
+    return v
 
-            if stripped.startswith("["):
-                if not stripped.endswith("]"):
-                    self.fail("unterminated section header", lineno, col0)
-                close_material()
-                section = self._open_section(stripped[1:-1].strip(), lineno, col0)
-                seen_keys = {}
-                continue
 
-            if "=" not in line:
-                self.fail("expected 'key = value'", lineno, col0)
-            key_part, value_part = line.split("=", 1)
-            key = key_part.strip()
-            value = value_part.strip()
-            if not key:
-                self.fail("missing key before '='", lineno, col0)
-            vcol = line.index("=") + 2
-            if value:
-                vcol = line.index(value, line.index("=")) + 1
-            if not value:
-                self.fail(f"missing value for '{key}'", lineno, vcol)
-
-            if section is None:
-                self.fail("content before any section header", lineno, col0)
-            kind = section[0]
-            if kind != "mirror" or key != "layer":
-                if key in seen_keys:
-                    self.fail(f"duplicate key '{key}' in this section", lineno, col0)
-                seen_keys[key] = lineno
-
-            if kind == "material":
-                self._material_key(pending_material, key, value, lineno, col0, vcol)
-            elif kind == "mirror":
-                self._mirror_key(section[1], key, value, lineno, col0, vcol)
-            elif kind == "gap":
-                if key != "medium":
-                    self.fail(f"unknown key '{key}' in [gap]", lineno, col0)
-                self.gap_ref = (value, lineno, vcol)
-            else:
-                self._run_key(key, value, lineno, col0, vcol)
-
-        close_material()
-        return self._assemble()
-
-    def _open_section(self, name, lineno, col):
-        parts = name.split()
-        if len(parts) == 2 and parts[0] == "material":
-            mid = parts[1]
-            if not mid.replace("_", "").isalnum():
-                self.fail(f"invalid material id '{mid}'", lineno, col)
-            if mid in self.materials or mid in self.material_lines:
-                self.fail(f"duplicate material '{mid}'", lineno, col)
-            self.material_lines[mid] = lineno
-            return ("material", mid)
-        if len(parts) == 2 and parts[0] == "mirror" and parts[1] in ("1", "2"):
-            idx = int(parts[1])
-            if idx in self.mirrors:
-                self.fail(f"duplicate section [mirror {idx}]", lineno, col)
-            self.mirrors[idx] = {"layers": [], "substrate": None, "line": lineno}
-            return ("mirror", idx)
-        if name == "gap":
-            if self.gap_line is not None:
-                self.fail("duplicate section [gap]", lineno, col)
-            self.gap_line = lineno
-            return ("gap",)
-        if name == "run":
-            if self.run_line is not None:
-                self.fail("duplicate section [run]", lineno, col)
-            self.run_line = lineno
-            return ("run",)
-        self.fail(f"unknown section '[{name}]'", lineno, col)
-
-    def _float(self, token, lineno, col, what):
-        try:
-            v = float(token)
-        except ValueError:
-            self.fail(f"{what}: '{token}' is not a number", lineno, col)
-        if not math.isfinite(v):
-            self.fail(f"{what} must be finite", lineno, col)
+def _checked(section, found, key, value, at):
+    """The checked value of `key = value` in `section`, whose values so far are
+    `found`; a material reference keeps its position `at`.  A defect in the
+    key raises `_KeyDefect`, one in the value `ValueError`."""
+    kind = section[0]
+    if kind == "material" and key == "ideal":
+        if value not in _IDEALS:
+            raise ValueError("ideal must be 'electric', 'magnetic' or 'vacuum'")
+        if found:  # only oscillator keys: a second 'ideal' is a duplicate key
+            raise _KeyDefect("'ideal' conflicts with oscillator parameters")
+        return _IDEALS[value]
+    if kind == "material" and key in _MATERIAL_KEYS:
+        if "ideal" in found:
+            raise _KeyDefect("oscillator parameters conflict with 'ideal'")
+        v = _float(value, key)
+        if v < 0.0:
+            raise ValueError(f"{key} must be >= 0")
         return v
+    if kind == "material":
+        raise _KeyDefect(f"unknown material key '{key}'")
+    if (kind, key) in (("mirror", "substrate"), ("gap", "medium")):
+        return (value, *at)
+    if (kind, key) == ("mirror", "layer"):
+        parts = value.split()
+        if len(parts) != 2:
+            raise ValueError("layer needs 'layer = ID THICKNESS'")
+        w = _float(parts[1], "layer thickness")
+        if w <= 0.0:
+            raise ValueError("layer thickness must be > 0")
+        layers = found.get("layer", [])
+        layers.append(((parts[0], *at), w))
+        return layers
+    if (kind, key) == ("run", "T"):
+        temps = [_float(t, "temperature") for t in value.split()]
+        if any(t < 0.0 for t in temps):
+            raise ValueError("temperatures must be >= 0")
+        return temps
+    if (kind, key) == ("run", "d"):
+        parts = value.split()
+        if len(parts) != 4:
+            raise ValueError("d needs 'd = MIN MAX POINTS log|lin'")
+        d_min = _float(parts[0], "d_min")
+        d_max = _float(parts[1], "d_max")
+        try:
+            points = int(parts[2])
+        except ValueError:
+            raise ValueError(f"point count '{parts[2]}' is not an integer") from None
+        if parts[3] not in ("log", "lin"):
+            raise ValueError("sweep scale must be 'log' or 'lin'")
+        return SweepGrid(d_min, d_max, points, parts[3])
+    raise _KeyDefect(f"unknown key '{key}' in [{' '.join(section)}]")
 
-    def _material_key(self, pending, key, value, lineno, col, vcol):
-        if key == "ideal":
-            if value not in _IDEALS:
-                self.fail(
-                    "ideal must be 'electric', 'magnetic' or 'vacuum'", lineno, vcol
-                )
-            if any(k in pending for k in _MATERIAL_KEYS):
-                self.fail("'ideal' conflicts with oscillator parameters", lineno, col)
-            pending["ideal"] = (value, lineno, col)
-        elif key in _MATERIAL_KEYS:
-            if "ideal" in pending:
-                self.fail("oscillator parameters conflict with 'ideal'", lineno, col)
-            v = self._float(value, lineno, vcol, key)
-            if v < 0.0:
-                self.fail(f"{key} must be >= 0", lineno, vcol)
-            pending[key] = v
-        else:
-            self.fail(f"unknown material key '{key}'", lineno, col)
 
-    def _build_material(self, pending, lineno):
-        if "ideal" in pending:
-            return _IDEALS[pending["ideal"][0]]
-        return ResponseModel(
-            eps_strength=pending.get("eps_strength", 0.0),
-            eps_resonance=pending.get("eps_resonance", 0.0),
-            mu_strength=pending.get("mu_strength", 0.0),
-            mu_resonance=pending.get("mu_resonance", 0.0),
-        )
+def _read_sections(text: str) -> dict[tuple, tuple[int, dict]]:
+    """Each section's header line and checked key values, by section key.
 
-    def _mirror_key(self, idx, key, value, lineno, col, vcol):
-        spec = self.mirrors[idx]
-        if key == "layer":
-            parts = value.split()
-            if len(parts) != 2:
-                self.fail("layer needs 'layer = ID THICKNESS'", lineno, vcol)
-            w = self._float(parts[1], lineno, vcol, "layer thickness")
-            if w <= 0.0:
-                self.fail("layer thickness must be > 0", lineno, vcol)
-            spec["layers"].append((parts[0], w, lineno, vcol))
-        elif key == "substrate":
-            spec["substrate"] = (value, lineno, vcol)
-        else:
-            self.fail(f"unknown key '{key}' in [mirror {idx}]", lineno, col)
+    Every line is checked where it is read, so the first defect in file
+    order is the one reported."""
+    sections: dict[tuple, tuple[int, dict]] = {}
+    section = found = None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0]
+        stripped = line.strip()
+        if not stripped:
+            continue
+        col = line.index(stripped[0]) + 1
 
-    def _run_key(self, key, value, lineno, col, vcol):
-        if key == "T":
-            temps = [self._float(t, lineno, vcol, "temperature") for t in value.split()]
-            if any(t < 0.0 for t in temps):
-                self.fail("temperatures must be >= 0", lineno, vcol)
-            self.run["T"] = temps
-        elif key == "d":
-            parts = value.split()
-            if len(parts) != 4:
-                self.fail("d needs 'd = MIN MAX POINTS log|lin'", lineno, vcol)
-            d_min = self._float(parts[0], lineno, vcol, "d_min")
-            d_max = self._float(parts[1], lineno, vcol, "d_max")
-            try:
-                points = int(parts[2])
-            except ValueError:
-                self.fail(f"point count '{parts[2]}' is not an integer", lineno, vcol)
-            if parts[3] not in ("log", "lin"):
-                self.fail("sweep scale must be 'log' or 'lin'", lineno, vcol)
-            try:
-                self.run["d"] = SweepGrid(d_min, d_max, points, parts[3])
-            except ValueError as exc:
-                self.fail(str(exc), lineno, vcol)
-        else:
-            self.fail(f"unknown key '{key}' in [run]", lineno, col)
+        if stripped.startswith("["):
+            if not stripped.endswith("]"):
+                raise ScenarioError("unterminated section header", lineno, col)
+            section = _section(stripped[1:-1].strip(), lineno, col)
+            if section in sections:
+                what = "material" if section[0] == "material" else "section"
+                name = f"'{section[1]}'" if what == "material" else f"[{' '.join(section)}]"
+                raise ScenarioError(f"duplicate {what} {name}", lineno, col)
+            found = {}
+            sections[section] = (lineno, found)
+            continue
 
-    def _resolve(self, ref):
+        if "=" not in line:
+            raise ScenarioError("expected 'key = value'", lineno, col)
+        key, value = [part.strip() for part in line.split("=", 1)]
+        if not key:
+            raise ScenarioError("missing key before '='", lineno, col)
+        eq = line.index("=")
+        vcol = line.index(value, eq) + 1 if value else eq + 2
+        if not value:
+            raise ScenarioError(f"missing value for '{key}'", lineno, vcol)
+        if section is None:
+            raise ScenarioError("content before any section header", lineno, col)
+        if key in found and (section[0], key) != ("mirror", "layer"):
+            raise ScenarioError(f"duplicate key '{key}' in this section", lineno, col)
+        try:
+            found[key] = _checked(section, found, key, value, (lineno, vcol))
+        except _KeyDefect as exc:
+            raise ScenarioError(str(exc), lineno, col) from None
+        except ValueError as exc:
+            raise ScenarioError(str(exc), lineno, vcol) from None
+    return sections
+
+
+def _build(sections) -> Scenario:
+    for idx in ("1", "2"):
+        if ("mirror", idx) not in sections:
+            raise ScenarioError(f"missing required section [mirror {idx}]", 1, 1)
+        lineno, found = sections["mirror", idx]
+        if "substrate" not in found:
+            raise ScenarioError(f"[mirror {idx}] needs a substrate", lineno, 1)
+
+    materials = {
+        section[1]: found["ideal"] if "ideal" in found else ResponseModel(**found)
+        for section, (_, found) in sections.items()
+        if section[0] == "material"
+    }
+
+    def resolve(ref):
         mid, lineno, col = ref
-        if mid not in self.materials:
-            self.fail(f"unknown material '{mid}'", lineno, col)
-        return self.materials[mid]
+        if mid not in materials:
+            raise ScenarioError(f"unknown material '{mid}'", lineno, col)
+        return materials[mid]
 
-    def _assemble(self) -> Scenario:
-        for idx in (1, 2):
-            if idx not in self.mirrors:
-                self.fail(f"missing required section [mirror {idx}]", 1, 1)
-            if self.mirrors[idx]["substrate"] is None:
-                self.fail(
-                    f"[mirror {idx}] needs a substrate", self.mirrors[idx]["line"], 1
-                )
+    def stack(idx):
+        found = sections["mirror", idx][1]
+        layers = tuple(Layer(resolve(ref), w) for ref, w in found.get("layer", ()))
+        return MirrorStack(layers, resolve(found["substrate"]))
 
-        def build_stack(idx):
-            spec = self.mirrors[idx]
-            layers = []
-            for mid, w, lineno, col in spec["layers"]:
-                layers.append(Layer(self._resolve((mid, lineno, col)), w))
-            return MirrorStack(tuple(layers), self._resolve(spec["substrate"]))
-
-        mirror1 = build_stack(1)
-        mirror2 = build_stack(2)
-        gap = self._resolve(self.gap_ref) if self.gap_ref else VACUUM
-        try:
-            _check_gap(gap)
-        except ValueError as exc:
-            ref = self.gap_ref or ("", self.gap_line or 1, 1)
-            self.fail(str(exc), ref[1], ref[2])
-
-        temps = self.run.get("T", [0.0])
-        sweep = self.run.get("d", SweepGrid(1.0, 1.0, 1, "log"))
-        try:
-            return Scenario(
-                materials=dict(self.materials),
-                mirror1=mirror1,
-                mirror2=mirror2,
-                gap=gap,
-                temperature=temps[0],
-                sweep=sweep,
-                temperatures=tuple(temps) if len(temps) > 1 else None,
-            )
-        except ValueError as exc:
-            self.fail(str(exc), self.run_line or 1, 1)
+    mirror1 = stack("1")
+    mirror2 = stack("2")
+    gap_ref = sections.get(("gap",), (None, {}))[1].get("medium")
+    gap = resolve(gap_ref) if gap_ref else VACUUM
+    run = sections.get(("run",), (None, {}))[1]
+    temps = run.get("T", [0.0])
+    try:
+        return Scenario(
+            materials=materials,
+            mirror1=mirror1,
+            mirror2=mirror2,
+            gap=gap,
+            temperature=temps[0],
+            sweep=run.get("d", SweepGrid(1.0, 1.0, 1, "log")),
+            temperatures=tuple(temps) if len(temps) > 1 else None,
+        )
+    except ValueError as exc:
+        # temperatures were checked where read, so only a non-vacuum gap is left
+        raise ScenarioError(str(exc), *gap_ref[1:]) from None
 
 
 def parse(text) -> Scenario:
@@ -365,7 +314,7 @@ def parse(text) -> Scenario:
             raise ScenarioError("invalid UTF-8", line, col) from None
     elif not isinstance(text, str):
         raise ScenarioError("scenario input must be text or bytes", 1, 1)
-    return _Parser(text).parse()
+    return _build(_read_sections(text))
 
 
 def _fmt(x: float) -> str:
@@ -379,17 +328,11 @@ def serialize(scenario: Scenario) -> str:
     for mid in sorted(scenario.materials):
         model = scenario.materials[mid]
         out.append(f"[material {mid}]")
-        if model.kind is Kind.PERFECT_ELECTRIC:
-            out.append("ideal = electric")
-        elif model.kind is Kind.PERFECT_MAGNETIC:
-            out.append("ideal = magnetic")
-        elif model.kind is Kind.VACUUM:
-            out.append("ideal = vacuum")
+        ideal = [name for name, medium in _IDEALS.items() if medium == model]
+        if ideal:
+            out.append(f"ideal = {ideal[0]}")
         else:
-            out.append(f"eps_strength = {_fmt(model.eps_strength)}")
-            out.append(f"eps_resonance = {_fmt(model.eps_resonance)}")
-            out.append(f"mu_strength = {_fmt(model.mu_strength)}")
-            out.append(f"mu_resonance = {_fmt(model.mu_resonance)}")
+            out.extend(f"{key} = {_fmt(getattr(model, key))}" for key in _MATERIAL_KEYS)
         out.append("")
 
     for idx, stack in ((1, scenario.mirror1), (2, scenario.mirror2)):

@@ -65,6 +65,8 @@ def test_force_quiet_and_si(capsys, ideal_file):
     d_si = 299792458.0 / 1e15
     want = math.pi**2 * 1.054571817e-34 * 299792458.0 / (240.0 * d_si**4)
     assert float(kv["F_SI_Pa"]) == pytest.approx(want, rel=1e-6)
+    code, out, err = run(capsys, "force", str(ideal_file), "-d", "1.0", "--omega-rad-s", "-5")
+    assert code == 1 and "usage error" in err and out == ""
 
 
 def test_vacuum_mirror_zero(capsys, tmp_path):
@@ -232,12 +234,34 @@ def test_bad_distance_or_tau_is_a_usage_error(capsys, fig1a_file, command, point
     assert code == 1 and message in err and out == ""
 
 
-@pytest.mark.parametrize("workers", ["0", "-1"])
-def test_sweep_rejects_nonpositive_workers(capsys, tmp_path, ideal_file, workers):
+@pytest.mark.parametrize(
+    "option,value",
+    [("--workers", "0"), ("--workers", "-1")]
+    + [("--omega-rad-s", v) for v in ("0", "-5", "nan", "inf", "-inf", "x")],
+)
+def test_sweep_rejects_bad_option_values(capsys, tmp_path, ideal_file, option, value):
     out_csv = tmp_path / "o.csv"
-    code, _, err = run(capsys, "sweep", str(ideal_file), "-o", str(out_csv), "--workers", workers)
-    assert code == 1 and "usage error" in err and "--workers" in err
+    code, _, err = run(capsys, "sweep", str(ideal_file), "-o", str(out_csv), option, value)
+    assert code == 1 and "usage error" in err and option in err
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize(
+    "temperatures,clash",
+    [("0.3 0.30000001 0", "0.3 and 0.30000001"), ("0.1 0.2 0.1", "0.1 and 0.1")],
+)
+def test_sweep_refuses_a_family_whose_file_names_clash(capsys, tmp_path, temperatures, clash):
+    # both temperatures of a clash format as the same {tau:g} file suffix
+    src = tmp_path / "fam.txt"
+    src.write_text(
+        "[material m]\neps_strength = 1\n"
+        "[mirror 1]\nsubstrate = m\n[mirror 2]\nsubstrate = m\n"
+        f"[run]\nT = {temperatures}\nd = 1 2 2 log\n"
+    )
+    code, out, err = run(capsys, "sweep", str(src), "-o", str(tmp_path / "fam.csv"))
+    assert code == 1 and out == ""
+    assert f"temperatures {clash} would both write" in err
+    assert list(tmp_path.glob("*.csv")) == []
 
 
 def test_sweep_deterministic_across_workers(capsys, tmp_path):

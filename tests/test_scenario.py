@@ -74,33 +74,56 @@ d = 0.015707963267948967 314.1592653589793 64 log
 
 
 @pytest.mark.parametrize(
-    "text,fragment,line",
+    "text,fragment,line,col",
     [
-        ("[mirror 1]\nsubstrate = au\n[mirror 2]\nsubstrate = au", "unknown material 'au'", 2),
-        ("[material a]\n[material a]\n" + MINIMAL, "duplicate material", 2),
-        ("[material a]\neps_strength = -2\n" + MINIMAL, ">= 0", 2),
-        ("[material a]\neps_strength = nan\n" + MINIMAL, "finite", 2),
-        ("[material a]\nideal = electric\neps_strength = 1\n" + MINIMAL, "conflict", 3),
-        ("[material a]\nbogus = 1\n" + MINIMAL, "unknown material key", 2),
-        ("[weird]\n" + MINIMAL, "unknown section", 1),
-        ("stray line\n" + MINIMAL, "expected 'key = value'", 1),
-        (MINIMAL + "[run]\nd = 1 2 3\n", "d needs", 11),
-        (MINIMAL + "[run]\nd = 2 1 5 log\n", "d_min <= d_max", 11),
-        (MINIMAL + "[run]\nd = 1 2 0 log\n", ">= 1", 11),
-        (MINIMAL + "[run]\nT = -1\n", ">= 0", 11),
-        (MINIMAL + "[mirror 1]\n", "duplicate section", 10),
-        (MINIMAL + "layer = pec 0\n", "> 0", 10),
-        ("[mirror 2]\nsubstrate = pec\n[material pec]\nideal = vacuum\n", "missing required section [mirror 1]", 1),
-        ("[material pec]\nideal = electric\n[mirror 1]\n[mirror 2]\nsubstrate = pec\n", "needs a substrate", 3),
-        (MINIMAL + "[gap]\nmedium = pec\n", "transparent", 11),
+        ("[mirror 1]\nsubstrate = au\n[mirror 2]\nsubstrate = au", "unknown material 'au'", 2, 13),
+        ("[material a]\n[material a]\n" + MINIMAL, "duplicate material", 2, 1),
+        ("[material a]\neps_strength = -2\n" + MINIMAL, ">= 0", 2, 16),
+        ("[material a]\neps_strength = nan\n" + MINIMAL, "finite", 2, 16),
+        ("[material a]\nideal = electric\neps_strength = 1\n" + MINIMAL, "conflict", 3, 1),
+        ("[material a]\nbogus = 1\n" + MINIMAL, "unknown material key", 2, 1),
+        ("[weird]\n" + MINIMAL, "unknown section", 1, 1),
+        ("stray line\n" + MINIMAL, "expected 'key = value'", 1, 1),
+        (MINIMAL + "[run]\nd = 1 2 3\n", "d needs", 11, 5),
+        (MINIMAL + "[run]\nd = 2 1 5 log\n", "d_min <= d_max", 11, 5),
+        (MINIMAL + "[run]\nd = 1 2 0 log\n", ">= 1", 11, 5),
+        (MINIMAL + "[run]\nT = -1\n", ">= 0", 11, 5),
+        (MINIMAL + "[mirror 1]\n", "duplicate section", 10, 1),
+        (MINIMAL + "layer = pec 0\n", "> 0", 10, 9),
+        ("[mirror 2]\nsubstrate = pec\n[material pec]\nideal = vacuum\n", "missing required section [mirror 1]", 1, 1),
+        ("[material pec]\nideal = electric\n[mirror 1]\n[mirror 2]\nsubstrate = pec\n", "needs a substrate", 3, 1),
+        (MINIMAL + "[gap]\nmedium = pec\n", "transparent", 11, 10),
+        ("  [material a-b]\n" + MINIMAL, "invalid material id 'a-b'", 1, 3),
+        (MINIMAL + "[gap]\n[gap]\n", "duplicate section [gap]", 11, 1),
+        (MINIMAL + "[run]\n  [run]\n", "duplicate section [run]", 11, 3),
+        (" [mirror 1\n" + MINIMAL, "unterminated section header", 1, 2),
+        ("[material a]\n  = 1\n" + MINIMAL, "missing key before '='", 2, 3),
+        ("[material a]\neps_strength =  # none\n" + MINIMAL, "missing value for 'eps_strength'", 2, 15),
+        ("  a = 1\n" + MINIMAL, "content before any section header", 1, 3),
+        ("[material a]\neps_strength = 1\n\teps_strength = 2\n" + MINIMAL, "duplicate key 'eps_strength'", 3, 2),
+        ("[material a]\nideal = metal\n" + MINIMAL, "ideal must be 'electric', 'magnetic' or 'vacuum'", 2, 9),
+        ("[material a]\nmu_strength = 1\n ideal = electric\n" + MINIMAL, "'ideal' conflicts", 3, 2),
+        ("[material a]\neps_strength = oops\n" + MINIMAL, "eps_strength: 'oops' is not a number", 2, 16),
+        (MINIMAL + " bogus = 1\n", "unknown key 'bogus' in [mirror 2]", 10, 2),
+        (MINIMAL + "[gap]\nmed = pec\n", "unknown key 'med' in [gap]", 11, 1),
+        (MINIMAL + "[run]\ntau = 1\n", "unknown key 'tau' in [run]", 11, 1),
+        (MINIMAL + "[run]\nd = 1 2 x log\n", "point count 'x' is not an integer", 11, 5),
+        (MINIMAL + "[run]\nd =   1 2 3 cubic\n", "sweep scale must be 'log' or 'lin'", 11, 7),
+        (MINIMAL + "layer = au 1\n", "unknown material 'au'", 10, 9),
+        (MINIMAL + "layer = pec\n", "layer needs", 10, 9),
+        (MINIMAL + "[run]\nd = inf 2 2 log\n", "d_min must be finite", 11, 5),
+        (MINIMAL + "[run]\nd = 0 1 2 lin\n", "sweep distances must be > 0", 11, 5),
+        (MINIMAL + "[run]\nT = 0.1 x\n", "temperature: 'x' is not a number", 11, 5),
+        (MINIMAL + "[gap]\nmedium = air\n", "unknown material 'air'", 11, 10),
+        ("[material g]\neps_strength = 1\nmu_strength = 1\n" + MINIMAL + "[gap]\nmedium = g\n",
+         "both electric and magnetic", 14, 10),
     ],
 )
-def test_diagnostics_carry_positions(text, fragment, line):
+def test_diagnostics_carry_positions(text, fragment, line, col):
     with pytest.raises(ScenarioError) as err:
         parse(text)
     assert fragment in str(err.value)
-    assert err.value.line == line
-    assert err.value.col >= 1
+    assert (err.value.line, err.value.col) == (line, col)
 
 
 def test_invalid_utf8_reports_position():
