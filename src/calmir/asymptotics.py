@@ -17,20 +17,18 @@ so the cost does not grow as tau -> 0.
 
 For a gap whose permittivity matches mirror 2 exactly (and mu0 = mu1 = 1)
 the leading attraction cancels and the short-distance pressure follows from
-expanding the mode sum in powers of the (small) interface amplitudes.  The
-n-th term of that expansion integrates to an upper incomplete gamma
-function:
+expanding the mode sum in powers of the (small) interface amplitudes.  Its
+leading term, the one `matched_media_force` evaluates, is
 
-    F = (1/pi) sum_n (2 n d)^{2n-3} int_0^inf dxi/(2 pi)
-        Gamma(3-2n, 2 n xi d) [ (-P_TM)^n + (-P_TE)^n ]
+    F = (1/pi) (2 d)^{-1} int_0^inf dxi/(2 pi) e^{-2 xi d} [ -P_TM - P_TE ]
 
 where, writing D = (eps1 - eps0) and m = mu2 - 1,
 
     P_TM = eps0 m D/(eps1 + eps0) xi^2/4,    P_TE = m D/(mu2 + 1) xi^2/4.
 
 Both polarizations contribute at first order in the magnetic contrast m;
-the TE channel dominates when the eps1/eps0 contrast is large.  The n = 1
-term is negative (repulsive) and behaves as -c1/d at short distance.
+the TE channel dominates when the eps1/eps0 contrast is large.  The term
+is negative (repulsive) and behaves as -c1/d at short distance.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ import numpy as np
 
 from .errors import ConvergenceError, UnsupportedConfigurationError
 from .materials import Kind, ResponseModel, _eps_mu
-from .quadrature import adaptive_integral, kronrod_rule
+from .quadrature import kronrod_rule, xi_integral
 
 __all__ = [
     "ZETA3",
@@ -220,20 +218,14 @@ def upper_gamma(k: int, z):
     return float(out) if np.ndim(z) == 0 else out
 
 
-# panel edges in t = xi/(1 + xi) at the resonance and cutoff scales of xi
-_XI_MAP_EDGES = np.array(
-    [0.0] + [b / (1.0 + b) for b in (0.02, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 40.0)] + [1.0]
-)
+# panel breaks at the resonance and cutoff scales of xi
+_XI_BREAKS = (0.02, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 40.0)
 
 
 def _xi_integral(g, rel_tol):
-    """int_0^inf g(xi) dxi on the map t = xi/(1 + xi), 24-point Gauss-Kronrod panels."""
-
-    def f(t):
-        t = np.asarray(t, dtype=float)
-        return (g(t / (1.0 - t)) / (1.0 - t) ** 2)[:, None]
-
-    total, _, _ = adaptive_integral(f, _XI_MAP_EDGES, nodes=24, rel_tol=rel_tol, abs_tol=1e-300)
+    """int_0^inf g(xi) dxi by `xi_integral`, on 24-point Gauss-Kronrod panels."""
+    total, _, _ = xi_integral(lambda xi: g(xi)[:, None], _XI_BREAKS, nodes=24, rel_tol=rel_tol,
+                              abs_tol=1e-300)
     return float(total[0])
 
 
@@ -358,25 +350,16 @@ def c3_or_none(mirror1: ResponseModel | None, mirror2: ResponseModel | None,
         return None
 
 
-def matched_media_force(
-    mat1: ResponseModel,
-    mat2: ResponseModel,
-    d: float,
-    n_max: int = 1,
-    *,
-    rel_tol=1e-10,
-):
+def matched_media_force(mat1: ResponseModel, mat2: ResponseModel, d: float):
     """Zero-temperature pressure for a gap index-matched to mirror 2.
 
     The gap carries mirror 2's permittivity and unit permeability, mirror 1
     is non-magnetic: the configuration where the leading 1/d^3 attraction
-    cancels.  Evaluates the expansion described in the module docstring up
-    to `n_max` reflections; negative values mean repulsion.  Each order's xi
-    integral runs on 24-point Gauss-Kronrod panels.
+    cancels.  Evaluates the leading term of the reflection expansion (module
+    docstring), whose xi integral runs on 24-point Gauss-Kronrod panels;
+    negative values mean repulsion.
     """
     check_distance(d)
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     if mat1.kind is not Kind.LORENTZ_DRUDE and mat1.kind is not Kind.VACUUM:
         raise UnsupportedConfigurationError("mirror 1 must be a dielectric response")
     if mat1.mu_strength != 0.0:
@@ -384,28 +367,16 @@ def matched_media_force(
     if mat2.kind is not Kind.LORENTZ_DRUDE and mat2.kind is not Kind.VACUUM:
         raise UnsupportedConfigurationError("mirror 2 must have a finite response")
 
-    total = 0.0
-    prev = None
-    for n in range(1, n_max + 1):
+    def g(xi):
+        e1v = _eps_mu(mat1, xi)[0]
+        e0v, m2v = _eps_mu(mat2, xi)  # gap matched to mirror 2
+        diff = e1v - e0v
+        contrast = m2v - 1.0
+        p_tm = (diff / (e1v + e0v)) * e0v * contrast * xi * xi / 4.0
+        p_te = diff * contrast / (m2v + 1.0) * xi * xi / 4.0
+        return np.exp(-2.0 * xi * d) * ((-p_tm) + (-p_te))
 
-        def g(xi, n=n):
-            e1v = _eps_mu(mat1, xi)[0]
-            e0v, m2v = _eps_mu(mat2, xi)  # gap matched to mirror 2
-            diff = e1v - e0v
-            contrast = m2v - 1.0
-            p_tm = (diff / (e1v + e0v)) * e0v * contrast * xi * xi / 4.0
-            p_te = diff * contrast / (m2v + 1.0) * xi * xi / 4.0
-            gam = upper_gamma(3 - 2 * n, np.maximum(2.0 * n * xi * d, 1e-290))
-            return np.where(xi == 0.0, 0.0, gam * ((-p_tm) ** n + (-p_te) ** n))
-
-        term = (2.0 * n * d) ** (2 * n - 3) * _xi_integral(g, rel_tol) / (2.0 * math.pi**2)
-        if prev is not None and abs(term) > abs(prev):
-            raise ConvergenceError(
-                f"reflection expansion grows at order {n}: |term| = {abs(term):.3e}"
-            )
-        total += term
-        prev = term
-    return total
+    return (2.0 * d) ** -1 * _xi_integral(g, 1e-10) / (2.0 * math.pi**2)
 
 
 def ideal_limits(d: float, tau: float, derived_thermal: bool = False):
@@ -489,7 +460,7 @@ def build_report(
         and mirror1.mu_strength == 0.0
     ):
         try:
-            c1 = -matched_media_force(mirror1, mirror2, d, n_max=1) * d
+            c1 = -matched_media_force(mirror1, mirror2, d) * d
         except (UnsupportedConfigurationError, ConvergenceError):
             c1 = None
     f_c, f_t = ideal_limits(d, tau)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import asymptotics
 from .errors import ConvergenceError
-from .quadrature import adaptive_integral, rowwise_panel_integral
+from .quadrature import rowwise_panel_integral, xi_integral
 from .reflection import Kinematics, Pol, ReflectionKernel
 
 __all__ = [
@@ -59,7 +59,7 @@ class QuadratureConfig:
     panels of the kappa integral and of the tau = 0 xi integral; each panel
     costs 2n + 1 integrand points (25 and 33 by default).  The kappa order
     comes from a scan of reflection points and time per pressure over
-    orders 8 to 64 (ROADMAP item 4).
+    orders 8 to 64 (the kappa-rule entry of CHANGES.md).
     `max_matsubara` is the highest Matsubara index the tau > 0 sum may reach:
     a sum not converged after its max_matsubara + 1 terms (n = 0 ... max)
     raises ConvergenceError.
@@ -277,17 +277,15 @@ def force_finite_T(stack1, stack2, gap, d, tau, cfg: QuadratureConfig | None = N
     )
 
 
-def _xi_edges(d: float) -> np.ndarray:
-    """Edges in the mapped variable t = xi/(1 + xi) for the tau = 0 integral."""
+def _xi_breaks(d: float) -> list[float]:
+    """Panel breaks in xi for the tau = 0 integral (`xi_integral` maps them)."""
     xi_cut = 0.5 * X_CUT / d
     breaks = [b for b in (0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0) if b < 3.0 * xi_cut]
     v = 40.0
     while v < xi_cut:
         breaks.append(v)
         v *= 2.0
-    breaks.append(xi_cut)
-    ts = sorted({0.0} | {b / (1.0 + b) for b in breaks} | {1.0})
-    return np.array(ts)
+    return breaks + [xi_cut]
 
 
 def force_zero_T(stack1, stack2, gap, d, cfg: QuadratureConfig | None = None) -> ForceResult:
@@ -296,16 +294,12 @@ def force_zero_T(stack1, stack2, gap, d, cfg: QuadratureConfig | None = None) ->
     cfg = cfg or DEFAULT_CONFIG
     d3 = d**3
 
-    def outer(t):
-        t = np.asarray(t, dtype=float)
-        xi = t / (1.0 - t)
-        te, tm, qerr = _pair_integrals(stack1, stack2, gap, d, xi, cfg)
-        jac = 1.0 / (1.0 - t) ** 2
-        return np.stack([te * jac, tm * jac, qerr * jac], axis=-1)
+    def outer(xi):
+        return np.stack(_pair_integrals(stack1, stack2, gap, d, xi, cfg), axis=-1)
 
-    total, qerr, n_rows = adaptive_integral(
+    total, qerr, n_rows = xi_integral(
         outer,
-        _xi_edges(d),
+        _xi_breaks(d),
         nodes=cfg.xi_nodes,
         rel_tol=cfg.rel_tol,
         abs_tol=cfg.abs_tol * math.pi / d3,

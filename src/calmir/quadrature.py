@@ -15,8 +15,9 @@ integrand may split that call into smaller blocks internally.
 `rowwise_panel_integral` adapts the engine to panels shifted to a per-row
 lower limit; it is the kappa integral's named entry point, through which the
 benchmark's per-layer trace (benchmarks/spans.py) sees the reflection
-callback.  Processing order depends only on the inputs, and running out of
-the panel budget raises `ConvergenceError`.
+callback.  `xi_integral` runs it over [0, inf) on t = xi/(1 + xi).
+Processing order depends only on the inputs, and running out of the panel
+budget raises `ConvergenceError`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-__all__ = ["kronrod_rule", "rowwise_panel_integral", "adaptive_integral"]
+__all__ = ["kronrod_rule", "rowwise_panel_integral", "adaptive_integral", "xi_integral"]
 
 _BATCH = 8  # panels split per refinement pass
 
@@ -165,3 +166,19 @@ def rowwise_panel_integral(fvals, x_lo, offsets, *, nodes, rel_tol):
         offsets, nodes=nodes, rel_tol=rel_tol, abs_tol=0.0,
     )
     return total, err
+
+
+def xi_integral(f, breaks, **engine):
+    """int_0^inf f(xi) dxi: `adaptive_integral` (given the keywords) on t = xi/(1 + xi).
+
+    The panel edges are t = 0, 1 and the mapped `breaks`; f's (M, ..., C)
+    values are multiplied by the Jacobian 1/(1 - t)^2.
+    """
+    edges = np.array(sorted({0.0, 1.0} | {b / (1.0 + b) for b in breaks}))
+
+    def mapped(t):
+        vals = f(t / (1.0 - t))
+        jac = 1.0 / (1.0 - t) ** 2
+        return vals * jac.reshape((-1,) + (1,) * (vals.ndim - 1))
+
+    return adaptive_integral(mapped, edges, **engine)

@@ -240,7 +240,7 @@ def _read_sections(text: str) -> dict[tuple, tuple[int, dict]]:
         if not key:
             raise ScenarioError("missing key before '='", lineno, col)
         eq = line.index("=")
-        vcol = line.index(value, eq) + 1 if value else eq + 2
+        vcol = line.index(value, eq + 1) + 1 if value else eq + 2
         if not value:
             raise ScenarioError(f"missing value for '{key}'", lineno, vcol)
         if section is None:

@@ -276,6 +276,30 @@ def test_matched_media_repulsive_and_one_over_d():
     assert 1e-4 < -f1 * 1e-3 < 1.0
 
 
+@pytest.mark.parametrize("d", [1e-3, 2.0 * math.pi / 400.0, 1.0, 30.0])
+@pytest.mark.parametrize("osc1, osc2", [((3.0, 1.0), (0.1, 1.0, 0.3, 1.0)),
+                                        ((2.0, 0.5), (0.5, 2.0, 0.8, 0.7))])
+def test_matched_media_force_is_the_leading_term(osc1, osc2, d):
+    # F = (1/pi) (2d)^-1 int_0^inf dxi/(2 pi) e^{-2 xi d} [-P_TM - P_TE], with
+    # eps = 1 + s^2/(w^2 + xi^2) and the gap carrying mirror 2's permittivity
+    a1, w1 = osc1
+    a2, w2, b2, v2 = osc2
+
+    def leading(xi):
+        eps1 = 1.0 + a1**2 / (w1**2 + xi**2)
+        eps0 = 1.0 + a2**2 / (w2**2 + xi**2)
+        mu2 = 1.0 + b2**2 / (v2**2 + xi**2)
+        p_tm = eps0 * (mu2 - 1.0) * (eps1 - eps0) / (eps1 + eps0) * xi**2 / 4.0
+        p_te = (mu2 - 1.0) * (eps1 - eps0) / (mu2 + 1.0) * xi**2 / 4.0
+        return -math.exp(-2.0 * xi * d) * (p_tm + p_te)
+
+    integral, _ = integrate.quad(leading, 0.0, math.inf, epsabs=0.0, epsrel=1e-12, limit=400)
+    want = integral / (2.0 * math.pi**2 * 2.0 * d)
+    got = matched_media_force(ResponseModel.lorentz(*osc1), ResponseModel.lorentz(*osc2), d)
+    assert got < 0.0
+    assert got == pytest.approx(want, rel=1e-9)
+
+
 def test_matched_media_rejects_magnetic_mirror1():
     mag = ResponseModel.lorentz(1.0, 1.0, 0.5, 1.0)
     with pytest.raises(UnsupportedConfigurationError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from calmir import ConvergenceError
-from calmir.quadrature import adaptive_integral, kronrod_rule, rowwise_panel_integral
+from calmir.quadrature import adaptive_integral, kronrod_rule, rowwise_panel_integral, xi_integral
 
 
 def test_rowwise_budget_raises():
@@ -78,3 +78,19 @@ def test_row_axis_matches_closed_form(f, exact):
     actual = np.abs(total.sum(axis=1) - 3.0 * want)
     assert np.all(actual <= err)
     assert np.all(err <= 1e-10 * 3.0 * want.max())
+
+
+def test_xi_integral_on_known_integrals():
+    # rows: int_0^inf e^{-a xi} dxi = 1/a for several a, and int_0^inf (1 + xi)^-2 dxi = 1
+    a = np.array([0.5, 1.0, 4.0, 20.0])
+    want = np.append(1.0 / a, 1.0)
+
+    def f(xi):
+        return np.concatenate([np.exp(-np.outer(xi, a)), (1.0 + xi[:, None]) ** -2], axis=1)[..., None]
+
+    rel_tol = 1e-10
+    total, err, n_eval = xi_integral(f, [0.1, 1.0, 10.0], nodes=8, rel_tol=rel_tol, abs_tol=1e-300)
+    assert total.shape == (5, 1) and err.shape == (5,)
+    assert n_eval > 4 * 17 * 5  # some panel was split
+    assert np.all(err <= rel_tol * want.max())
+    assert np.all(np.abs(total[:, 0] - want) <= rel_tol * want)

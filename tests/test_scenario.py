@@ -102,6 +102,8 @@ d = 0.015707963267948967 314.1592653589793 64 log
         ("  a = 1\n" + MINIMAL, "content before any section header", 1, 3),
         ("[material a]\neps_strength = 1\n\teps_strength = 2\n" + MINIMAL, "duplicate key 'eps_strength'", 3, 2),
         ("[material a]\nideal = metal\n" + MINIMAL, "ideal must be 'electric', 'magnetic' or 'vacuum'", 2, 9),
+        # the value '=' starts right after the separator
+        ("[material a]\nideal==\n" + MINIMAL, "ideal must be 'electric', 'magnetic' or 'vacuum'", 2, 7),
         ("[material a]\nmu_strength = 1\n ideal = electric\n" + MINIMAL, "'ideal' conflicts", 3, 2),
         ("[material a]\neps_strength = oops\n" + MINIMAL, "eps_strength: 'oops' is not a number", 2, 16),
         (MINIMAL + " bogus = 1\n", "unknown key 'bogus' in [mirror 2]", 10, 2),
