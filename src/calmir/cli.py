@@ -161,8 +161,17 @@ def cmd_force(args) -> int:
 def _sweep_rows(scn: Scenario, tau: float, cfg: QuadratureConfig, workers: int, omega):
     distances = scn.sweep.distances()
     c3 = c3_or_none(*_substrates(scn), scn.gap, tau)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda d: _force_at(scn, float(d), tau, cfg), distances))
+
+    def force(d):
+        return _force_at(scn, float(d), tau, cfg)
+
+    # one worker computes in this thread: a pool thread per sweep would get a
+    # fresh malloc arena each time, which can raise the process's peak memory
+    if workers == 1:
+        results = list(map(force, distances))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(force, distances))
 
     rows = []
     for d, res in zip(distances, results):

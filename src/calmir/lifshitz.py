@@ -49,6 +49,9 @@ X_CUT = 60.0  # e^{-60} is far below any supported tolerance
 _BLOCK = 1 << 15
 # First kappa panel width, as a fraction of d/w for the thickest layer w.
 _LAYER_FRACTION = 0.05
+# Growth of the coarse starting panels of the kappa and tau = 0 xi integrals.
+_KAPPA_RATIO = 4.0
+_XI_RATIO = 8.0
 
 
 @dataclass(frozen=True)
@@ -57,9 +60,11 @@ class QuadratureConfig:
 
     `kappa_nodes` and `xi_nodes` are the Gauss orders n of the Gauss-Kronrod
     panels of the kappa integral and of the tau = 0 xi integral; each panel
-    costs 2n + 1 integrand points (25 and 33 by default).  The kappa order
-    comes from a scan of reflection points and time per pressure over
-    orders 8 to 64 (the kappa-rule entry of CHANGES.md).
+    costs 2n + 1 integrand points (25 and 33 by default).  Both integrals
+    start on coarse geometric panels (`_x_offsets`, `_xi_breaks`) that the
+    engine splits until the tolerance is met.  The kappa order and the two
+    growth ratios come from scans of reflection points and time per pressure
+    (the kappa-rule and panel-layout entries of CHANGES.md).
     `max_matsubara` is the highest Matsubara index the tau > 0 sum may reach:
     a sum not converged after its max_matsubara + 1 terms (n = 0 ... max)
     raises ConvergenceError.
@@ -142,26 +147,30 @@ def integrand(stack1, stack2, gap, pol: Pol, d: float, kin: Kinematics):
     return float(out) if out.ndim == 0 else out
 
 
+def _geometric_edges(first: float, cut: float, ratio: float) -> np.ndarray:
+    """Edges 0, first, first ratio, first ratio^2, ... below cut, then cut."""
+    edges = [0.0]
+    while first < cut:
+        edges.append(first)
+        first *= ratio
+    return np.array(edges + [cut])
+
+
 def _x_offsets(d: float, w_max: float) -> np.ndarray:
-    """Panel edges for the x = 2 kappa d integral, geometric near the origin.
+    """Starting panel edges for the x = 2 kappa d integral, geometric from 0.
 
     Reflection data varies on kappa scales of order the material resonances,
     i.e. on x scales of order d, so the first panel width tracks d.  A
     layer of thickness w contributes e^{-2 kappa_b w} ~ e^{-x w/d}, which
     varies on the x scale d/w, so with w_max the thickest layer of either
     stack (0 without layers) the first panel is also at most
-    _LAYER_FRACTION d/w_max wide.
+    _LAYER_FRACTION d/w_max wide.  Later panels grow by _KAPPA_RATIO up to
+    X_CUT, as the integrand decays like e^{-x}.
     """
     delta = min(1.0, max(0.1 * d, 1e-6))
     if w_max > 0.0:
         delta = max(min(delta, _LAYER_FRACTION * d / w_max), 1e-6)
-    offs = [0.0]
-    v = delta
-    while v < X_CUT:
-        offs.append(v)
-        v *= 2.0
-    offs.append(X_CUT)
-    return np.array(offs)
+    return _geometric_edges(delta, X_CUT, _KAPPA_RATIO)
 
 
 def _pair_integrals(stack1, stack2, gap, d, xi, cfg):
@@ -195,13 +204,8 @@ def _pair_integrals(stack1, stack2, gap, d, xi, cfg):
             out[:, c : c + step, 1] = tm
         return out
 
-    vals, err = rowwise_panel_integral(
-        fvals,
-        x_lo,
-        _x_offsets(d, w_max),
-        nodes=cfg.kappa_nodes,
-        rel_tol=0.1 * cfg.rel_tol,
-    )
+    vals, err = rowwise_panel_integral(fvals, x_lo, _x_offsets(d, w_max),
+                                       nodes=cfg.kappa_nodes, rel_tol=0.1 * cfg.rel_tol)
     # never report less than the rounding error of summing a row's n_pts points
     err = err + n_pts * sys.float_info.epsilon * np.abs(vals).sum(axis=1)
     scale = 1.0 / (2.0 * math.pi * 2.0 * d)
@@ -277,15 +281,11 @@ def force_finite_T(stack1, stack2, gap, d, tau, cfg: QuadratureConfig | None = N
     )
 
 
-def _xi_breaks(d: float) -> list[float]:
-    """Panel breaks in xi for the tau = 0 integral (`xi_integral` maps them)."""
-    xi_cut = 0.5 * X_CUT / d
-    breaks = [b for b in (0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0) if b < 3.0 * xi_cut]
-    v = 40.0
-    while v < xi_cut:
-        breaks.append(v)
-        v *= 2.0
-    return breaks + [xi_cut]
+def _xi_breaks(d: float) -> np.ndarray:
+    """Starting panel edges in xi for the tau = 0 integral (`xi_integral` maps
+    them): geometric from 0.02 by _XI_RATIO up to xi_cut = X_CUT/(2d), where
+    the kappa integrand falls below e^{-X_CUT}; the engine splits as needed."""
+    return _geometric_edges(0.02, 0.5 * X_CUT / d, _XI_RATIO)
 
 
 def force_zero_T(stack1, stack2, gap, d, cfg: QuadratureConfig | None = None) -> ForceResult:
@@ -297,19 +297,10 @@ def force_zero_T(stack1, stack2, gap, d, cfg: QuadratureConfig | None = None) ->
     def outer(xi):
         return np.stack(_pair_integrals(stack1, stack2, gap, d, xi, cfg), axis=-1)
 
-    total, qerr, n_rows = xi_integral(
-        outer,
-        _xi_breaks(d),
-        nodes=cfg.xi_nodes,
-        rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol * math.pi / d3,
-        n_control=2,
-    )
-    te = total[0] / math.pi * d3
-    tm = total[1] / math.pi * d3
-    inner_err = total[2] / math.pi * d3
+    total, qerr, n_rows = xi_integral(outer, _xi_breaks(d), nodes=cfg.xi_nodes, rel_tol=cfg.rel_tol,
+                                      abs_tol=cfg.abs_tol * math.pi / d3, n_control=2)
+    te, tm, inner_err = (total / math.pi * d3).tolist()
     est = qerr / math.pi * d3 + abs(inner_err)
-
     return _result(te, tm, n_rows, est, d, 0.0)
 
 

@@ -392,15 +392,15 @@ def test_blocked_pair_integrals_bit_identical(monkeypatch, block):
 
 
 def test_x_offsets_first_panel_follows_thickest_layer():
-    # without layers the edges double from min(1, 0.1 d) up to X_CUT; a layer
-    # of thickness w (e^{-2 kappa_b w} ~ e^{-x w/d}) caps the first panel at a
-    # fraction of d/w
+    # without layers the edges grow by 4 from min(1, 0.1 d) up to X_CUT; a
+    # layer of thickness w (e^{-2 kappa_b w} ~ e^{-x w/d}) caps the first
+    # panel at a fraction of d/w
     x_cut = lifshitz.X_CUT
     for d in (LAMBDA / 400.0, LAMBDA / 20.0, LAMBDA, 10.0 * LAMBDA):
         delta = min(1.0, 0.1 * d)
-        doublings = [delta * 2.0**k for k in range(20) if delta * 2.0**k < x_cut]
+        powers = [delta * 4.0**k for k in range(20) if delta * 4.0**k < x_cut]
         plain = lifshitz._x_offsets(d, 0.0)
-        assert np.array_equal(plain, [0.0, *doublings, x_cut])
+        assert np.array_equal(plain, [0.0, *powers, x_cut])
         w = 20.0 * math.pi  # fig1c's coating
         layered = lifshitz._x_offsets(d, w)
         assert layered[1] <= lifshitz._LAYER_FRACTION * d / w
@@ -426,15 +426,26 @@ def test_pair_integrals_lay_out_by_the_thickest_layer_of_either_stack(monkeypatc
     assert seen == [5.0, 5.0, 0.0]
 
 
+def _doubling_offsets(d, w_max):
+    # the order-64 rule's kappa layout: a first panel blind to the coating,
+    # then edges doubling up to X_CUT
+    offs = [0.0]
+    v = min(1.0, max(0.1 * d, 1e-6))
+    while v < lifshitz.X_CUT:
+        offs.append(v)
+        v *= 2.0
+    return np.array(offs + [lifshitz.X_CUT])
+
+
 @pytest.mark.parametrize("d", [LAMBDA, 10.0 * LAMBDA])
 def test_coated_stack_kappa_points_under_ceiling(monkeypatch, d):
     # points do not depend on the machine: the default rule on fig1c's 16
-    # rows stays under a ceiling that the order-64 rule, whose first panel
-    # ignored the coating, exceeds (16512 and 14448 points); one more split
-    # pass would add 3200
+    # rows stays under a ceiling that the order-64 rule on the doubling
+    # layout exceeds (16512 and 14448 points); the default needs 3200 and
+    # 2800, and one split pass would add 6400
     from calmir import preset, quadrature
 
-    ceiling = 10000
+    ceiling = 4000
     st1, st2, gap = preset("fig1c")
     xi = np.concatenate(([0.0], np.geomspace(0.01, 0.5 * lifshitz.X_CUT / d, 15)))
     counts = []
@@ -447,11 +458,37 @@ def test_coated_stack_kappa_points_under_ceiling(monkeypatch, d):
 
     monkeypatch.setattr(quadrature, "adaptive_integral", counting)
     lifshitz._pair_integrals(st1, st2, gap, d, xi, lifshitz.DEFAULT_CONFIG)
-    layout = lifshitz._x_offsets
-    monkeypatch.setattr(lifshitz, "_x_offsets", lambda d, w_max: layout(d, 0.0))
+    monkeypatch.setattr(lifshitz, "_x_offsets", _doubling_offsets)
     lifshitz._pair_integrals(st1, st2, gap, d, xi, QuadratureConfig(kappa_nodes=64))
     new, old = counts
     assert new <= ceiling < old
+
+
+def _fixed_xi_breaks(d):
+    # the earlier tau = 0 xi layout: fixed breaks up to 20, then doublings
+    # from 40 up to xi_cut
+    xi_cut = 0.5 * lifshitz.X_CUT / d
+    breaks = [b for b in (0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0) if b < 3.0 * xi_cut]
+    v = 40.0
+    while v < xi_cut:
+        breaks.append(v)
+        v *= 2.0
+    return breaks + [xi_cut]
+
+
+def test_coated_stack_outer_rows_under_ceiling(monkeypatch):
+    # rows do not depend on the machine: the tau = 0 xi integral on fig1c
+    # needs 264, 231 and 165 outer rows at these distances, and the fixed
+    # breaks 594, 462 and 363
+    from calmir import preset
+
+    ceiling = 300
+    st1, st2, gap = preset("fig1c")
+    distances = (LAMBDA / 400.0, LAMBDA / 20.0, LAMBDA)
+    new = [force_zero_T(st1, st2, gap, d).n_terms_used for d in distances]
+    monkeypatch.setattr(lifshitz, "_xi_breaks", _fixed_xi_breaks)
+    old = [force_zero_T(st1, st2, gap, d).n_terms_used for d in distances]
+    assert max(new) <= ceiling < min(old)
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.01])

@@ -7,8 +7,9 @@ The survey is the 8 presets x d in {Lambda/400, Lambda/20, Lambda, 10 Lambda}
 x tau in {0, 0.01, 0.1}.  Each default result (`force_zero_T` or
 `force_finite_T` with the default QuadratureConfig) is compared with
 
-* at tau = 0, `force_zero_T` with the order-64 kappa rule at rel_tol 1e-11,
-  or 1e-10 where 1e-11 raises ConvergenceError;
+* at tau = 0, `force_zero_T` with order-64 kappa and xi rules at rel_tol
+  1e-11, or 1e-10 where 1e-11 raises ConvergenceError, so the reference does
+  not lean on the coarse default panel layouts;
 * at tau > 0, an explicit Matsubara sum of `lifshitz._pair_integrals` rows
   (default config), run until the ideal-mirror bound on the omitted terms,
   |r1 r2| <= 1 over a vacuum gap, is below 1e-3 est_error.  Far rows sit at
@@ -78,8 +79,9 @@ def reference(m1, m2, gap, d: float, tau: float, est: float) -> tuple[float, flo
     terms plus the error estimates of loosely summed blocks, and its rows."""
     if tau == 0.0:
         for rel_tol in (1e-11, 1e-10):
+            fine = QuadratureConfig(rel_tol=rel_tol, kappa_nodes=64, xi_nodes=64)
             try:
-                res = force_zero_T(m1, m2, gap, d, QuadratureConfig(rel_tol=rel_tol, kappa_nodes=64))
+                res = force_zero_T(m1, m2, gap, d, fine)
                 return res.pressure_norm, 0.0, res.n_terms_used
             except ConvergenceError:
                 pass
