@@ -52,6 +52,10 @@ _LAYER_FRACTION = 0.05
 # Growth of the coarse starting panels of the kappa and tau = 0 xi integrals.
 _KAPPA_RATIO = 4.0
 _XI_RATIO = 8.0
+# Matsubara blocks: the first reaches _GAP_MARGIN times the index where
+# e^{-2 xi_n d} falls to rel_tol, later ones double; none exceeds _MAX_BLOCK.
+_GAP_MARGIN = 1.2
+_MAX_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -224,15 +228,46 @@ def _result(te, tm, n_terms_used, est, d, tau) -> ForceResult:
                        est_error=est, bound_lo=lo, bound_hi=hi)
 
 
+def _first_block(tau: float, d: float, rel_tol: float) -> int:
+    """Matsubara terms in the first block of `force_finite_T`.
+
+    The gap factor e^{-2 xi_n d} = e^{-4 pi n tau d} alone ends the sum by
+    n = ln(1/rel_tol)/(4 pi tau d); the block reaches _GAP_MARGIN times that,
+    plus 3 terms for the stop rule, within [4, _MAX_BLOCK].  A tau d that
+    underflows gives _MAX_BLOCK rather than a division by zero.
+    """
+    reach = -_GAP_MARGIN * math.log(rel_tol)
+    step = 4.0 * math.pi * tau * d
+    n_gap = reach / step if step > 0.0 and reach < _MAX_BLOCK * step else _MAX_BLOCK
+    return min(_MAX_BLOCK, max(4, math.ceil(n_gap) + 3))
+
+
 def force_finite_T(stack1, stack2, gap, d, tau, cfg: QuadratureConfig | None = None) -> ForceResult:
     """Pressure at temperature tau > 0, truncating the Matsubara sum once the
-    running term and a geometric tail estimate drop below tolerance."""
+    running term and a geometric tail estimate drop below tolerance.
+
+    The terms are evaluated in blocks of rows, one `_pair_integrals` call per
+    block: the first block is sized by `_first_block`, so that a sum ended by
+    the gap factor takes one call, and later blocks double up to _MAX_BLOCK.
+    The stop rule reads the terms one by one, in order, so the block sizes
+    decide how many rows past the stop are evaluated, not the result.  The
+    one coupling between the rows of a block is the kappa engine's target,
+    relative to the block's largest row, and it acts only where a panel is
+    split; at the default tolerance the rows converge on their starting
+    panels almost everywhere.
+    A prefactor 2 tau d^3 below the smallest normal float raises
+    ConvergenceError: its terms underflow, and the sum would need ~1/(tau d)
+    of them.
+    """
     asymptotics.check_distance(d)
     asymptotics.check_tau(tau)
     if tau == 0.0:
         raise ValueError("tau must be > 0 (use force_zero_T at tau = 0)")
     cfg = cfg or DEFAULT_CONFIG
     d3 = d**3
+    if 2.0 * tau * d3 < sys.float_info.min:
+        raise ConvergenceError(
+            f"Matsubara terms underflow: 2 tau d^3 = {2.0 * tau * d3:.3e} at tau={tau}, d={d}")
 
     s_te = s_tm = 0.0
     s_abs = 0.0  # sum of |term|, which bounds the round-off of the running sums
@@ -241,12 +276,12 @@ def force_finite_T(stack1, stack2, gap, d, tau, cfg: QuadratureConfig | None = N
     n_decreasing = 0
 
     n0 = 0
-    block = 8
+    block = _first_block(tau, d, cfg.rel_tol)
     while n0 <= cfg.max_matsubara:
         ns = np.arange(n0, min(n0 + block, cfg.max_matsubara + 1))
         xi = 2.0 * math.pi * tau * ns
-        te, tm, qerr = _pair_integrals(stack1, stack2, gap, d, xi, cfg)
-        for i, n in enumerate(ns):
+        te, tm, qerr = (a.tolist() for a in _pair_integrals(stack1, stack2, gap, d, xi, cfg))
+        for i, n in enumerate(ns.tolist()):
             w = 0.5 if n == 0 else 1.0
             factor = 2.0 * tau * w * d3
             term_te = factor * te[i]
@@ -270,10 +305,10 @@ def force_finite_T(stack1, stack2, gap, d, tau, cfg: QuadratureConfig | None = N
                 est += 3.0 * tail
                 # never report less than the rounding error of summing n + 1 terms
                 est += (n + 1) * sys.float_info.epsilon * s_abs
-                return _result(s_te, s_tm, int(n) + 1, est, d, tau)
+                return _result(s_te, s_tm, n + 1, est, d, tau)
             prev_mag = mag
         n0 += len(ns)
-        block = min(2 * block, 256)
+        block = min(2 * block, _MAX_BLOCK)
 
     raise ConvergenceError(
         f"Matsubara sum not converged after {n0} terms "

@@ -213,6 +213,9 @@ def test_exit_codes(capsys, tmp_path):
     )
     code, _, err = run(capsys, "force", str(good), "-d", "0.05", "--max-matsubara", "10")
     assert code == 3 and "error" in err
+    # Matsubara terms whose prefactor 2 tau d^3 underflows are a convergence failure
+    code, _, err = run(capsys, "force", str(good), "-d", "1", "--tau", "5e-324", "--max-matsubara", "10")
+    assert code == 3 and "underflow" in err
 
 
 def test_force_and_sweep_fail_outside_envelope(capsys, monkeypatch, tmp_path, ideal_file):

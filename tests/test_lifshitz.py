@@ -1,5 +1,6 @@
 """Pressure evaluator: exact limits, envelopes, truncation behaviour."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -508,6 +509,93 @@ def test_coated_stack_est_error_is_honest(d, tau):
     res = force()
     ref = force(QuadratureConfig(rel_tol=1e-11, kappa_nodes=64))
     assert abs(res.pressure_norm - ref.pressure_norm) <= res.est_error
+
+
+def _finite_t_stacks(name):
+    # a preset's (mirror1, mirror2, gap), or fig1d across a gap carrying
+    # mirror 2's permittivity for "fig1d-matched"
+    from calmir import preset
+
+    if name != "fig1d-matched":
+        return preset(name)
+    st1, st2, _ = preset("fig1d")
+    return st1, st2, ResponseModel.lorentz(st2.substrate.eps_strength, st2.substrate.eps_resonance)
+
+
+@pytest.mark.parametrize(
+    "name, d, tau, stop",
+    [
+        ("fig1a", 1.0, 0.01, "below"),  # 107 terms, first block 179
+        ("fig1a", 0.3, 0.01, "above"),  # 268 terms, first block 256
+        ("fig1d", LAMBDA, 0.01, "near"),  # 29 terms, first block 31
+        ("fig1d", LAMBDA / 400.0, 0.01, "above"),  # 340 terms, ended by the materials
+        ("fig1d-matched", 0.3, 0.1, "below"),  # 38 terms, first block 62
+        ("fig1d-matched", LAMBDA, 0.3, "near"),  # 4 terms, first block 4
+        ("fig1d-matched", LAMBDA / 400.0, 0.1, "above"),  # 481 terms
+    ],
+)
+def test_matsubara_block_schedule_does_not_change_results(monkeypatch, name, d, tau, stop):
+    # the stop rule reads the terms in order, so the gap-sized first block
+    # gives the result of the old schedule (8 rows, doubling to 256) bit for
+    # bit, whether the sum stops inside, at the end of or past that block
+    st1, st2, gap = _finite_t_stacks(name)
+    first = lifshitz._first_block(tau, d, lifshitz.DEFAULT_CONFIG.rel_tol)
+    res = force_finite_T(st1, st2, gap, d, tau)
+    n = res.n_terms_used
+    assert {"below": n < first - 2, "near": abs(n - first) <= 2, "above": n > first}[stop]
+    monkeypatch.setattr(lifshitz, "_first_block", lambda tau, d, rel_tol: 8)
+    old = force_finite_T(st1, st2, gap, d, tau)
+    assert [float(v).hex() for v in dataclasses.astuple(res)] == [float(v).hex() for v in dataclasses.astuple(old)]
+
+
+def _count_pair_integrals(monkeypatch):
+    # records the xi array of every kappa call of force_finite_T
+    calls = []
+    pair_integrals = lifshitz._pair_integrals
+
+    def counted(stack1, stack2, gap, d, xi, cfg):
+        calls.append(np.array(xi))
+        return pair_integrals(stack1, stack2, gap, d, xi, cfg)
+
+    monkeypatch.setattr(lifshitz, "_pair_integrals", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, d, tau", [("fig1a", 3.3, 0.1), ("fig1d", 1.0, 0.01)])
+def test_matsubara_sum_ended_by_the_gap_takes_one_kappa_call(monkeypatch, name, d, tau):
+    from calmir import preset
+
+    calls = _count_pair_integrals(monkeypatch)
+    res = force_finite_T(*preset(name), d, tau)
+    assert len(calls) == 1 and len(calls[0]) >= res.n_terms_used
+
+
+def test_first_block_respects_the_matsubara_budget(monkeypatch):
+    # at tau d = 1e-8 the first block is capped, and no call asks for an
+    # index above max_matsubara
+    from calmir import preset
+
+    tau = d = 1e-4
+    assert lifshitz._first_block(tau, d, 1e-8) == lifshitz._MAX_BLOCK
+    calls = _count_pair_integrals(monkeypatch)
+    with pytest.raises(ConvergenceError, match="after 101 terms"):
+        force_finite_T(*preset("fig1d"), d, tau, QuadratureConfig(max_matsubara=100))
+    assert max(xi.max() for xi in calls) == 2.0 * math.pi * tau * 100
+
+
+def test_underflowing_tau_d_raises_convergence_error():
+    # tau d = 0 in floating point sizes the first block at its cap instead of
+    # dividing by zero; terms whose prefactor 2 tau d^3 underflows cannot be
+    # summed, and p = 0 would pass the envelope check
+    from calmir import preset
+
+    assert 0.1 * 5e-324 == 0.0
+    assert lifshitz._first_block(5e-324, 0.1, 1e-8) == lifshitz._MAX_BLOCK
+    assert lifshitz._first_block(0.01, 1.0, 1e-300) == lifshitz._MAX_BLOCK
+    assert lifshitz._first_block(10.0, 10.0, 0.5) == 4
+    for d in (1.0, 0.1):
+        with pytest.raises(ConvergenceError, match="underflow"):
+            force_finite_T(*preset("fig1d"), d, 5e-324, QuadratureConfig(max_matsubara=10))
 
 
 @pytest.mark.xfail(strict=True, reason="the Matsubara sum stops at a sign change of its summand (ROADMAP)")
