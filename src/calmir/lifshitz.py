@@ -31,7 +31,7 @@ import numpy as np
 from . import asymptotics
 from .errors import ConvergenceError
 from .quadrature import rowwise_panel_integral, xi_integral
-from .reflection import Kinematics, Pol, ReflectionKernel
+from .reflection import Kinematics, Pol, ReflectionKernel, scratch
 
 __all__ = [
     "QuadratureConfig",
@@ -44,8 +44,11 @@ __all__ = [
 ]
 
 X_CUT = 60.0  # e^{-60} is far below any supported tolerance
-# Abscissae per reflection-kernel call: its temporaries stay cache-sized
-# however many rows and points a refinement level has.
+# Abscissae per reflection-kernel call.  Each call computes in place on this
+# thread's `scratch` arrays, sized to the block in hand (rows times at most
+# _BLOCK // rows columns) and kept for later blocks, passes and calls, so the
+# block bounds the pool's buffers; much smaller blocks pay numpy's per-call
+# overhead on every one of the kernel's few dozen operations.
 _BLOCK = 1 << 15
 # First kappa panel width, as a fraction of d/w for the thickest layer w.
 _LAYER_FRACTION = 0.05
@@ -121,23 +124,32 @@ def matsubara_xi(n: int, tau: float) -> float:
     return 2.0 * math.pi * n * tau
 
 
-def _damped_terms(kappa, x, *gs):
-    """kappa^2 g e^{-x} / (1 - g e^{-x}) for each g, without ever forming e^{+x}.
+def _damped_terms(kappa, x, gs, outs):
+    """Write kappa^2 g e^{-x} / (1 - g e^{-x}) for each g into the matching
+    array of `outs`, without ever forming e^{+x}.
 
     The denominator is computed as (1 - e^{-x}) + (1 - g) e^{-x}, a sum of
     two non-negative terms for g <= 1, so it never cancels.  The factors
-    that depend only on x and kappa are computed once for all g.
+    that depend only on x and kappa are computed once for all g, on
+    `scratch` arrays.
     """
-    damp = np.exp(-x)
-    edge = -np.expm1(-x)
-    k2 = kappa * kappa
-    out = []
-    for g in gs:
-        ge = g * damp
-        if np.any(ge >= 1.0):
-            raise RuntimeError("internal invariant violated: r1 r2 e^{-2 kappa d} >= 1")
-        out.append(k2 * ge / (edge + (1.0 - g) * damp))
-    return out
+    shape = outs[0].shape
+    with scratch:
+        damp, edge, k2, ge, den = (scratch.take(shape) for _ in range(5))
+        np.exp(np.negative(x, out=damp), out=damp)
+        np.negative(np.expm1(np.negative(x, out=edge), out=edge), out=edge)
+        np.multiply(kappa, kappa, out=k2)
+        for g, out in zip(gs, outs):
+            np.multiply(g, damp, out=ge)
+            # fmax skips NaN, as any(ge >= 1.0) does
+            if ge.size and np.fmax.reduce(ge, axis=None) >= 1.0:
+                raise RuntimeError("internal invariant violated: r1 r2 e^{-2 kappa d} >= 1")
+            np.subtract(1.0, g, out=den)
+            np.multiply(den, damp, out=den)
+            np.add(edge, den, out=den)
+            np.multiply(k2, ge, out=ge)
+            np.divide(ge, den, out=out)
+    return outs
 
 
 def integrand(stack1, stack2, gap, pol: Pol, d: float, kin: Kinematics):
@@ -147,7 +159,8 @@ def integrand(stack1, stack2, gap, pol: Pol, d: float, kin: Kinematics):
     if np.any(kappa * d <= 0.0):
         raise ValueError("kappa * d must be > 0")
     (te1, tm1), (te2, tm2) = ReflectionKernel((stack1, stack2), gap, kin.xi)(kappa)
-    (out,) = _damped_terms(kappa, 2.0 * kappa * d, tm1 * tm2 if pol is Pol.TM else te1 * te2)
+    g = tm1 * tm2 if pol is Pol.TM else te1 * te2
+    (out,) = _damped_terms(kappa, 2.0 * kappa * d, (g,), (np.empty(np.shape(g)),))
     return float(out) if out.ndim == 0 else out
 
 
@@ -201,11 +214,12 @@ def _pair_integrals(stack1, stack2, gap, d, xi, cfg):
         step = max(1, _BLOCK // max(1, x.shape[0]))
         for c in range(0, x.shape[1], step):
             xb = x[:, c : c + step]
-            kappa = xb / (2.0 * d)
-            (te1, tm1), (te2, tm2) = kernel(kappa)
-            te, tm = _damped_terms(kappa, xb, te1 * te2, tm1 * tm2)
-            out[:, c : c + step, 0] = te
-            out[:, c : c + step, 1] = tm
+            with scratch:
+                kappa = np.divide(xb, 2.0 * d, out=scratch.take(xb.shape))
+                (te1, tm1), (te2, tm2) = kernel.into_scratch(kappa)
+                # r1 r2 overwrites r1, which nothing reads again
+                g = np.multiply(te1, te2, out=te1), np.multiply(tm1, tm2, out=tm1)
+                _damped_terms(kappa, xb, g, (out[:, c : c + step, 0], out[:, c : c + step, 1]))
         return out
 
     vals, err = rowwise_panel_integral(fvals, x_lo, _x_offsets(d, w_max),

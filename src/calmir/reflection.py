@@ -28,6 +28,18 @@ eps, mu and s = xi^2 eps mu come from `materials.response_sample` for a
 `ResponseModel` and from `_given_medium` for a raw (eps, mu) pair; every
 decay constant is `_decay(kappa^2, s - s_gap)` of such samples.
 
+The kernel computes in place, on work arrays from `scratch`, a per-thread
+stack of flat float buffers.  Each depth of the stack is grown to the
+largest block ever taken there and kept for the life of its thread, so a
+kappa integral that calls the kernel block after block, pass after pass,
+allocates no block-sized array once warm, and the OS need not zero fresh
+pages for every block; arrays that are dead before the next is taken share
+a depth, so the pool holds no more buffers than are live at once.
+`ReflectionKernel.into_scratch` hands its coefficients out as such arrays,
+valid until the caller's `with scratch:` frame exits; `__call__`,
+`stack_reflection`, `fresnel` and `kappa_in_medium` return arrays the
+caller owns.  Threads never share a buffer.
+
 Sign convention: a perfectly conducting substrate gives r_TM = +1 and
 r_TE = -1.  Only products of coefficients from the two mirrors enter the
 pressure, so results do not depend on this choice.
@@ -42,6 +54,7 @@ nonzero.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -110,34 +123,81 @@ class Kinematics:
     kappa_gap: object
 
 
-def _decay(kappa_sq, excess):
+class _Scratch(threading.local):
+    """This thread's work arrays, handed out as a stack.
+
+    `take(shape)` returns a view of the next depth's flat buffer, shaped to
+    the block in hand; a depth's buffer only ever grows, to the largest
+    array taken there.  `with scratch:` opens a frame: every depth taken
+    inside it is free again when it exits.  Contents are garbage until
+    written.
+    """
+
+    def __init__(self):
+        self._flat = []  # one buffer per depth
+        self._views = []  # the last view taken at each depth, reused for the same shape
+        self._depth = 0
+        self._frames = []
+
+    def __enter__(self):
+        self._frames.append(self._depth)
+
+    def __exit__(self, *exc):
+        self._depth = self._frames.pop()
+
+    def take(self, shape):
+        i = self._depth
+        self._depth = i + 1
+        if i < len(self._views) and self._views[i].shape == shape:
+            return self._views[i]
+        size = math.prod(shape)
+        if i == len(self._flat):
+            self._flat.append(np.empty(size))
+            self._views.append(None)
+        elif self._flat[i].size < size:
+            self._flat[i] = np.empty(size)
+        self._views[i] = self._flat[i][:size].reshape(shape)
+        return self._views[i]
+
+
+scratch = _Scratch()
+
+
+def _decay(kappa_sq, excess, out=None):
     """sqrt(kappa^2 + excess), the decay constant in a medium whose s = xi^2 eps mu
     exceeds the gap's by `excess`; a perfect mirror's excess is +inf, and so is
-    its decay constant.
+    its decay constant.  Written into `out` when given.
 
     Negative radicands down to -1e-12 are round-off and clamp to zero.
     """
-    rad = kappa_sq + excess
-    if not np.all(rad >= -1e-12):  # also catches NaN, from a perfect gap
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(kappa_sq), np.shape(excess)))
+    rad = np.add(kappa_sq, excess, out=out)
+    # the minimum is NaN if any radicand is, as from a perfect gap
+    if rad.size and not rad.min() >= -1e-12:
         raise ValueError("negative radicand: kinematics violate kappa >= xi*sqrt(eps0*mu0)")
-    return np.sqrt(np.maximum(rad, 0.0))
+    np.maximum(rad, 0.0, out=rad)
+    return np.sqrt(rad, out=rad)
 
 
 def _clamp_reflection(r):
-    if np.size(r) == 0:
+    """Clip r to [-1, 1] in place; raises if it leaves by more than round-off."""
+    if r.size == 0:
         return r
-    lo, hi = np.min(r), np.max(r)
+    lo, hi = r.min(), r.max()
     if not (lo >= -1.0 - _CLAMP_SLACK and hi <= 1.0 + _CLAMP_SLACK):  # also catches NaN
         raise RuntimeError("reflection coefficient left [-1, 1] beyond round-off")
-    return np.clip(r, -1.0, 1.0) if lo < -1.0 or hi > 1.0 else r
+    if lo < -1.0 or hi > 1.0:
+        np.clip(r, -1.0, 1.0, out=r)
+    return r
 
 
 # r_TM of a perfect mirror seen from a transparent medium; r_TE is its negative
 _IDEAL_TM = {Kind.PERFECT_ELECTRIC: 1.0, Kind.PERFECT_MAGNETIC: -1.0}
 
 
-def _ideal_interface(sa: ResponseSample, sb: ResponseSample, shape):
-    """(r_TE, r_TM) when medium a or b is a perfect mirror, else None."""
+def _ideal_interface(sa: ResponseSample, sb: ResponseSample):
+    """(r_TE, r_TM), constants, when medium a or b is a perfect mirror, else None."""
     ra, rb = _IDEAL_TM.get(sa.kind), _IDEAL_TM.get(sb.kind)
     if ra is None and rb is None:
         return None
@@ -146,9 +206,9 @@ def _ideal_interface(sa: ResponseSample, sb: ResponseSample, shape):
             raise UnsupportedConfigurationError(
                 "interface between perfect electric and perfect magnetic media"
             )
-        return np.zeros(shape), np.zeros(shape)
+        return 0.0, 0.0
     r_tm = rb if ra is None else -ra
-    return np.full(shape, -r_tm), np.full(shape, r_tm)
+    return -r_tm, r_tm
 
 
 def _static_interface(sa, sb, fa, fb, pa, pb, ka, kb):
@@ -170,21 +230,28 @@ def _static_interface(sa, sb, fa, fb, pa, pb, ka, kb):
         return (coef_b - coef_a) / (coef_b + coef_a)
 
 
-def _interface(sa: ResponseSample, sb: ResponseSample, ka, kb, static):
-    """(r_TE, r_TM) from medium a onto medium b, neither a perfect mirror,
-    given their decay constants; `static` marks the xi = 0 points."""
-    out = []
-    for fa, fb, pa, pb in (
-        (sa.mu, sb.mu, sa.mu_pole, sb.mu_pole),
-        (sa.eps, sb.eps, sa.eps_pole, sb.eps_pole),
-    ):
-        with np.errstate(invalid="ignore", over="ignore"):
-            big_b = fb * ka
-            big_a = fa * kb
-            r = (big_b - big_a) / (big_b + big_a)
-        if (pa > 0.0 or pb > 0.0) and np.any(static):
-            r = np.where(static, _static_interface(sa, sb, fa, fb, pa, pb, ka, kb), r)
-        out.append(_clamp_reflection(r))
+def _interface(sa: ResponseSample, sb: ResponseSample, ka, kb, static, out):
+    """Write (r_TE, r_TM) from medium a onto medium b, neither a perfect mirror,
+    into the pair of arrays `out`, given their decay constants; `static` marks
+    the xi = 0 points."""
+    shape = out[0].shape
+    with scratch:
+        big_b, big_a = scratch.take(shape), scratch.take(shape)
+        for r, (fa, fb, pa, pb) in zip(out, (
+            (sa.mu, sb.mu, sa.mu_pole, sb.mu_pole),
+            (sa.eps, sb.eps, sa.eps_pole, sb.eps_pole),
+        )):
+            with np.errstate(invalid="ignore", over="ignore"):
+                np.multiply(fb, ka, out=big_b)
+                np.multiply(fa, kb, out=big_a)
+                np.subtract(big_b, big_a, out=r)
+                np.add(big_b, big_a, out=big_b)
+                np.divide(r, big_b, out=r)
+            if (pa > 0.0 or pb > 0.0) and np.any(static):
+                at = np.broadcast_to(static, shape)
+                fa_s, fb_s, ka_s, kb_s = (np.broadcast_to(v, shape)[at] for v in (fa, fb, ka, kb))
+                r[at] = _static_interface(sa, sb, fa_s, fb_s, pa, pb, ka_s, kb_s)
+            _clamp_reflection(r)
     return out
 
 
@@ -216,26 +283,47 @@ class ReflectionKernel:
         self._static = xi == 0.0
 
     def __call__(self, kappa):
+        with scratch:
+            return [[r.copy() for r in pair] for pair in self.into_scratch(kappa)]
+
+    def into_scratch(self, kappa):
+        """As a call, but the pairs are `scratch` arrays taken in the caller's
+        frame: valid until that frame exits, and free to overwrite."""
         samples, static = self._samples, self._static
         shape = np.broadcast_shapes(np.shape(kappa), np.shape(self.s_gap))
-        kappa_sq = kappa * kappa
-        kap = [_decay(kappa_sq, e) for e in self._excess]
+        out = [(scratch.take(shape), scratch.take(shape)) for _ in self._chains]
+        with scratch:
+            # kappa^2 until every decay constant is taken, then each layer's e^{-2 kappa_b w}
+            damp = np.multiply(kappa, kappa, out=scratch.take(shape))
+            kap = [_decay(damp, e, scratch.take(shape)) for e in self._excess]
 
-        def interface(a, b):
-            pair = _ideal_interface(samples[a], samples[b], shape)
-            return pair or _interface(samples[a], samples[b], kap[a], kap[b], static)
+            def interface(a, b, pair):
+                ideal = _ideal_interface(samples[a], samples[b])
+                if ideal is None:
+                    return _interface(samples[a], samples[b], kap[a], kap[b], static, pair)
+                for r, value in zip(pair, ideal):
+                    r.fill(value)
+                return pair
 
-        out = []
-        for chain, widths in self._chains:
-            n = len(widths)
-            r = interface(chain[n], chain[n + 1])
-            for j in range(n - 1, -1, -1):
-                with np.errstate(over="ignore"):
-                    damp = np.exp(-2.0 * kap[chain[j + 1]] * widths[j])
-                # Moebius step: layer j + 1 over the part below, seen from medium j
-                r = [_clamp_reflection((r_ab + r_p * damp) / (1.0 + r_ab * r_p * damp))
-                     for r_ab, r_p in zip(interface(chain[j], chain[j + 1]), r)]
-            out.append(r)
+            for (chain, widths), r in zip(self._chains, out):
+                n = len(widths)
+                interface(chain[n], chain[n + 1], r)
+                for j in range(n - 1, -1, -1):
+                    with np.errstate(over="ignore"):
+                        np.multiply(-2.0, kap[chain[j + 1]], out=damp)
+                        np.multiply(damp, widths[j], out=damp)
+                        np.exp(damp, out=damp)
+                    with scratch:
+                        r_ab = interface(chain[j], chain[j + 1], (scratch.take(shape), scratch.take(shape)))
+                        num, den = scratch.take(shape), scratch.take(shape)
+                        # Moebius step: layer j + 1 over the part below, seen from medium j
+                        for r_ab_p, r_p in zip(r_ab, r):
+                            np.multiply(r_p, damp, out=num)
+                            np.add(r_ab_p, num, out=num)
+                            np.multiply(r_ab_p, r_p, out=den)
+                            np.multiply(den, damp, out=den)
+                            np.add(1.0, den, out=den)
+                            _clamp_reflection(np.divide(num, den, out=r_p))
         return [out[i] for i in self._slot]
 
 
@@ -283,12 +371,15 @@ def fresnel(pol: Pol, medium_a, medium_b, kin: Kinematics, gap=None):
     """
     xi = np.asarray(kin.xi, dtype=float)
     sa, sb = _given_medium(medium_a, xi), _given_medium(medium_b, xi)
-    shape = np.broadcast_shapes(xi.shape, np.shape(kin.kappa_gap), sa.eps.shape, sb.eps.shape)
-    pair = _ideal_interface(sa, sb, shape)
-    if pair is None:
+    ideal = _ideal_interface(sa, sb)
+    if ideal is not None:
+        shape = np.broadcast_shapes(xi.shape, np.shape(kin.kappa_gap), sa.eps.shape, sb.eps.shape)
+        out = np.full(shape, ideal[pol is Pol.TM])
+    else:
         s_gap = (sa if gap is None else _given_medium(gap, xi)).s
         kap = np.asarray(kin.kappa_gap, dtype=float)
-        pair = _interface(sa, sb, _decay(kap * kap, sa.s - s_gap), _decay(kap * kap, sb.s - s_gap),
-                          static=False)
-    out = np.asarray(pair[1] if pol is Pol.TM else pair[0])
+        ka, kb = _decay(kap * kap, sa.s - s_gap), _decay(kap * kap, sb.s - s_gap)
+        shape = np.broadcast_shapes(ka.shape, kb.shape,
+                                    *(np.shape(v) for v in (sa.eps, sa.mu, sb.eps, sb.mu)))
+        out = _interface(sa, sb, ka, kb, False, (np.empty(shape), np.empty(shape)))[pol is Pol.TM]
     return float(out) if out.ndim == 0 else out
