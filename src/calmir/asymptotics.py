@@ -421,16 +421,6 @@ class AsymptoticReport:
     lambda_T: float
 
 
-def classify_regime(d: float, tau: float) -> Regime:
-    lam_over_2pi = 1.0  # resonance wavelength is 2 pi c/Omega
-    lam_t = math.inf if tau == 0.0 else 1.0 / tau
-    if d < lam_over_2pi:
-        return Regime.SHORT
-    if d >= lam_t:
-        return Regime.THERMAL
-    return Regime.INTERMEDIATE
-
-
 def build_report(
     d: float,
     tau: float,
@@ -457,7 +447,6 @@ def build_report(
         and gap.eps_strength == mirror2.eps_strength
         and gap.eps_resonance == mirror2.eps_resonance
         and gap.mu_strength == 0.0
-        and mirror1.mu_strength == 0.0
     ):
         try:
             c1 = -matched_media_force(mirror1, mirror2, d) * d
@@ -465,11 +454,8 @@ def build_report(
             c1 = None
     f_c, f_t = ideal_limits(d, tau)
     lam_t = math.inf if tau == 0.0 else 1.0 / tau
-    return AsymptoticReport(
-        c3_norm=c3,
-        c1_norm=c1,
-        f_casimir=f_c,
-        f_thermal=f_t,
-        regime=classify_regime(d, tau),
-        lambda_T=lam_t,
-    )
+    # SHORT below the resonance wavelength over 2 pi (1 in units of c/Omega),
+    # else THERMAL from the thermal wavelength lambda_T on
+    regime = Regime.SHORT if d < 1.0 else Regime.THERMAL if d >= lam_t else Regime.INTERMEDIATE
+    return AsymptoticReport(c3_norm=c3, c1_norm=c1, f_casimir=f_c, f_thermal=f_t,
+                            regime=regime, lambda_T=lam_t)

@@ -29,17 +29,9 @@ from .scenario import Scenario, parse, serialize
 HBAR = 1.054571817e-34  # J s
 C_LIGHT = 299792458.0  # m/s
 
-CSV_COLUMNS = (
-    "d_over_c_by_omega",
-    "d_over_lambda",
-    "pressure_norm",
-    "te_part",
-    "tm_part",
-    "bound_lo",
-    "bound_hi",
-    "c3_over_d3",
-    "est_error",
-)
+# the ForceResult fields that `force` prints and `sweep` writes, in this order
+RESULT_FIELDS = ("pressure_norm", "te_part", "tm_part", "bound_lo", "bound_hi")
+CSV_COLUMNS = ("d_over_c_by_omega", "d_over_lambda") + RESULT_FIELDS + ("c3_over_d3", "est_error")
 
 
 class _UsageError(Exception):
@@ -118,6 +110,13 @@ def _load(path: Path) -> Scenario:
     return parse(data)
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write '{path}': {exc.strerror}") from None
+
+
 def _force_at(scn: Scenario, d: float, tau: float, cfg: QuadratureConfig):
     if tau == 0.0:
         return force_zero_T(scn.mirror1, scn.mirror2, scn.gap, d, cfg)
@@ -146,11 +145,8 @@ def cmd_force(args) -> int:
         return 0
     print(f"d={args.distance:.12e}")
     print(f"tau={tau:.12e}")
-    print(f"pressure_norm={res.pressure_norm:.12e}")
-    print(f"te_part={res.te_part:.12e}")
-    print(f"tm_part={res.tm_part:.12e}")
-    print(f"bound_lo={res.bound_lo:.12e}")
-    print(f"bound_hi={res.bound_hi:.12e}")
+    for name in RESULT_FIELDS:
+        print(f"{name}={getattr(res, name):.12e}")
     print(f"n_terms_used={res.n_terms_used}")
     print(f"est_error={res.est_error:.12e}")
     if args.omega_rad_s:
@@ -175,17 +171,9 @@ def _sweep_rows(scn: Scenario, tau: float, cfg: QuadratureConfig, workers: int, 
 
     rows = []
     for d, res in zip(distances, results):
-        row = [
-            f"{d:.12e}",
-            f"{d / (2.0 * math.pi):.12e}",
-            f"{res.pressure_norm:.12e}",
-            f"{res.te_part:.12e}",
-            f"{res.tm_part:.12e}",
-            f"{res.bound_lo:.12e}",
-            f"{res.bound_hi:.12e}",
-            f"{c3:.12e}" if c3 is not None else "",
-            f"{res.est_error:.12e}",
-        ]
+        row = [f"{d:.12e}", f"{d / (2.0 * math.pi):.12e}"]
+        row += (f"{getattr(res, name):.12e}" for name in RESULT_FIELDS)
+        row += [f"{c3:.12e}" if c3 is not None else "", f"{res.est_error:.12e}"]
         if omega:
             row.append(f"{_si_pressure(res.pressure_norm, float(d), omega):.12e}")
         rows.append(",".join(row))
@@ -210,7 +198,7 @@ def cmd_sweep(args) -> int:
             )
     for tau, out in zip(taus, outs):
         text = _sweep_rows(scn, tau, cfg, args.workers, args.omega_rad_s)
-        out.write_text(text)
+        _write(out, text)
         if not args.quiet:
             print(f"wrote {out}")
     return 0
@@ -237,7 +225,7 @@ def cmd_asympt(args) -> int:
 
 
 def cmd_preset(args) -> int:
-    args.output.write_text(serialize(preset_scenario(args.name)))
+    _write(args.output, serialize(preset_scenario(args.name)))
     print(f"wrote {args.output}")
     return 0
 

@@ -205,11 +205,7 @@ def _pair_integrals(stack1, stack2, gap, d, xi, cfg):
     kernel = ReflectionKernel((stack1, stack2), gap, xi[:, None])
     x_lo = 2.0 * d * np.sqrt(kernel.s_gap[:, 0])
 
-    n_pts = 0  # abscissae per row
-
     def fvals(x):
-        nonlocal n_pts
-        n_pts += x.shape[1]
         out = np.empty(x.shape + (2,))
         step = max(1, _BLOCK // max(1, x.shape[0]))
         for c in range(0, x.shape[1], step):
@@ -222,10 +218,10 @@ def _pair_integrals(stack1, stack2, gap, d, xi, cfg):
                 _damped_terms(kappa, xb, g, (out[:, c : c + step, 0], out[:, c : c + step, 1]))
         return out
 
-    vals, err = rowwise_panel_integral(fvals, x_lo, _x_offsets(d, w_max),
-                                       nodes=cfg.kappa_nodes, rel_tol=0.1 * cfg.rel_tol)
-    # never report less than the rounding error of summing a row's n_pts points
-    err = err + n_pts * sys.float_info.epsilon * np.abs(vals).sum(axis=1)
+    vals, err, n_eval = rowwise_panel_integral(fvals, x_lo, _x_offsets(d, w_max),
+                                               nodes=cfg.kappa_nodes, rel_tol=0.1 * cfg.rel_tol)
+    # never report less than the rounding error of summing a row's points
+    err = err + n_eval // len(xi) * sys.float_info.epsilon * np.abs(vals).sum(axis=1)
     scale = 1.0 / (2.0 * math.pi * 2.0 * d)
     return vals[:, 0] * scale, vals[:, 1] * scale, err * scale
 

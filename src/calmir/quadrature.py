@@ -158,14 +158,14 @@ def rowwise_panel_integral(fvals, x_lo, offsets, *, nodes, rel_tol):
     """Integrate over [x_lo[r], x_lo[r] + offsets[-1]] for every row r.
 
     `fvals(x2d)` maps an (R, M) array of abscissae to (R, M, C) values.
-    Returns (I, err) of shapes (R, C) and (R,) as `adaptive_integral` does.
+    Returns (I, err, n_eval) as `adaptive_integral` does: I of shape (R, C),
+    err of shape (R,), and n_eval counting each (abscissa, row) point.
     """
     x_lo = np.asarray(x_lo, dtype=float)[:, None]
-    total, err, _ = adaptive_integral(
+    return adaptive_integral(
         lambda x: np.swapaxes(fvals(x_lo + x), 0, 1),
         offsets, nodes=nodes, rel_tol=rel_tol, abs_tol=0.0,
     )
-    return total, err
 
 
 def xi_integral(f, breaks, **engine):

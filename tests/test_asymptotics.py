@@ -336,6 +336,11 @@ def test_report_assembly():
     assert rep.regime is Regime.INTERMEDIATE
     rep = build_report(30.0, 0.1, mirror1=drude, mirror2=drude, gap=VACUUM)
     assert rep.regime is Regime.THERMAL
+    # the edges: SHORT ends at d = 1, THERMAL starts at d = lambda_T = 1/tau,
+    # and SHORT is checked first
+    for d, tau, regime in [(1.0, 0.1, Regime.INTERMEDIATE), (10.0, 0.1, Regime.THERMAL),
+                           (0.5, 3.0, Regime.SHORT), (1e4, 0.0, Regime.INTERMEDIATE)]:
+        assert build_report(d, tau).regime is regime, (d, tau)
     rep = build_report(0.5, 0.0, mirror1=PERFECT_ELECTRIC, mirror2=PERFECT_ELECTRIC)
     assert rep.c3_norm is None
     # matched-gap configuration exposes the short-distance 1/d coefficient

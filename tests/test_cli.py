@@ -216,6 +216,14 @@ def test_exit_codes(capsys, tmp_path):
     # Matsubara terms whose prefactor 2 tau d^3 underflows are a convergence failure
     code, _, err = run(capsys, "force", str(good), "-d", "1", "--tau", "5e-324", "--max-matsubara", "10")
     assert code == 3 and "underflow" in err
+    # an output path that cannot be written is a usage error with the path and
+    # the reason, also after a sweep has computed its rows
+    missing = tmp_path / "missing"
+    for argv in (["preset", "fig1d", "-o", str(missing / "x.txt")],
+                 ["sweep", str(good), "-o", str(missing / "x.csv")],
+                 ["preset", "fig1d", "-o", str(tmp_path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err.startswith(f"error: cannot write '{argv[-1]}': "), argv
 
 
 def test_force_and_sweep_fail_outside_envelope(capsys, monkeypatch, tmp_path, ideal_file):

@@ -69,10 +69,12 @@ def test_row_axis_matches_closed_form(f, exact):
         calls.append(x.size)
         return np.stack([f(x), 2.0 * f(x)], axis=-1)
 
-    total, err = rowwise_panel_integral(fvals, x_lo, offsets, nodes=6, rel_tol=1e-10)
+    total, err, n_eval = rowwise_panel_integral(fvals, x_lo, offsets, nodes=6, rel_tol=1e-10)
     want = exact(x_lo, x_lo + 60.0)
     assert total.shape == (4, 2)
     assert err.shape == (4,)
+    # the engine counts every (abscissa, row) point it handed the callback
+    assert n_eval == sum(calls)
     # the estimate must bound the actual error also after panels were split
     assert len(calls) > 1
     actual = np.abs(total.sum(axis=1) - 3.0 * want)
