@@ -110,11 +110,27 @@ def _load(path: Path) -> Scenario:
     return parse(data)
 
 
+def _cannot_write(path: Path, exc: OSError) -> ValueError:
+    return ValueError(f"cannot write '{path}': {exc.strerror}")
+
+
 def _write(path: Path, text: str) -> None:
     try:
         path.write_text(text)
     except OSError as exc:
-        raise ValueError(f"cannot write '{path}': {exc.strerror}") from None
+        raise _cannot_write(path, exc) from None
+
+
+def _check_writable(path: Path) -> None:
+    """Raise `_write`'s error now if `path` cannot be opened for writing; a
+    file this check creates is removed again, an existing one is not changed."""
+    existed = path.exists() or path.is_symlink()
+    try:
+        path.open("a").close()
+    except OSError as exc:
+        raise _cannot_write(path, exc) from None
+    if not existed:
+        path.unlink()
 
 
 def _force_at(scn: Scenario, d: float, tau: float, cfg: QuadratureConfig):
@@ -196,6 +212,9 @@ def cmd_sweep(args) -> int:
                 f"temperatures {taus[outs.index(out)]!r} and {taus[i]!r} would both "
                 f"write {out}: a family's temperatures must differ at 6 significant digits"
             )
+    # a path that cannot be written fails before any row is computed
+    for out in outs:
+        _check_writable(out)
     for tau, out in zip(taus, outs):
         text = _sweep_rows(scn, tau, cfg, args.workers, args.omega_rad_s)
         _write(out, text)

@@ -173,16 +173,31 @@ def _geometric_edges(first: float, cut: float, ratio: float) -> np.ndarray:
     return np.array(edges + [cut])
 
 
+def _thickest_visible(stacks, xi):
+    """The thickest layer of `stacks` that a row at frequency xi sees, 0.0 if
+    none; an array for an array xi.
+
+    A layer of thickness w enters the reflection only through
+    e^{-2 kappa_b w} <= e^{-2 xi w}, as kappa_b >= xi in any passive medium
+    whatever the gap, so a row sees the layer while 2 xi w < X_CUT.
+    """
+    xi = np.asarray(xi, dtype=float)
+    w_max = np.zeros(xi.shape)
+    for w in (layer.thickness for st in stacks for layer in st.layers):
+        w_max = np.maximum(w_max, np.where(2.0 * xi * w < X_CUT, w, 0.0))
+    return w_max
+
+
 def _x_offsets(d: float, w_max: float) -> np.ndarray:
     """Starting panel edges for the x = 2 kappa d integral, geometric from 0.
 
     Reflection data varies on kappa scales of order the material resonances,
     i.e. on x scales of order d, so the first panel width tracks d.  A
     layer of thickness w contributes e^{-2 kappa_b w} ~ e^{-x w/d}, which
-    varies on the x scale d/w, so with w_max the thickest layer of either
-    stack (0 without layers) the first panel is also at most
-    _LAYER_FRACTION d/w_max wide.  Later panels grow by _KAPPA_RATIO up to
-    X_CUT, as the integrand decays like e^{-x}.
+    varies on the x scale d/w, so with w_max the thickest layer that the
+    rows can see (`_thickest_visible`, 0 without one) the first panel is
+    also at most _LAYER_FRACTION d/w_max wide.  Later panels grow by
+    _KAPPA_RATIO up to X_CUT, as the integrand decays like e^{-x}.
     """
     delta = min(1.0, max(0.1 * d, 1e-6))
     if w_max > 0.0:
@@ -198,10 +213,11 @@ def _pair_integrals(stack1, stack2, gap, d, xi, cfg):
     N eps (|te| + |tm|) for the N points evaluated per row (same units).
     The floor enters no refinement decision.  Each panel costs
     2 kappa_nodes + 1 reflection points per row; the initial panels are
-    `_x_offsets` for the thickest layer of either stack.
+    `_x_offsets` for the thickest layer that the lowest row can see (a row
+    sees fewer layers as xi grows).
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    w_max = max((layer.thickness for st in (stack1, stack2) for layer in st.layers), default=0.0)
+    w_max = float(_thickest_visible((stack1, stack2), xi.min()))
     kernel = ReflectionKernel((stack1, stack2), gap, xi[:, None])
     x_lo = 2.0 * d * np.sqrt(kernel.s_gap[:, 0])
 
@@ -259,6 +275,8 @@ def force_finite_T(stack1, stack2, gap, d, tau, cfg: QuadratureConfig | None = N
     The terms are evaluated in blocks of rows, one `_pair_integrals` call per
     block: the first block is sized by `_first_block`, so that a sum ended by
     the gap factor takes one call, and later blocks double up to _MAX_BLOCK.
+    A block's kappa layout follows the layers that its lowest row can see;
+    the first block holds n = 0, which sees them all.
     The stop rule reads the terms one by one, in order, so the block sizes
     decide how many rows past the stop are evaluated, not the result.  The
     one coupling between the rows of a block is the kappa engine's target,
@@ -328,22 +346,39 @@ def force_finite_T(stack1, stack2, gap, d, tau, cfg: QuadratureConfig | None = N
 
 def _xi_breaks(d: float) -> np.ndarray:
     """Starting panel edges in xi for the tau = 0 integral (`xi_integral` maps
-    them): geometric from 0.02 by _XI_RATIO up to xi_cut = X_CUT/(2d), where
-    the kappa integrand falls below e^{-X_CUT}; the engine splits as needed."""
+    them): geometric from 0.02 by _XI_RATIO up to xi_cut = X_CUT/(2d), the
+    last edge and the integral's upper limit, beyond which every kappa row
+    starts at x >= X_CUT; the engine splits as needed."""
     return _geometric_edges(0.02, 0.5 * X_CUT / d, _XI_RATIO)
 
 
 def force_zero_T(stack1, stack2, gap, d, cfg: QuadratureConfig | None = None) -> ForceResult:
-    """Zero-temperature pressure: (1/pi) int_0^inf dxi of the kappa integral."""
+    """Zero-temperature pressure: (1/pi) int_0^xi_cut dxi of the kappa integral.
+
+    The xi integral stops at xi_cut = X_CUT/(2d), the last of `_xi_breaks`;
+    `xi_integral` states the ideal-mirror bound on the tail it drops, about
+    1e-23 in F d^3 units, which est_error does not include.  Each pass of
+    the engine splits its rows by the layers they can see
+    (`_thickest_visible`): one `_pair_integrals` call per group, so rows
+    above X_CUT/(2w) do not pay for the fine first kappa panel of a layer
+    of thickness w.
+    """
     asymptotics.check_distance(d)
     cfg = cfg or DEFAULT_CONFIG
     d3 = d**3
 
     def outer(xi):
-        return np.stack(_pair_integrals(stack1, stack2, gap, d, xi, cfg), axis=-1)
+        w_max = _thickest_visible((stack1, stack2), xi)
+        out = np.empty((len(xi), 3))
+        for w in np.unique(w_max):
+            rows = w_max == w
+            out[rows] = np.stack(_pair_integrals(stack1, stack2, gap, d, xi[rows], cfg), axis=-1)
+        return out
 
-    total, qerr, n_rows = xi_integral(outer, _xi_breaks(d), nodes=cfg.xi_nodes, rel_tol=cfg.rel_tol,
-                                      abs_tol=cfg.abs_tol * math.pi / d3, n_control=2)
+    breaks = _xi_breaks(d)
+    total, qerr, n_rows = xi_integral(outer, breaks, breaks[-1], nodes=cfg.xi_nodes,
+                                      rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol * math.pi / d3,
+                                      n_control=2)
     te, tm, inner_err = (total / math.pi * d3).tolist()
     est = qerr / math.pi * d3 + abs(inner_err)
     return _result(te, tm, n_rows, est, d, 0.0)

@@ -15,7 +15,8 @@ integrand may split that call into smaller blocks internally.
 `rowwise_panel_integral` adapts the engine to panels shifted to a per-row
 lower limit; it is the kappa integral's named entry point, through which the
 benchmark's per-layer trace (benchmarks/spans.py) sees the reflection
-callback.  `xi_integral` runs it over [0, inf) on t = xi/(1 + xi).
+callback.  `xi_integral` runs the engine over [0, upper) on t = xi/(1 + xi),
+upper = inf by default.
 Processing order depends only on the inputs, and running out of the panel
 budget raises `ConvergenceError`.
 """
@@ -168,13 +169,18 @@ def rowwise_panel_integral(fvals, x_lo, offsets, *, nodes, rel_tol):
     )
 
 
-def xi_integral(f, breaks, **engine):
-    """int_0^inf f(xi) dxi: `adaptive_integral` (given the keywords) on t = xi/(1 + xi).
+def xi_integral(f, breaks, upper=math.inf, **engine):
+    """int_0^upper f(xi) dxi: `adaptive_integral` (given the keywords) on t = xi/(1 + xi).
 
-    The panel edges are t = 0, 1 and the mapped `breaks`; f's (M, ..., C)
-    values are multiplied by the Jacobian 1/(1 - t)^2.
+    The panel edges are t = 0, the mapped `breaks` below `upper` and the
+    mapped `upper` (t = 1 for the default, infinity); f's (M, ..., C) values
+    are multiplied by the Jacobian 1/(1 - t)^2.  `force_zero_T` stops at
+    xi_cut = X_CUT/(2d): between ideal mirrors the dropped tail is at most
+    (Y^2 + 4Y + 6) e^{-Y}/(16 pi^2 d (1 - e^{-Y})) in F d^3 units, Y = X_CUT,
+    about 1.4e-23 at d = Lambda/400.
     """
-    edges = np.array(sorted({0.0, 1.0} | {b / (1.0 + b) for b in breaks}))
+    top = 1.0 if math.isinf(upper) else upper / (1.0 + upper)
+    edges = np.array(sorted({0.0, top} | {b / (1.0 + b) for b in breaks if b < upper}))
 
     def mapped(t):
         vals = f(t / (1.0 - t))

@@ -217,13 +217,35 @@ def test_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, "force", str(good), "-d", "1", "--tau", "5e-324", "--max-matsubara", "10")
     assert code == 3 and "underflow" in err
     # an output path that cannot be written is a usage error with the path and
-    # the reason, also after a sweep has computed its rows
+    # the reason
     missing = tmp_path / "missing"
     for argv in (["preset", "fig1d", "-o", str(missing / "x.txt")],
                  ["sweep", str(good), "-o", str(missing / "x.csv")],
                  ["preset", "fig1d", "-o", str(tmp_path)]):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and err.startswith(f"error: cannot write '{argv[-1]}': "), argv
+
+
+def test_sweep_checks_every_output_path_before_the_first_row(capsys, monkeypatch, tmp_path):
+    from calmir import cli
+
+    def no_rows(*args):
+        raise AssertionError("a row was computed before the output paths were checked")
+
+    monkeypatch.setattr(cli, "_force_at", no_rows)
+    src = tmp_path / "fam.txt"
+    src.write_text(
+        "[material m]\neps_strength = 1\n"
+        "[mirror 1]\nsubstrate = m\n[mirror 2]\nsubstrate = m\n"
+        "[run]\nT = 0.5 0.1 0\nd = 1 2 2 log\n"
+    )
+    # a missing directory, and a family whose second file name is a directory
+    (tmp_path / "fam_tau0.1.csv").mkdir()
+    for out, bad in (("missing/x.csv", "missing/x_tau0.5.csv"), ("fam.csv", "fam_tau0.1.csv")):
+        code, stdout, err = run(capsys, "sweep", str(src), "-o", str(tmp_path / out), "--quiet")
+        assert code == 1 and stdout == "" and err.startswith(f"error: cannot write '{tmp_path / bad}': "), out
+    # the check leaves no file behind
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fam.txt", "fam_tau0.1.csv"]
 
 
 def test_force_and_sweep_fail_outside_envelope(capsys, monkeypatch, tmp_path, ideal_file):

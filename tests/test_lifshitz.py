@@ -477,19 +477,109 @@ def _fixed_xi_breaks(d):
     return breaks + [xi_cut]
 
 
-def test_coated_stack_outer_rows_under_ceiling(monkeypatch):
+def _outer_rows_to_infinity(st1, st2, gap, d, breaks):
+    # the earlier tau = 0 xi integral: every row of a pass in one kappa call,
+    # up to xi = infinity
+    from calmir.quadrature import xi_integral
+
+    cfg = lifshitz.DEFAULT_CONFIG
+
+    def outer(xi):
+        return np.stack(lifshitz._pair_integrals(st1, st2, gap, d, xi, cfg), axis=-1)
+
+    _, _, n_rows = xi_integral(outer, breaks, nodes=cfg.xi_nodes, rel_tol=cfg.rel_tol,
+                               abs_tol=cfg.abs_tol * math.pi / d**3, n_control=2)
+    return n_rows
+
+
+def test_coated_stack_outer_rows_under_ceiling():
     # rows do not depend on the machine: the tau = 0 xi integral on fig1c
-    # needs 264, 231 and 165 outer rows at these distances, and the fixed
-    # breaks 594, 462 and 363
+    # needs 231, 198 and 132 outer rows at these distances, and the fixed
+    # breaks integrated to infinity 594, 462 and 363
     from calmir import preset
 
-    ceiling = 300
+    ceiling = 250
     st1, st2, gap = preset("fig1c")
     distances = (LAMBDA / 400.0, LAMBDA / 20.0, LAMBDA)
     new = [force_zero_T(st1, st2, gap, d).n_terms_used for d in distances]
-    monkeypatch.setattr(lifshitz, "_xi_breaks", _fixed_xi_breaks)
-    old = [force_zero_T(st1, st2, gap, d).n_terms_used for d in distances]
+    old = [_outer_rows_to_infinity(st1, st2, gap, d, _fixed_xi_breaks(d)) for d in distances]
     assert max(new) <= ceiling < min(old)
+
+
+def _tail_bound(d):
+    # ideal-mirror bound on the tau = 0 pressure from xi > X_CUT/(2d), F d^3 units
+    y = lifshitz.X_CUT
+    return (y * y + 4.0 * y + 6.0) * math.exp(-y) / (16.0 * math.pi**2 * d * -math.expm1(-y))
+
+
+def _without_cut(monkeypatch):
+    # force_zero_T's xi integral runs on to infinity, as it did before the cut
+    from calmir import quadrature
+
+    monkeypatch.setattr(lifshitz, "xi_integral",
+                        lambda f, breaks, upper, **engine: quadrature.xi_integral(f, breaks, **engine))
+
+
+@pytest.mark.parametrize("name", ["fig1a", "fig1b", "fig1c", "fig1d", "fig3c"])
+def test_zero_T_cut_drops_only_the_tail(monkeypatch, name):
+    # the xi panel beyond X_CUT/(2d) holds 33 rows below e^{-X_CUT} (at
+    # larger d the engine may also split it): without layers the pressure is
+    # the same bit for bit, and on fig1c it moves by less than the tail's
+    # ideal-mirror bound (1.4e-23 at Lambda/400)
+    from calmir import preset
+
+    st1, st2, gap = preset(name)
+    distances = (LAMBDA / 400.0, LAMBDA / 20.0, LAMBDA)
+    cut = [force_zero_T(st1, st2, gap, d) for d in distances]
+    _without_cut(monkeypatch)
+    full = [force_zero_T(st1, st2, gap, d) for d in distances]
+    assert _tail_bound(LAMBDA / 400.0) == pytest.approx(1.36e-23, rel=0.01)
+    for d, a, b in zip(distances, cut, full):
+        assert b.n_terms_used - a.n_terms_used == 33
+        if st1.layers or st2.layers:
+            assert abs(a.pressure_norm - b.pressure_norm) <= _tail_bound(d)
+        else:
+            assert (a.te_part, a.tm_part) == (b.te_part, b.tm_part)
+
+
+def test_rows_are_grouped_by_the_layers_they_can_see(monkeypatch):
+    # a layer of thickness w is visible below xi = X_CUT/(2w): 3 for w = 10,
+    # 30 for w = 1; force_zero_T makes one kappa call per group of a pass
+    from calmir import Layer
+
+    coat = ResponseModel.lorentz(0.1, 1.0, 0.3, 1.0)
+    metal = ResponseModel.drude(3.0)
+    thick = MirrorStack((Layer(coat, 10.0),), metal)
+    thin = MirrorStack((Layer(coat, 1.0),), metal)
+    bare = MirrorStack.homogeneous(metal)
+    xi = np.array([0.0, 2.9, 3.0, 29.0, 30.0, 100.0])
+    assert lifshitz._thickest_visible((bare, bare), xi).tolist() == [0.0] * 6
+    assert lifshitz._thickest_visible((bare, thick), xi).tolist() == [10.0, 10.0, 0.0, 0.0, 0.0, 0.0]
+    assert lifshitz._thickest_visible((thick, thin), xi).tolist() == [10.0, 10.0, 1.0, 1.0, 0.0, 0.0]
+    assert lifshitz._thickest_visible((thin, thick), 2.9) == 10.0
+    calls = _count_pair_integrals(monkeypatch)
+    force_zero_T(thick, thin, VACUUM, 0.1)  # xi_cut = 300
+    groups = [set(lifshitz._thickest_visible((thick, thin), x).tolist()) for x in calls]
+    assert all(len(g) == 1 for g in groups)
+    assert set().union(*groups) == {10.0, 1.0, 0.0}
+
+
+@pytest.mark.parametrize("gap", [VACUUM, ResponseModel.lorentz(0.5, 2.0)])
+def test_a_row_that_cannot_see_a_layer_sees_a_half_space(gap):
+    # above X_CUT/(2w) the layer's e^{-2 kappa_b w} is below e^{-X_CUT} for
+    # any passive gap (kappa_b >= xi), so the coated mirror reflects as a
+    # half-space of the coating, within the kappa integrals' error
+    from calmir import Layer
+
+    coat = ResponseModel.lorentz(0.1, 1.0, 0.3, 1.0)
+    metal = ResponseModel.drude(3.0)
+    bare, coated_stack = MirrorStack.homogeneous(metal), MirrorStack((Layer(coat, 10.0),), metal)
+    xi = np.geomspace(3.0, 30.0, 8)
+    assert not lifshitz._thickest_visible((bare, coated_stack), xi).any()
+    cfg, d = lifshitz.DEFAULT_CONFIG, 0.5
+    coated = lifshitz._pair_integrals(bare, coated_stack, gap, d, xi, cfg)
+    bulk = lifshitz._pair_integrals(bare, MirrorStack.homogeneous(coat), gap, d, xi, cfg)
+    assert np.all(np.abs(coated[0] - bulk[0]) + np.abs(coated[1] - bulk[1]) <= coated[2] + bulk[2])
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.01])

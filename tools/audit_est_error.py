@@ -7,9 +7,13 @@ The survey is the 8 presets x d in {Lambda/400, Lambda/20, Lambda, 10 Lambda}
 x tau in {0, 0.01, 0.1}.  Each default result (`force_zero_T` or
 `force_finite_T` with the default QuadratureConfig) is compared with
 
-* at tau = 0, `force_zero_T` with order-64 kappa and xi rules at rel_tol
-  1e-11, or 1e-10 where 1e-11 raises ConvergenceError, so the reference does
-  not lean on the coarse default panel layouts;
+* at tau = 0, the xi integral of `lifshitz._pair_integrals` rows with
+  order-64 kappa and xi rules at rel_tol 1e-11, or 1e-10 where 1e-11 raises
+  ConvergenceError, so the reference does not lean on the coarse default
+  panel layouts.  It is built here from `quadrature.xi_integral` up to
+  infinity, with one kappa call for all rows of a pass, so it shares
+  neither `force_zero_T`'s cut at X_CUT/(2d) nor its grouping of rows by
+  the layers they can see;
 * at tau > 0, an explicit Matsubara sum of `lifshitz._pair_integrals` rows
   (default config), run until the ideal-mirror bound on the omitted terms,
   |r1 r2| <= 1 over a vacuum gap, is below 1e-3 est_error.  Far rows sit at
@@ -36,7 +40,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from calmir import ConvergenceError, QuadratureConfig, force_finite_T, force_zero_T, lifshitz
+from calmir import ConvergenceError, QuadratureConfig, force_finite_T, force_zero_T, lifshitz, quadrature
 from calmir.materials import Kind
 from calmir.presets import LAMBDA, PRESET_NAMES, preset
 
@@ -74,6 +78,19 @@ def _omitted_bound(d: float, tau: float) -> np.ndarray:
     return np.append(math.inf, tail)  # index n: the terms from n on; n = 0 is never cut
 
 
+def zero_T_reference(m1, m2, gap, d: float, cfg: QuadratureConfig) -> tuple[float, int]:
+    """(p, rows): (1/pi) int_0^inf dxi of the kappa integrals, one
+    `_pair_integrals` call per pass of the xi engine."""
+    def outer(xi):
+        return np.stack(lifshitz._pair_integrals(m1, m2, gap, d, xi, cfg), axis=-1)
+
+    total, _, rows = quadrature.xi_integral(outer, lifshitz._xi_breaks(d), nodes=cfg.xi_nodes,
+                                            rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol * math.pi / d**3,
+                                            n_control=2)
+    te, tm, _ = (total / math.pi * d**3).tolist()
+    return te + tm, rows
+
+
 def reference(m1, m2, gap, d: float, tau: float, est: float) -> tuple[float, float, int]:
     """(p_ref, ref_err, rows): the reference pressure, the bound on its omitted
     terms plus the error estimates of loosely summed blocks, and its rows."""
@@ -81,8 +98,8 @@ def reference(m1, m2, gap, d: float, tau: float, est: float) -> tuple[float, flo
         for rel_tol in (1e-11, 1e-10):
             fine = QuadratureConfig(rel_tol=rel_tol, kappa_nodes=64, xi_nodes=64)
             try:
-                res = force_zero_T(m1, m2, gap, d, fine)
-                return res.pressure_norm, 0.0, res.n_terms_used
+                p_ref, rows = zero_T_reference(m1, m2, gap, d, fine)
+                return p_ref, 0.0, rows
             except ConvergenceError:
                 pass
         raise ConvergenceError(f"no tau = 0 reference at d = {d}")
