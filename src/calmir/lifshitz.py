@@ -188,18 +188,38 @@ def _thickest_visible(stacks, xi):
     return w_max
 
 
-def _x_offsets(d: float, w_max: float) -> np.ndarray:
+def _row_scale(kernel, x_lo) -> float:
+    """x_row, the smallest over the kernel's rows of the x scale on which a
+    row's reflection data varies; 0.0 when a row sits at xi = 0.
+
+    At xi > 0 a medium's decay constant kappa_m = sqrt(kappa^2 + s_m - s_gap)
+    starts at sqrt(s_m) > 0 on the row's lower limit kappa_min = sqrt(s_gap),
+    so it changes on the kappa scale s_m/kappa_min, which in x = 2 kappa d is
+    x_lo s_m/(2 s_gap), while e^{-x} changes on the scale 1.  A row's scale
+    is x_lo min(1, min_m s_m/s_gap) over the sampled media
+    (`ReflectionKernel.s_min`: the gap's own s caps the ratio at 1, and a
+    perfect mirror's s = +inf never sets it), so a gap denser than a mirror
+    shrinks it.  Over a vacuum gap it grows with xi: the lowest row sets it.
+    """
+    s_gap = kernel.s_gap[:, 0]
+    ratio = np.divide(kernel.s_min[:, 0], s_gap, out=np.zeros_like(s_gap), where=s_gap > 0.0)
+    return float((x_lo * ratio).min())
+
+
+def _x_offsets(d: float, w_max: float, x_row: float) -> np.ndarray:
     """Starting panel edges for the x = 2 kappa d integral, geometric from 0.
 
     Reflection data varies on kappa scales of order the material resonances,
-    i.e. on x scales of order d, so the first panel width tracks d.  A
-    layer of thickness w contributes e^{-2 kappa_b w} ~ e^{-x w/d}, which
-    varies on the x scale d/w, so with w_max the thickest layer that the
-    rows can see (`_thickest_visible`, 0 without one) the first panel is
+    i.e. on x scales of order d, and on the rows' own scale x_row
+    (`_row_scale`, 0 for a block holding xi = 0), so the first panel is
+    0.1 max(d, x_row) wide, at most 1 (the scale of e^{-x}) and at least
+    1e-6.  A layer of thickness w contributes e^{-2 kappa_b w} ~ e^{-x w/d},
+    which varies on the x scale d/w, so with w_max the thickest layer that
+    the rows can see (`_thickest_visible`, 0 without one) the first panel is
     also at most _LAYER_FRACTION d/w_max wide.  Later panels grow by
     _KAPPA_RATIO up to X_CUT, as the integrand decays like e^{-x}.
     """
-    delta = min(1.0, max(0.1 * d, 1e-6))
+    delta = min(1.0, max(0.1 * max(d, x_row), 1e-6))
     if w_max > 0.0:
         delta = max(min(delta, _LAYER_FRACTION * d / w_max), 1e-6)
     return _geometric_edges(delta, X_CUT, _KAPPA_RATIO)
@@ -214,7 +234,9 @@ def _pair_integrals(stack1, stack2, gap, d, xi, cfg):
     The floor enters no refinement decision.  Each panel costs
     2 kappa_nodes + 1 reflection points per row; the initial panels are
     `_x_offsets` for the thickest layer that the lowest row can see (a row
-    sees fewer layers as xi grows).
+    sees fewer layers as xi grows) and for the smallest row scale
+    (`_row_scale`, the lowest row's over a vacuum gap), so the rows share
+    one layout, set by the row that needs the finest.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     w_max = float(_thickest_visible((stack1, stack2), xi.min()))
@@ -234,7 +256,8 @@ def _pair_integrals(stack1, stack2, gap, d, xi, cfg):
                 _damped_terms(kappa, xb, g, (out[:, c : c + step, 0], out[:, c : c + step, 1]))
         return out
 
-    vals, err, n_eval = rowwise_panel_integral(fvals, x_lo, _x_offsets(d, w_max),
+    offsets = _x_offsets(d, w_max, _row_scale(kernel, x_lo))
+    vals, err, n_eval = rowwise_panel_integral(fvals, x_lo, offsets,
                                                nodes=cfg.kappa_nodes, rel_tol=0.1 * cfg.rel_tol)
     # never report less than the rounding error of summing a row's points
     err = err + n_eval // len(xi) * sys.float_info.epsilon * np.abs(vals).sum(axis=1)
@@ -275,14 +298,19 @@ def force_finite_T(stack1, stack2, gap, d, tau, cfg: QuadratureConfig | None = N
     The terms are evaluated in blocks of rows, one `_pair_integrals` call per
     block: the first block is sized by `_first_block`, so that a sum ended by
     the gap factor takes one call, and later blocks double up to _MAX_BLOCK.
-    A block's kappa layout follows the layers that its lowest row can see;
-    the first block holds n = 0, which sees them all.
+    A block's kappa layout follows the layers that its lowest row can see
+    and its rows' own x scale (`_row_scale`); the first block holds n = 0,
+    which sees every layer and whose scale is 0, so it is laid out by d and
+    the layers alone, and a sum that ends in it does not depend on the row
+    scale.
     The stop rule reads the terms one by one, in order, so the block sizes
-    decide how many rows past the stop are evaluated, not the result.  The
-    one coupling between the rows of a block is the kappa engine's target,
-    relative to the block's largest row, and it acts only where a panel is
-    split; at the default tolerance the rows converge on their starting
-    panels almost everywhere.
+    decide how many rows past the stop are evaluated; they move the result
+    only through the layout of each block, which follows its rows, and so
+    only within round-off of est_error (by at most 7.2e-7 est_error on the
+    tests' block schedules).  The other coupling between the rows of a
+    block is the kappa engine's target, relative to the block's largest
+    row, and it acts only where a panel is split; at the default tolerance
+    the rows converge on their starting panels almost everywhere.
     A prefactor 2 tau d^3 below the smallest normal float raises
     ConvergenceError: its terms underflow, and the sum would need ~1/(tau d)
     of them.

@@ -261,6 +261,9 @@ class ReflectionKernel:
     Media shared between stacks are matched by equality and sampled once.
     Calling the kernel with gap decay constants broadcastable against `xi`
     returns one (r_TE, r_TM) pair per stack, evaluated substrate outward.
+    `s_gap` is the gap's s = xi^2 eps mu on the grid, and `s_min` the
+    smallest s of any sampled medium (the gap's included, so s_min <= s_gap;
+    a perfect mirror's s = +inf never is the smallest).
     """
 
     def __init__(self, stacks, gap: ResponseModel, xi):
@@ -279,6 +282,7 @@ class ReflectionKernel:
             raise UnsupportedConfigurationError(
                 "gap medium with a doubly metallic response has no propagation band"
             )
+        self.s_min = np.minimum.reduce([smp.s for smp in self._samples])
         self._excess = [smp.s - self.s_gap for smp in self._samples]
         self._static = xi == 0.0
 

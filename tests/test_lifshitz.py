@@ -400,15 +400,15 @@ def test_x_offsets_first_panel_follows_thickest_layer():
     for d in (LAMBDA / 400.0, LAMBDA / 20.0, LAMBDA, 10.0 * LAMBDA):
         delta = min(1.0, 0.1 * d)
         powers = [delta * 4.0**k for k in range(20) if delta * 4.0**k < x_cut]
-        plain = lifshitz._x_offsets(d, 0.0)
+        plain = lifshitz._x_offsets(d, 0.0, 0.0)
         assert np.array_equal(plain, [0.0, *powers, x_cut])
         w = 20.0 * math.pi  # fig1c's coating
-        layered = lifshitz._x_offsets(d, w)
+        layered = lifshitz._x_offsets(d, w, 0.0)
         assert layered[1] <= lifshitz._LAYER_FRACTION * d / w
         assert layered[0] == 0.0 and layered[-1] == x_cut
         assert np.all(np.diff(layered) > 0.0)
     # a layer thin against d leaves the layout alone
-    assert np.array_equal(lifshitz._x_offsets(LAMBDA, 0.01), lifshitz._x_offsets(LAMBDA, 0.0))
+    assert np.array_equal(lifshitz._x_offsets(LAMBDA, 0.01, 0.0), lifshitz._x_offsets(LAMBDA, 0.0, 0.0))
 
 
 def test_pair_integrals_lay_out_by_the_thickest_layer_of_either_stack(monkeypatch):
@@ -416,7 +416,8 @@ def test_pair_integrals_lay_out_by_the_thickest_layer_of_either_stack(monkeypatc
 
     seen = []
     layout = lifshitz._x_offsets
-    monkeypatch.setattr(lifshitz, "_x_offsets", lambda d, w_max: seen.append(w_max) or layout(d, w_max))
+    monkeypatch.setattr(lifshitz, "_x_offsets",
+                        lambda d, w_max, x_row: seen.append(w_max) or layout(d, w_max, x_row))
     coat = ResponseModel.lorentz(0.1, 1.0, 0.3, 1.0)
     metal = ResponseModel.drude(3.0)
     thin = MirrorStack((Layer(coat, 2.0), Layer(coat, 5.0)), metal)
@@ -427,7 +428,93 @@ def test_pair_integrals_lay_out_by_the_thickest_layer_of_either_stack(monkeypatc
     assert seen == [5.0, 5.0, 0.0]
 
 
-def _doubling_offsets(d, w_max):
+def _row_scale_of(st1, st2, gap, d, xi):
+    # x_row of one kappa call, from the kernel that `_pair_integrals` builds
+    from calmir.reflection import ReflectionKernel
+
+    kernel = ReflectionKernel((st1, st2), gap, np.asarray(xi, dtype=float)[:, None])
+    return lifshitz._row_scale(kernel, 2.0 * d * np.sqrt(kernel.s_gap[:, 0]))
+
+
+def test_row_scale_sizes_the_first_kappa_panel():
+    # the first panel is 0.1 max(d, x_row) wide, at most 1, and the layer cap
+    # still wins; x_row = x_lo = 2 xi d for homogeneous mirrors across a
+    # vacuum gap, and 0 for a block that holds xi = 0
+    from calmir import preset
+
+    st1, st2, gap = preset("fig1d")
+    d = LAMBDA / 20.0
+    assert _row_scale_of(st1, st2, gap, d, [0.0, 1.0, 5.0]) == 0.0
+    x_row = _row_scale_of(st1, st2, gap, d, [20.0, 3.0, 5.0])  # the lowest row need not come first
+    assert x_row == pytest.approx(2.0 * 3.0 * d, rel=1e-15)
+    edges = lifshitz._x_offsets(d, 0.0, x_row)
+    assert edges[1] == pytest.approx(0.1 * x_row, rel=1e-15) and edges[-1] == lifshitz.X_CUT
+    assert np.array_equal(lifshitz._x_offsets(d, 0.0, 0.5 * d), lifshitz._x_offsets(d, 0.0, 0.0))
+    # the cap at 1, the scale of e^{-x}
+    assert lifshitz._x_offsets(d, 0.0, 40.0)[1] == 1.0
+    assert lifshitz._x_offsets(20.0, 0.0, 0.0)[1] == 1.0
+    # the cap of a layer of thickness w at _LAYER_FRACTION d/w
+    w = 20.0 * math.pi
+    cap = lifshitz._LAYER_FRACTION * d / w
+    assert lifshitz._x_offsets(d, w, 40.0)[1] == lifshitz._x_offsets(d, w, 0.0)[1] == cap
+
+
+def test_row_scale_at_xi_zero_keeps_the_layout():
+    # a block holding n = 0 is laid out by d and its layers alone, as before
+    # the row scale, on every preset
+    from calmir import PRESET_NAMES, preset
+
+    for name in PRESET_NAMES:
+        st1, st2, gap = preset(name)
+        for d in (LAMBDA / 400.0, LAMBDA, 10.0 * LAMBDA):
+            xi = 2.0 * math.pi * 0.01 * np.arange(64)
+            assert _row_scale_of(st1, st2, gap, d, xi) == 0.0
+
+
+def test_row_scale_shrinks_for_a_gap_denser_than_a_mirror():
+    # kappa_m = sqrt(kappa^2 + s_m - s_gap) starts at sqrt(s_m): a medium
+    # thinner than the gap (s_m < s_gap) varies on x_lo s_m/s_gap
+    from calmir import materials
+
+    dense = ResponseModel.lorentz(2.0, 1.5)
+    thin = ResponseModel.lorentz(0.5, 1.0)
+    st_thin, st_dense = MirrorStack.homogeneous(thin), MirrorStack.homogeneous(dense)
+    d, xi = 0.5, 1.7
+    eps_gap, eps_thin = materials.epsilon_i(dense, xi), materials.epsilon_i(thin, xi)
+    assert eps_thin < eps_gap
+    x_lo = 2.0 * xi * d * math.sqrt(eps_gap)
+    assert _row_scale_of(st_thin, st_dense, dense, d, [xi]) == pytest.approx(x_lo * eps_thin / eps_gap, rel=1e-14)
+    # no medium thinner than the gap: the ratio is capped at 1
+    x_lo = 2.0 * xi * d * math.sqrt(eps_thin)
+    assert _row_scale_of(st_dense, st_dense, thin, d, [xi]) == pytest.approx(x_lo, rel=1e-14)
+
+
+def test_row_scale_ignores_perfect_mirrors():
+    # a perfect mirror's s = +inf sets no scale; the other mirror and the
+    # gap do
+    dense = MirrorStack.homogeneous(ResponseModel.lorentz(2.0, 1.5))
+    d, xi = 0.5, [1.7, 2.0]
+    assert _row_scale_of(PE, PM, VACUUM, d, xi) == pytest.approx(2.0 * 1.7 * d, rel=1e-15)
+    assert _row_scale_of(PE, VAC_MIRROR, VACUUM, d, xi) == _row_scale_of(VAC_MIRROR, VAC_MIRROR, VACUUM, d, xi)
+    gap = ResponseModel.lorentz(2.0, 1.5)
+    assert _row_scale_of(PE, dense, gap, d, xi) == _row_scale_of(dense, dense, gap, d, xi)
+
+
+@pytest.mark.parametrize("name, d, tau", [("fig1a", 3.3, 0.1), ("fig1d", 1.0, 0.01), ("fig1c", LAMBDA, 0.01)])
+def test_sum_ended_in_its_first_block_keeps_its_bits(monkeypatch, name, d, tau):
+    # the first block holds n = 0, so its layout ignores the row scale: a
+    # sum that ends there is the one the layout by d and layers alone gives
+    from calmir import preset
+
+    calls = _count_pair_integrals(monkeypatch)
+    res = force_finite_T(*preset(name), d, tau)
+    assert len(calls) == 1
+    _hold_row_scale_at_zero(monkeypatch)
+    held = force_finite_T(*preset(name), d, tau)
+    assert [float(v).hex() for v in dataclasses.astuple(res)] == [float(v).hex() for v in dataclasses.astuple(held)]
+
+
+def _doubling_offsets(d, w_max, x_row):
     # the order-64 rule's kappa layout: a first panel blind to the coating,
     # then edges doubling up to X_CUT
     offs = [0.0]
@@ -612,23 +699,33 @@ def _finite_t_stacks(name):
     return st1, st2, ResponseModel.lorentz(st2.substrate.eps_strength, st2.substrate.eps_resonance)
 
 
-@pytest.mark.parametrize(
-    "name, d, tau, stop",
-    [
-        ("fig1a", 1.0, 0.01, "below"),  # 107 terms, first block 179
-        ("fig1a", 0.3, 0.01, "above"),  # 268 terms, first block 256
-        ("fig1d", LAMBDA, 0.01, "near"),  # 29 terms, first block 31
-        ("fig1d", LAMBDA / 400.0, 0.01, "above"),  # 340 terms, ended by the materials
-        ("fig1d-matched", 0.3, 0.1, "below"),  # 38 terms, first block 62
-        ("fig1d-matched", LAMBDA, 0.3, "near"),  # 4 terms, first block 4
-        ("fig1d-matched", LAMBDA / 400.0, 0.1, "above"),  # 481 terms
-    ],
-)
+# (preset, d, tau, where the sum stops against the gap-sized first block)
+_SCHEDULE_CASES = [
+    ("fig1a", 1.0, 0.01, "below"),  # 107 terms, first block 179
+    ("fig1a", 0.3, 0.01, "above"),  # 268 terms, first block 256
+    ("fig1d", LAMBDA, 0.01, "near"),  # 29 terms, first block 31
+    ("fig1d", LAMBDA / 400.0, 0.01, "above"),  # 340 terms, ended by the materials
+    ("fig1d-matched", 0.3, 0.1, "below"),  # 38 terms, first block 62
+    ("fig1d-matched", LAMBDA, 0.3, "near"),  # 4 terms, first block 4
+    ("fig1d-matched", LAMBDA / 400.0, 0.1, "above"),  # 481 terms
+]
+
+
+def _hold_row_scale_at_zero(monkeypatch):
+    # every kappa call laid out as for a block holding xi = 0: d and the
+    # layers alone set the first panel
+    monkeypatch.setattr(lifshitz, "_row_scale", lambda kernel, x_lo: 0.0)
+
+
+@pytest.mark.parametrize("name, d, tau, stop", _SCHEDULE_CASES)
 def test_matsubara_block_schedule_does_not_change_results(monkeypatch, name, d, tau, stop):
     # the stop rule reads the terms in order, so the gap-sized first block
     # gives the result of the old schedule (8 rows, doubling to 256) bit for
-    # bit, whether the sum stops inside, at the end of or past that block
+    # bit, whether the sum stops inside, at the end of or past that block,
+    # as long as every block is laid out alike; the row scale, which follows
+    # each block's rows, is held at 0 on both sides
     st1, st2, gap = _finite_t_stacks(name)
+    _hold_row_scale_at_zero(monkeypatch)
     first = lifshitz._first_block(tau, d, lifshitz.DEFAULT_CONFIG.rel_tol)
     res = force_finite_T(st1, st2, gap, d, tau)
     n = res.n_terms_used
@@ -636,6 +733,23 @@ def test_matsubara_block_schedule_does_not_change_results(monkeypatch, name, d, 
     monkeypatch.setattr(lifshitz, "_first_block", lambda tau, d, rel_tol: 8)
     old = force_finite_T(st1, st2, gap, d, tau)
     assert [float(v).hex() for v in dataclasses.astuple(res)] == [float(v).hex() for v in dataclasses.astuple(old)]
+
+
+@pytest.mark.parametrize("name, d, tau, stop", _SCHEDULE_CASES)
+def test_row_scale_moves_block_results_by_round_off(monkeypatch, name, d, tau, stop):
+    # laying out each block by its rows' own scale moves no result by more
+    # than 1e-6 of its est_error, with either block schedule (measured at
+    # most 4.3e-9 with the gap-sized first block and 7.2e-7 with 8 rows)
+    st1, st2, gap = _finite_t_stacks(name)
+    for first in (None, 8):
+        if first is not None:
+            monkeypatch.setattr(lifshitz, "_first_block", lambda tau, d, rel_tol: first)
+        live = force_finite_T(st1, st2, gap, d, tau)
+        with monkeypatch.context() as m:
+            _hold_row_scale_at_zero(m)
+            held = force_finite_T(st1, st2, gap, d, tau)
+        assert live.n_terms_used == held.n_terms_used
+        assert abs(live.pressure_norm - held.pressure_norm) <= 1e-6 * min(live.est_error, held.est_error)
 
 
 def _count_pair_integrals(monkeypatch):

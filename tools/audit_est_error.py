@@ -23,6 +23,12 @@ x tau in {0, 0.01, 0.1}.  Each default result (`force_zero_T` or
   their error estimates count towards the reference's error, which must
   stay below 1e-2 est_error.
 
+Both references are computed with `lifshitz._row_scale` held at 0
+(`reference`), so each of their kappa calls is laid out by d and the layers
+alone, as a call holding xi = 0 is.  The default results size the first
+kappa panel of later Matsubara blocks and xi passes by their rows' own
+scale as well; the references do not share that layout.
+
 It prints the worst |p - p_ref|/est_error per preset and exits 1 when a point
 outside KNOWN exceeds 1, or when a point in KNOWN no longer does.  KNOWN
 holds the points where the Matsubara sum stops early at a sign change of its
@@ -32,6 +38,7 @@ the contract of est_error and is never widened.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing
 import sys
@@ -91,9 +98,22 @@ def zero_T_reference(m1, m2, gap, d: float, cfg: QuadratureConfig) -> tuple[floa
     return te + tm, rows
 
 
+@contextlib.contextmanager
+def _row_scale_held_at_zero():
+    """Lay out every kappa call by d and the layers alone, as for xi = 0."""
+    row_scale = lifshitz._row_scale
+    lifshitz._row_scale = lambda kernel, x_lo: 0.0
+    try:
+        yield
+    finally:
+        lifshitz._row_scale = row_scale
+
+
+@_row_scale_held_at_zero()
 def reference(m1, m2, gap, d: float, tau: float, est: float) -> tuple[float, float, int]:
     """(p_ref, ref_err, rows): the reference pressure, the bound on its omitted
-    terms plus the error estimates of loosely summed blocks, and its rows."""
+    terms plus the error estimates of loosely summed blocks, and its rows;
+    computed with `lifshitz._row_scale` held at 0."""
     if tau == 0.0:
         for rel_tol in (1e-11, 1e-10):
             fine = QuadratureConfig(rel_tol=rel_tol, kappa_nodes=64, xi_nodes=64)
