@@ -29,6 +29,7 @@ from .lifshitz import (
     QuadratureConfig,
     bound_envelope,
     force_finite_T,
+    force_sweep,
     force_zero_T,
     integrand,
     matsubara_xi,
@@ -73,6 +74,7 @@ __all__ = [
     "QuadratureConfig",
     "bound_envelope",
     "force_finite_T",
+    "force_sweep",
     "force_zero_T",
     "integrand",
     "matsubara_xi",

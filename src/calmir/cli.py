@@ -6,9 +6,11 @@
     calmir preset NAME -o FILE                 write a bundled scenario
 
 Pressures are reported as F d^3/(hbar Omega); pass --omega-rad-s to add an
-SI column (Pa).  Sweep rows are computed in parallel but written in order,
-so output bytes do not depend on the worker count.  Exit codes: 0 ok,
-1 usage, 2 scenario error, 3 convergence failure.
+SI column (Pa).  A sweep at tau > 0 runs one Matsubara loop for all of its
+distances (`force_sweep`); at tau = 0 its rows are computed in parallel
+(--workers) but written in order, so output bytes never depend on the
+worker count.  Exit codes: 0 ok, 1 usage, 2 scenario error, 3 convergence
+failure.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 
 from .asymptotics import build_report, c3_or_none
 from .errors import ConvergenceError, ScenarioError, UnsupportedConfigurationError
-from .lifshitz import QuadratureConfig, force_finite_T, force_zero_T
+from .lifshitz import QuadratureConfig, force_finite_T, force_sweep, force_zero_T
 from .presets import PRESET_NAMES, preset_scenario
 from .scenario import Scenario, parse, serialize
 
@@ -79,7 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="distance sweep to CSV")
     sp.add_argument("scenario", type=Path)
     sp.add_argument("-o", "--output", type=Path, required=True)
-    sp.add_argument("--workers", type=_positive_int, default=1, help="rows computed in parallel")
+    sp.add_argument("--workers", type=_positive_int, default=1,
+                    help="rows computed in parallel at tau = 0; a tau > 0 sweep runs "
+                         "one Matsubara loop in the calling thread")
     common(sp)
 
     sp = sub.add_parser("asympt", help="closed-form limits and regime")
@@ -177,9 +181,13 @@ def _sweep_rows(scn: Scenario, tau: float, cfg: QuadratureConfig, workers: int, 
     def force(d):
         return _force_at(scn, float(d), tau, cfg)
 
-    # one worker computes in this thread: a pool thread per sweep would get a
-    # fresh malloc arena each time, which can raise the process's peak memory
-    if workers == 1:
+    # the distances of a tau > 0 sweep sum the same Matsubara rows: one loop,
+    # in this thread, evaluates their shared reflection once.  One worker
+    # computes in this thread too: a pool thread per sweep would get a fresh
+    # malloc arena each time, which can raise the process's peak memory
+    if tau > 0.0:
+        results = force_sweep(scn.mirror1, scn.mirror2, scn.gap, [float(d) for d in distances], tau, cfg)
+    elif workers == 1:
         results = list(map(force, distances))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -11,9 +11,12 @@ with kappa_min = xi_n sqrt(eps0 mu0) for a gap medium of response
 (eps0, mu0).  At tau = 0 the sum becomes (1/2 pi) int dxi and the prefactor
 2 tau goes over to 1/pi times the xi integral.
 
-The kappa integral is evaluated after substituting x = 2 kappa d, truncated
-at x_min + 60 (the integrand carries e^{-x}); results are reported in the
-normalized form F d^3 (i.e. F d^3/(hbar Omega) in physical units).  Since
+The kappa integral runs from kappa_min over X_CUT/(2d) = 30/d (the
+integrand carries e^{-2 kappa d}), in kappa itself, so that distances
+integrate a Matsubara row on the same nodes up to their own cuts and
+`force_sweep` evaluates the reflection once for all of them.  Results are
+reported in the normalized form F d^3 (i.e. F d^3/(hbar Omega) in physical
+units).  Since
 |r1 r2| <= 1 for passive materials, every term lies between the envelopes
 obtained for r1 r2 = +/-1, which integrate to ideal perfect-mirror
 pressures; those envelopes are returned alongside each result, and a
@@ -24,13 +27,14 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import asymptotics
 from .errors import ConvergenceError
-from .quadrature import rowwise_panel_integral, xi_integral
+from .quadrature import kronrod_rule, rowwise_panel_integral, xi_integral
 from .reflection import Kinematics, Pol, ReflectionKernel, scratch
 
 __all__ = [
@@ -39,6 +43,7 @@ __all__ = [
     "matsubara_xi",
     "integrand",
     "force_finite_T",
+    "force_sweep",
     "force_zero_T",
     "bound_envelope",
 ]
@@ -50,7 +55,7 @@ X_CUT = 60.0  # e^{-60} is far below any supported tolerance
 # block bounds the pool's buffers; much smaller blocks pay numpy's per-call
 # overhead on every one of the kernel's few dozen operations.
 _BLOCK = 1 << 15
-# First kappa panel width, as a fraction of d/w for the thickest layer w.
+# First kappa panel width, as a fraction of 1/(2w) for the thickest layer w.
 _LAYER_FRACTION = 0.05
 # Growth of the coarse starting panels of the kappa and tau = 0 xi integrals.
 _KAPPA_RATIO = 4.0
@@ -188,41 +193,194 @@ def _thickest_visible(stacks, xi):
     return w_max
 
 
-def _row_scale(kernel, x_lo) -> float:
-    """x_row, the smallest over the kernel's rows of the x scale on which a
-    row's reflection data varies; 0.0 when a row sits at xi = 0.
+def _row_scale(kernel, k_lo) -> float:
+    """k_row, the smallest over the kernel's rows of the kappa scale on which
+    a row's reflection data varies; 0.0 when a row sits at xi = 0.
 
     At xi > 0 a medium's decay constant kappa_m = sqrt(kappa^2 + s_m - s_gap)
-    starts at sqrt(s_m) > 0 on the row's lower limit kappa_min = sqrt(s_gap),
-    so it changes on the kappa scale s_m/kappa_min, which in x = 2 kappa d is
-    x_lo s_m/(2 s_gap), while e^{-x} changes on the scale 1.  A row's scale
-    is x_lo min(1, min_m s_m/s_gap) over the sampled media
+    starts at sqrt(s_m) > 0 on the row's lower limit k_lo = sqrt(s_gap), so
+    it changes on the kappa scale s_m/k_lo = k_lo s_m/s_gap.  A row's scale
+    is k_lo min(1, min_m s_m/s_gap) over the sampled media
     (`ReflectionKernel.s_min`: the gap's own s caps the ratio at 1, and a
     perfect mirror's s = +inf never sets it), so a gap denser than a mirror
     shrinks it.  Over a vacuum gap it grows with xi: the lowest row sets it.
+    The scale does not depend on d.
     """
     s_gap = kernel.s_gap[:, 0]
-    ratio = np.divide(kernel.s_min[:, 0], s_gap, out=np.zeros_like(s_gap), where=s_gap > 0.0)
-    return float((x_lo * ratio).min())
+    if not s_gap.all():  # a row with s_gap = 0 has k_lo = 0
+        return 0.0
+    return float((k_lo * (kernel.s_min[:, 0] / s_gap)).min())
 
 
-def _x_offsets(d: float, w_max: float, x_row: float) -> np.ndarray:
-    """Starting panel edges for the x = 2 kappa d integral, geometric from 0.
+def _kappa_offsets(d: float, w_max: float, k_row: float) -> np.ndarray:
+    """Starting panel edges of the kappa integral, as offsets from each row's
+    lower limit: geometric from 0 up to X_CUT/(2d).
 
     Reflection data varies on kappa scales of order the material resonances,
-    i.e. on x scales of order d, and on the rows' own scale x_row
-    (`_row_scale`, 0 for a block holding xi = 0), so the first panel is
-    0.1 max(d, x_row) wide, at most 1 (the scale of e^{-x}) and at least
-    1e-6.  A layer of thickness w contributes e^{-2 kappa_b w} ~ e^{-x w/d},
-    which varies on the x scale d/w, so with w_max the thickest layer that
-    the rows can see (`_thickest_visible`, 0 without one) the first panel is
-    also at most _LAYER_FRACTION d/w_max wide.  Later panels grow by
-    _KAPPA_RATIO up to X_CUT, as the integrand decays like e^{-x}.
+    i.e. of order 1, and on the rows' own scale k_row (`_row_scale`, 0 for a
+    block holding xi = 0), so the first panel is 0.05 max(1, 2 k_row) wide,
+    at most 1/(2d) (the scale of e^{-2 kappa d}) and at least 5e-7/d.  A
+    layer of thickness w contributes e^{-2 kappa_b w}, which varies on the
+    kappa scale 1/(2w), so with w_max the thickest layer that the rows can
+    see (`_thickest_visible`, 0 without one) the first panel is also at most
+    _LAYER_FRACTION/(2 w_max) wide, and again at least 5e-7/d.  Later panels
+    grow by _KAPPA_RATIO up to X_CUT/(2d), as the integrand decays like
+    e^{-2 kappa d}.
+
+    Only the cap at 1/(2d), the floor at 5e-7/d and the last edge depend on
+    d, so distances whose first panel meets neither (1e-5 < d < 10 for a
+    block holding xi = 0, over layers thinner than 5e4 d) share every edge
+    but their own last one, bit for bit, which lets `force_sweep` evaluate
+    the reflection once for all of them.
     """
-    delta = min(1.0, max(0.1 * max(d, x_row), 1e-6))
+    floor = 5e-7 / d
+    delta = min(0.5 / d, max(0.05 * max(1.0, 2.0 * k_row), floor))
     if w_max > 0.0:
-        delta = max(min(delta, _LAYER_FRACTION * d / w_max), 1e-6)
-    return _geometric_edges(delta, X_CUT, _KAPPA_RATIO)
+        delta = max(min(delta, 0.5 * _LAYER_FRACTION / w_max), floor)
+    return _geometric_edges(delta, 0.5 * X_CUT / d, _KAPPA_RATIO)
+
+
+class _Rows:
+    """Frequency rows xi shared by kappa calls at one or more distances.
+
+    A call integrates the first n rows at one distance d: `add` lays it out
+    (`_kappa_offsets` for the thickest layer that its lowest row can see
+    and its rows' scale), `integrals` runs the engine.  The rows keep one
+    `ReflectionKernel` per row count; every kernel operation is elementwise,
+    so the kernel of n rows gives the first n rows of a longer one value for
+    value.
+
+    A call whose starting panels meet another call's reads the reflection
+    products r1 r2 at its starting nodes from the union of the calls'
+    starting panels: each panel of the union is evaluated once, on as many
+    rows as the longest call that starts on it, in `_BLOCK` chunks, inside
+    the first engine callback that needs it, and dropped once the last call
+    that needs it has read it.  Panels that the engine splits, and calls that
+    share no panel, evaluate their own kernel.  The nodes are the engine's
+    (`adaptive_integral`), bit for bit, so no result depends on which other
+    calls share the rows.
+    """
+
+    def __init__(self, stacks, gap, xi, cfg):
+        self.xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        self._stacks, self._gap, self._cfg = stacks, gap, cfg
+        self._kernels = {}  # row count -> kernel on the first rows
+        self._calls = []  # (d, rows, k_lo, offsets)
+        self._plan = None  # set by the first `integrals`: which calls share, and where
+        self._bands = {}  # row count -> evaluated union panels on that many rows
+
+    def _kernel(self, n):
+        kernel = self._kernels.get(n)
+        if kernel is None:
+            kernel = self._kernels[n] = ReflectionKernel(self._stacks, self._gap, self.xi[:n, None])
+        return kernel
+
+    def add(self, d, n) -> int:
+        """Lay out the kappa call of the first n rows at distance d; returns its index."""
+        kernel = self._kernel(n)
+        k_lo = np.sqrt(kernel.s_gap[:, 0])
+        w_max = float(_thickest_visible(self._stacks, self.xi[:n].min()))
+        offsets = _kappa_offsets(d, w_max, _row_scale(kernel, k_lo))
+        self._calls.append((d, n, k_lo, offsets))
+        return len(self._calls) - 1
+
+    def _panels(self, i):
+        """Call i's starting panels, as (lo, hi) pairs of offsets."""
+        offsets = self._calls[i][3]
+        return zip(offsets[:-1].tolist(), offsets[1:].tolist())
+
+    def _planned(self):
+        """(shared, band_of, readers): the calls that share a starting panel,
+        the row count of the band that evaluates each of their panels, and
+        how many calls read each band."""
+        if self._plan is None and len(self._calls) == 1:
+            self._plan = (), {}, {}
+        elif self._plan is None:
+            users = {}
+            for i in range(len(self._calls)):
+                for panel in self._panels(i):
+                    users.setdefault(panel, []).append(i)
+            shared = {i for u in users.values() if len(u) > 1 for i in u}
+            band_of = {p: max(self._calls[i][1] for i in u) for p, u in users.items() if u[0] in shared}
+            readers = Counter(rows for i in shared for rows in {band_of[p] for p in self._panels(i)})
+            self._plan = shared, band_of, readers
+        return self._plan
+
+    def _band(self, rows):
+        """(g, column): r1 r2 for TE and TM, (2, rows, M), at the nodes of the
+        union panels evaluated on `rows` rows, and each panel's first column."""
+        band = self._bands.get(rows)
+        if band is None:
+            _, band_of, _ = self._plan
+            panels = [p for p, r in band_of.items() if r == rows]
+            a, b = np.array(panels).T
+            x, _ = kronrod_rule(self._cfg.kappa_nodes)
+            # the nodes of `adaptive_integral`'s panels, computed as it does
+            half = 0.5 * (b - a)
+            pts = (0.5 * (a + b))[:, None] + half[:, None] * x
+            kernel = self._kernel(rows)
+            kappa = np.sqrt(kernel.s_gap[:, 0])[:, None] + pts.ravel()
+            g = np.empty((2,) + kappa.shape)
+            step = max(1, _BLOCK // rows)
+            for c in range(0, kappa.shape[1], step):
+                cols = slice(c, c + step)
+                with scratch:
+                    (te1, tm1), (te2, tm2) = kernel.into_scratch(kappa[:, cols])
+                    np.multiply(te1, te2, out=g[0, :, cols])
+                    np.multiply(tm1, tm2, out=g[1, :, cols])
+            band = self._bands[rows] = g, {p: k * len(x) for k, p in enumerate(panels)}
+        return band
+
+    def _first_pass(self, i):
+        """r1 r2 for TE and TM, (2, n, M), at the starting nodes of shared call i."""
+        n = self._calls[i][1]
+        _, band_of, readers = self._plan
+        width = 2 * self._cfg.kappa_nodes + 1
+        parts, read = [], set()
+        for panel in self._panels(i):
+            rows = band_of[panel]
+            g, column = self._band(rows)
+            parts.append(g[:, :n, column[panel] : column[panel] + width])
+            read.add(rows)
+        for rows in read:
+            readers[rows] -= 1
+            if not readers[rows]:
+                del self._bands[rows]
+        return np.concatenate(parts, axis=2)
+
+    def integrals(self, i):
+        """TE and TM kappa integrals and their error of call i, as `_pair_integrals`."""
+        d, n, k_lo, offsets = self._calls[i]
+        shared, _, _ = self._planned()
+        kernel = self._kernel(n)
+        first = i in shared
+
+        def fvals(kappa):
+            nonlocal first
+            g = self._first_pass(i) if first else None
+            first = False
+            out = np.empty(kappa.shape + (2,))
+            step = max(1, _BLOCK // max(1, kappa.shape[0]))
+            for c in range(0, kappa.shape[1], step):
+                kb, cols = kappa[:, c : c + step], slice(c, c + step)
+                with scratch:
+                    if g is None:
+                        (te1, tm1), (te2, tm2) = kernel.into_scratch(kb)
+                        # r1 r2 overwrites r1, which nothing reads again
+                        gc = np.multiply(te1, te2, out=te1), np.multiply(tm1, tm2, out=tm1)
+                    else:
+                        gc = g[0, :, cols], g[1, :, cols]
+                    x = np.multiply(kb, 2.0 * d, out=scratch.take(kb.shape))
+                    _damped_terms(kb, x, gc, (out[:, cols, 0], out[:, cols, 1]))
+            return out
+
+        cfg = self._cfg
+        vals, err, n_eval = rowwise_panel_integral(fvals, k_lo, offsets,
+                                                   nodes=cfg.kappa_nodes, rel_tol=0.1 * cfg.rel_tol)
+        # never report less than the rounding error of summing a row's points
+        err = err + n_eval // n * sys.float_info.epsilon * np.abs(vals).sum(axis=1)
+        scale = 1.0 / (2.0 * math.pi)
+        return vals[:, 0] * scale, vals[:, 1] * scale, err * scale
 
 
 def _pair_integrals(stack1, stack2, gap, d, xi, cfg):
@@ -231,38 +389,17 @@ def _pair_integrals(stack1, stack2, gap, d, xi, cfg):
     Returns (te, tm, err) arrays of shape (len(xi),); err is the summed
     |K - G| of te + tm over the Gauss-Kronrod panels plus a round-off floor,
     N eps (|te| + |tm|) for the N points evaluated per row (same units).
-    The floor enters no refinement decision.  Each panel costs
-    2 kappa_nodes + 1 reflection points per row; the initial panels are
-    `_x_offsets` for the thickest layer that the lowest row can see (a row
-    sees fewer layers as xi grows) and for the smallest row scale
+    The floor enters no refinement decision.  The engine integrates in
+    kappa itself, from each row's kappa_min over X_CUT/(2d); each panel
+    costs 2 kappa_nodes + 1 reflection points per row.  The initial panels
+    are `_kappa_offsets` for the thickest layer that the lowest row can see
+    (a row sees fewer layers as xi grows) and for the smallest row scale
     (`_row_scale`, the lowest row's over a vacuum gap), so the rows share
-    one layout, set by the row that needs the finest.
+    one layout, set by the row that needs the finest.  This is one `_Rows`
+    call on its own; `force_sweep` shares the rows between distances.
     """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    w_max = float(_thickest_visible((stack1, stack2), xi.min()))
-    kernel = ReflectionKernel((stack1, stack2), gap, xi[:, None])
-    x_lo = 2.0 * d * np.sqrt(kernel.s_gap[:, 0])
-
-    def fvals(x):
-        out = np.empty(x.shape + (2,))
-        step = max(1, _BLOCK // max(1, x.shape[0]))
-        for c in range(0, x.shape[1], step):
-            xb = x[:, c : c + step]
-            with scratch:
-                kappa = np.divide(xb, 2.0 * d, out=scratch.take(xb.shape))
-                (te1, tm1), (te2, tm2) = kernel.into_scratch(kappa)
-                # r1 r2 overwrites r1, which nothing reads again
-                g = np.multiply(te1, te2, out=te1), np.multiply(tm1, tm2, out=tm1)
-                _damped_terms(kappa, xb, g, (out[:, c : c + step, 0], out[:, c : c + step, 1]))
-        return out
-
-    offsets = _x_offsets(d, w_max, _row_scale(kernel, x_lo))
-    vals, err, n_eval = rowwise_panel_integral(fvals, x_lo, offsets,
-                                               nodes=cfg.kappa_nodes, rel_tol=0.1 * cfg.rel_tol)
-    # never report less than the rounding error of summing a row's points
-    err = err + n_eval // len(xi) * sys.float_info.epsilon * np.abs(vals).sum(axis=1)
-    scale = 1.0 / (2.0 * math.pi * 2.0 * d)
-    return vals[:, 0] * scale, vals[:, 1] * scale, err * scale
+    rows = _Rows((stack1, stack2), gap, xi, cfg)
+    return rows.integrals(rows.add(d, len(rows.xi)))
 
 
 def _result(te, tm, n_terms_used, est, d, tau) -> ForceResult:
@@ -278,7 +415,7 @@ def _result(te, tm, n_terms_used, est, d, tau) -> ForceResult:
 
 
 def _first_block(tau: float, d: float, rel_tol: float) -> int:
-    """Matsubara terms in the first block of `force_finite_T`.
+    """Matsubara terms in the first block of a distance's sum.
 
     The gap factor e^{-2 xi_n d} = e^{-4 pi n tau d} alone ends the sum by
     n = ln(1/rel_tol)/(4 pi tau d); the block reaches _GAP_MARGIN times that,
@@ -291,61 +428,60 @@ def _first_block(tau: float, d: float, rel_tol: float) -> int:
     return min(_MAX_BLOCK, max(4, math.ceil(n_gap) + 3))
 
 
-def force_finite_T(stack1, stack2, gap, d, tau, cfg: QuadratureConfig | None = None) -> ForceResult:
-    """Pressure at temperature tau > 0, truncating the Matsubara sum once the
-    running term and a geometric tail estimate drop below tolerance.
+class _MatsubaraSum:
+    """The Matsubara sum at one distance: its block schedule and stop rule.
 
-    The terms are evaluated in blocks of rows, one `_pair_integrals` call per
-    block: the first block is sized by `_first_block`, so that a sum ended by
-    the gap factor takes one call, and later blocks double up to _MAX_BLOCK.
-    A block's kappa layout follows the layers that its lowest row can see
-    and its rows' own x scale (`_row_scale`); the first block holds n = 0,
-    which sees every layer and whose scale is 0, so it is laid out by d and
-    the layers alone, and a sum that ends in it does not depend on the row
-    scale.
-    The stop rule reads the terms one by one, in order, so the block sizes
-    decide how many rows past the stop are evaluated; they move the result
-    only through the layout of each block, which follows its rows, and so
-    only within round-off of est_error (by at most 7.2e-7 est_error on the
-    tests' block schedules).  The other coupling between the rows of a
-    block is the kappa engine's target, relative to the block's largest
-    row, and it acts only where a panel is split; at the default tolerance
-    the rows converge on their starting panels almost everywhere.
-    A prefactor 2 tau d^3 below the smallest normal float raises
-    ConvergenceError: its terms underflow, and the sum would need ~1/(tau d)
-    of them.
+    The terms come in blocks of rows n0 ... n0 + rows() - 1, one kappa call
+    per block: the first block is sized by `_first_block`, so that a sum
+    ended by the gap factor takes one call, and later blocks double up to
+    _MAX_BLOCK, never past max_matsubara.  `add` reads a block's terms one
+    by one, in order, and stops once the running term and a geometric tail
+    estimate drop below tolerance, so the block sizes decide how many rows
+    past the stop are evaluated; they move the result only through the
+    layout of each block, which follows its rows, and so only within
+    round-off of est_error (by at most 7.2e-7 est_error on the tests' block
+    schedules).  A prefactor 2 tau d^3 below the smallest normal float
+    raises ConvergenceError at once: its terms underflow, and the sum would
+    need ~1/(tau d) of them.
     """
-    asymptotics.check_distance(d)
-    asymptotics.check_tau(tau)
-    if tau == 0.0:
-        raise ValueError("tau must be > 0 (use force_zero_T at tau = 0)")
-    cfg = cfg or DEFAULT_CONFIG
-    d3 = d**3
-    if 2.0 * tau * d3 < sys.float_info.min:
-        raise ConvergenceError(
-            f"Matsubara terms underflow: 2 tau d^3 = {2.0 * tau * d3:.3e} at tau={tau}, d={d}")
 
-    s_te = s_tm = 0.0
-    s_abs = 0.0  # sum of |term|, which bounds the round-off of the running sums
-    est = 0.0
-    prev_mag = None
-    n_decreasing = 0
+    def __init__(self, d, tau, cfg):
+        asymptotics.check_distance(d)
+        if 2.0 * tau * d**3 < sys.float_info.min:
+            raise ConvergenceError(
+                f"Matsubara terms underflow: 2 tau d^3 = {2.0 * tau * d**3:.3e} at tau={tau}, d={d}")
+        self.d, self.tau, self.cfg = d, tau, cfg
+        self.n0 = 0
+        self.block = _first_block(tau, d, cfg.rel_tol)
+        self.s_te = self.s_tm = 0.0
+        self.s_abs = 0.0  # sum of |term|, which bounds the round-off of the running sums
+        self.est = 0.0
+        self.prev_mag = None
+        self.n_decreasing = 0
+        self.tail = math.inf
 
-    n0 = 0
-    block = _first_block(tau, d, cfg.rel_tol)
-    while n0 <= cfg.max_matsubara:
-        ns = np.arange(n0, min(n0 + block, cfg.max_matsubara + 1))
-        xi = 2.0 * math.pi * tau * ns
-        te, tm, qerr = (a.tolist() for a in _pair_integrals(stack1, stack2, gap, d, xi, cfg))
-        for i, n in enumerate(ns.tolist()):
+    def rows(self) -> int:
+        """The number of rows in the next block."""
+        return min(self.block, self.cfg.max_matsubara + 1 - self.n0)
+
+    def add(self, te, tm, qerr):
+        """Sum the next block's kappa integrals; returns the ForceResult once
+        the stop rule holds, else None, and raises ConvergenceError when the
+        block reaches max_matsubara without it."""
+        cfg, tau, d = self.cfg, self.tau, self.d
+        d3 = d**3
+        s_te, s_tm, s_abs, est = self.s_te, self.s_tm, self.s_abs, self.est
+        prev_mag, n_decreasing, tail = self.prev_mag, self.n_decreasing, self.tail
+        for n, te_n, tm_n, qerr_n in zip(range(self.n0, self.n0 + len(te)),
+                                         te.tolist(), tm.tolist(), qerr.tolist()):
             w = 0.5 if n == 0 else 1.0
             factor = 2.0 * tau * w * d3
-            term_te = factor * te[i]
-            term_tm = factor * tm[i]
+            term_te = factor * te_n
+            term_tm = factor * tm_n
             s_te += term_te
             s_tm += term_tm
             s_abs += abs(term_te) + abs(term_tm)
-            est += factor * qerr[i]
+            est += factor * qerr_n
             mag = abs(term_te + term_tm)
             if prev_mag is not None:
                 if mag < prev_mag or (mag == 0.0 and prev_mag == 0.0):
@@ -363,13 +499,94 @@ def force_finite_T(stack1, stack2, gap, d, tau, cfg: QuadratureConfig | None = N
                 est += (n + 1) * sys.float_info.epsilon * s_abs
                 return _result(s_te, s_tm, n + 1, est, d, tau)
             prev_mag = mag
-        n0 += len(ns)
-        block = min(2 * block, _MAX_BLOCK)
+        self.s_te, self.s_tm, self.s_abs, self.est = s_te, s_tm, s_abs, est
+        self.prev_mag, self.n_decreasing, self.tail = prev_mag, n_decreasing, tail
+        self.n0 += len(te)
+        self.block = min(2 * self.block, _MAX_BLOCK)
+        if self.n0 > cfg.max_matsubara:
+            raise ConvergenceError(
+                f"Matsubara sum not converged after {self.n0} terms "
+                f"(last term magnitude {prev_mag:.3e}, tail estimate {tail:.3e})"
+            )
+        return None
 
-    raise ConvergenceError(
-        f"Matsubara sum not converged after {n0} terms "
-        f"(last term magnitude {prev_mag:.3e}, tail estimate {tail:.3e})"
-    )
+
+def force_sweep(stack1, stack2, gap, distances, tau, cfg: QuadratureConfig | None = None) -> list[ForceResult]:
+    """Pressures at temperature tau > 0 at each of `distances`, in order.
+
+    Every distance keeps its own Matsubara sum (`_MatsubaraSum`: block
+    schedule, stop rule, error estimate, Matsubara budget and envelope
+    check), but the sums run in one loop over the rows xi_n = 2 pi n tau,
+    which are the same at every distance: each round takes the distances
+    whose next block starts at the lowest row and lays out their kappa calls
+    on one `_Rows`, so that the reflection products r1 r2, which depend on
+    (xi, kappa) only, are evaluated once at the starting nodes that the
+    distances share.  A distance's chunk bounds, kappa layout, engine target
+    and stop rule are its own, so each result equals `force_finite_T` at its
+    distance bit for bit, whichever other distances are swept with it.
+    The sweep raises the error of its first failing distance, in sweep
+    order; the distances after it stop summing when it fails.
+    """
+    asymptotics.check_tau(tau)
+    if tau == 0.0:
+        raise ValueError("tau must be > 0 (use force_zero_T at tau = 0)")
+    cfg = cfg or DEFAULT_CONFIG
+    results, sums, errors = [None] * len(distances), {}, {}
+
+    def fail(j, exc):
+        # the distances after j can no longer decide which error is raised
+        errors[j] = exc
+        for k in [k for k in sums if k >= j]:
+            del sums[k]
+
+    for j, d in enumerate(distances):
+        try:
+            sums[j] = _MatsubaraSum(d, tau, cfg)
+        except (ValueError, RuntimeError) as exc:
+            fail(j, exc)
+            break
+    while sums:
+        n0 = min(s.n0 for s in sums.values())
+        group = {j: s for j, s in sums.items() if s.n0 == n0}
+        ns = np.arange(n0, n0 + max(s.rows() for s in group.values()))
+        rows = _Rows((stack1, stack2), gap, 2.0 * math.pi * tau * ns, cfg)
+        calls = {}
+        for j, s in group.items():
+            try:
+                calls[j] = rows.add(s.d, s.rows())
+            except (ValueError, RuntimeError) as exc:
+                fail(j, exc)
+        for j, call in calls.items():
+            if j not in sums:
+                continue
+            try:
+                res = sums[j].add(*rows.integrals(call))
+            except (ValueError, RuntimeError) as exc:
+                fail(j, exc)
+                continue
+            if res is not None:
+                results[j] = res
+                del sums[j]
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def force_finite_T(stack1, stack2, gap, d, tau, cfg: QuadratureConfig | None = None) -> ForceResult:
+    """Pressure at temperature tau > 0: the one-distance case of `force_sweep`.
+
+    The Matsubara sum is truncated once the running term and a geometric
+    tail estimate drop below tolerance (`_MatsubaraSum`), in blocks of rows
+    with one kappa call each.  A block's kappa layout follows the layers
+    that its lowest row can see and its rows' own scale (`_row_scale`); the
+    first block holds n = 0, which sees every layer and whose scale is 0,
+    so it is laid out by d and the layers alone, and a sum that ends in it
+    does not depend on the row scale.  The other coupling between the rows
+    of a block is the kappa engine's target, relative to the block's
+    largest row, and it acts only where a panel is split; at the default
+    tolerance the rows converge on their starting panels almost everywhere.
+    """
+    return force_sweep(stack1, stack2, gap, (d,), tau, cfg)[0]
 
 
 def _xi_breaks(d: float) -> np.ndarray:

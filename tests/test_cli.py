@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import dataclasses
 import math
 
 import pytest
@@ -233,6 +234,7 @@ def test_sweep_checks_every_output_path_before_the_first_row(capsys, monkeypatch
         raise AssertionError("a row was computed before the output paths were checked")
 
     monkeypatch.setattr(cli, "_force_at", no_rows)
+    monkeypatch.setattr(cli, "force_sweep", no_rows)
     src = tmp_path / "fam.txt"
     src.write_text(
         "[material m]\neps_strength = 1\n"
@@ -319,3 +321,19 @@ def test_sweep_deterministic_across_workers(capsys, tmp_path):
     # this dielectric/magnetic pairing shows a repulsive range at T = 0
     pressures = [float(r.split(",")[2]) for r in outputs[0].decode().splitlines()[1:]]
     assert any(p < 0.0 for p in pressures) and any(p > 0.0 for p in pressures)
+
+
+@pytest.mark.parametrize("tau", ["0.01", "0.1"])
+def test_finite_temperature_sweep_deterministic_across_workers(capsys, tmp_path, tau):
+    # a tau > 0 sweep runs one Matsubara loop whatever --workers says, so its
+    # bytes cannot depend on it
+    src = tmp_path / "det.txt"
+    src.write_text(serialize(dataclasses.replace(preset_scenario("fig1d"), temperature=float(tau))))
+    outputs = []
+    for workers in (1, 2, 4):
+        out_csv = tmp_path / f"w{workers}.csv"
+        code, _, _ = run(capsys, "sweep", str(src), "-o", str(out_csv), "--workers", str(workers), "--quiet")
+        assert code == 0
+        outputs.append(out_csv.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(outputs[0].splitlines()) == 65

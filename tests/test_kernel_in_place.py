@@ -129,14 +129,14 @@ def reference_pair_integrals(monkeypatch, st1, st2, gap, d, xi):
     kernel = ReflectionKernel((st1, st2), gap, xi[:, None])
     engine = quadrature.rowwise_panel_integral
 
-    def with_reference(_, x_lo, offsets, **kw):
-        def ref(x):
-            kappa = x / (2.0 * d)
+    def with_reference(_, k_lo, offsets, **kw):
+        def ref(kappa):
+            x = kappa * (2.0 * d)
             (te1, tm1), (te2, tm2) = reference_reflect(kernel, kappa)
             return np.stack([reference_damped(kappa, x, te1 * te2), reference_damped(kappa, x, tm1 * tm2)],
                             axis=-1)
 
-        return engine(ref, x_lo, offsets, **kw)
+        return engine(ref, k_lo, offsets, **kw)
 
     with monkeypatch.context() as m:
         m.setattr(lifshitz, "rowwise_panel_integral", with_reference)

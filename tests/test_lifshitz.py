@@ -19,6 +19,7 @@ from calmir import (
     VACUUM,
     bound_envelope,
     force_finite_T,
+    force_sweep,
     force_zero_T,
     integrand,
     matsubara_xi,
@@ -392,32 +393,44 @@ def test_blocked_pair_integrals_bit_identical(monkeypatch, block):
         assert np.array_equal(a, b)
 
 
-def test_x_offsets_first_panel_follows_thickest_layer():
-    # without layers the edges grow by 4 from min(1, 0.1 d) up to X_CUT; a
-    # layer of thickness w (e^{-2 kappa_b w} ~ e^{-x w/d}) caps the first
-    # panel at a fraction of d/w
-    x_cut = lifshitz.X_CUT
+def test_kappa_offsets_first_panel_follows_thickest_layer():
+    # without layers the edges grow by 4 from min(1/(2d), 0.05) up to
+    # X_CUT/(2d); a layer of thickness w (e^{-2 kappa_b w}) caps the first
+    # panel at a fraction of 1/(2w)
     for d in (LAMBDA / 400.0, LAMBDA / 20.0, LAMBDA, 10.0 * LAMBDA):
-        delta = min(1.0, 0.1 * d)
-        powers = [delta * 4.0**k for k in range(20) if delta * 4.0**k < x_cut]
-        plain = lifshitz._x_offsets(d, 0.0, 0.0)
-        assert np.array_equal(plain, [0.0, *powers, x_cut])
+        k_cut = 0.5 * lifshitz.X_CUT / d
+        delta = min(0.5 / d, 0.05)
+        powers = [delta * 4.0**k for k in range(20) if delta * 4.0**k < k_cut]
+        plain = lifshitz._kappa_offsets(d, 0.0, 0.0)
+        assert np.array_equal(plain, [0.0, *powers, k_cut])
         w = 20.0 * math.pi  # fig1c's coating
-        layered = lifshitz._x_offsets(d, w, 0.0)
-        assert layered[1] <= lifshitz._LAYER_FRACTION * d / w
-        assert layered[0] == 0.0 and layered[-1] == x_cut
+        layered = lifshitz._kappa_offsets(d, w, 0.0)
+        assert layered[1] <= 0.5 * lifshitz._LAYER_FRACTION / w
+        assert layered[0] == 0.0 and layered[-1] == k_cut
         assert np.all(np.diff(layered) > 0.0)
     # a layer thin against d leaves the layout alone
-    assert np.array_equal(lifshitz._x_offsets(LAMBDA, 0.01, 0.0), lifshitz._x_offsets(LAMBDA, 0.0, 0.0))
+    assert np.array_equal(lifshitz._kappa_offsets(LAMBDA, 0.01, 0.0), lifshitz._kappa_offsets(LAMBDA, 0.0, 0.0))
+
+
+def test_kappa_offsets_below_the_caps_do_not_depend_on_d():
+    # below the 1/(2d) cap every distance starts on the same edges, bit for
+    # bit, and only its last edge X_CUT/(2d) is its own
+    distances = (LAMBDA / 400.0, 0.1, 0.5, 1.0)
+    for w_max, k_row in ((0.0, 0.0), (20.0 * math.pi, 0.0), (0.0, 3.0)):
+        layouts = [lifshitz._kappa_offsets(d, w_max, k_row) for d in distances]
+        shortest = layouts[-1]
+        for d, edges in zip(distances, layouts):
+            assert np.array_equal(edges[: len(shortest) - 1], shortest[:-1])
+            assert edges[-1] == 0.5 * lifshitz.X_CUT / d
 
 
 def test_pair_integrals_lay_out_by_the_thickest_layer_of_either_stack(monkeypatch):
     from calmir import Layer
 
     seen = []
-    layout = lifshitz._x_offsets
-    monkeypatch.setattr(lifshitz, "_x_offsets",
-                        lambda d, w_max, x_row: seen.append(w_max) or layout(d, w_max, x_row))
+    layout = lifshitz._kappa_offsets
+    monkeypatch.setattr(lifshitz, "_kappa_offsets",
+                        lambda d, w_max, k_row: seen.append(w_max) or layout(d, w_max, k_row))
     coat = ResponseModel.lorentz(0.1, 1.0, 0.3, 1.0)
     metal = ResponseModel.drude(3.0)
     thin = MirrorStack((Layer(coat, 2.0), Layer(coat, 5.0)), metal)
@@ -428,35 +441,35 @@ def test_pair_integrals_lay_out_by_the_thickest_layer_of_either_stack(monkeypatc
     assert seen == [5.0, 5.0, 0.0]
 
 
-def _row_scale_of(st1, st2, gap, d, xi):
-    # x_row of one kappa call, from the kernel that `_pair_integrals` builds
+def _row_scale_of(st1, st2, gap, xi):
+    # k_row of one kappa call, from the kernel that `_pair_integrals` builds
     from calmir.reflection import ReflectionKernel
 
     kernel = ReflectionKernel((st1, st2), gap, np.asarray(xi, dtype=float)[:, None])
-    return lifshitz._row_scale(kernel, 2.0 * d * np.sqrt(kernel.s_gap[:, 0]))
+    return lifshitz._row_scale(kernel, np.sqrt(kernel.s_gap[:, 0]))
 
 
 def test_row_scale_sizes_the_first_kappa_panel():
-    # the first panel is 0.1 max(d, x_row) wide, at most 1, and the layer cap
-    # still wins; x_row = x_lo = 2 xi d for homogeneous mirrors across a
-    # vacuum gap, and 0 for a block that holds xi = 0
+    # the first panel is 0.05 max(1, 2 k_row) wide, at most 1/(2d), and the
+    # layer cap still wins; k_row = kappa_min = xi for homogeneous mirrors
+    # across a vacuum gap, and 0 for a block that holds xi = 0
     from calmir import preset
 
     st1, st2, gap = preset("fig1d")
     d = LAMBDA / 20.0
-    assert _row_scale_of(st1, st2, gap, d, [0.0, 1.0, 5.0]) == 0.0
-    x_row = _row_scale_of(st1, st2, gap, d, [20.0, 3.0, 5.0])  # the lowest row need not come first
-    assert x_row == pytest.approx(2.0 * 3.0 * d, rel=1e-15)
-    edges = lifshitz._x_offsets(d, 0.0, x_row)
-    assert edges[1] == pytest.approx(0.1 * x_row, rel=1e-15) and edges[-1] == lifshitz.X_CUT
-    assert np.array_equal(lifshitz._x_offsets(d, 0.0, 0.5 * d), lifshitz._x_offsets(d, 0.0, 0.0))
-    # the cap at 1, the scale of e^{-x}
-    assert lifshitz._x_offsets(d, 0.0, 40.0)[1] == 1.0
-    assert lifshitz._x_offsets(20.0, 0.0, 0.0)[1] == 1.0
-    # the cap of a layer of thickness w at _LAYER_FRACTION d/w
+    assert _row_scale_of(st1, st2, gap, [0.0, 1.0, 5.0]) == 0.0
+    k_row = _row_scale_of(st1, st2, gap, [20.0, 3.0, 5.0])  # the lowest row need not come first
+    assert k_row == pytest.approx(3.0, rel=1e-15)
+    edges = lifshitz._kappa_offsets(d, 0.0, k_row)
+    assert edges[1] == pytest.approx(0.1 * k_row, rel=1e-15) and edges[-1] == 0.5 * lifshitz.X_CUT / d
+    assert np.array_equal(lifshitz._kappa_offsets(d, 0.0, 0.25), lifshitz._kappa_offsets(d, 0.0, 0.0))
+    # the cap at 1/(2d), the scale of e^{-2 kappa d}
+    assert lifshitz._kappa_offsets(d, 0.0, 40.0)[1] == 0.5 / d
+    assert lifshitz._kappa_offsets(20.0, 0.0, 0.0)[1] == 0.5 / 20.0
+    # the cap of a layer of thickness w at _LAYER_FRACTION/(2w)
     w = 20.0 * math.pi
-    cap = lifshitz._LAYER_FRACTION * d / w
-    assert lifshitz._x_offsets(d, w, 40.0)[1] == lifshitz._x_offsets(d, w, 0.0)[1] == cap
+    cap = 0.5 * lifshitz._LAYER_FRACTION / w
+    assert lifshitz._kappa_offsets(d, w, 40.0)[1] == lifshitz._kappa_offsets(d, w, 0.0)[1] == cap
 
 
 def test_row_scale_at_xi_zero_keeps_the_layout():
@@ -466,38 +479,37 @@ def test_row_scale_at_xi_zero_keeps_the_layout():
 
     for name in PRESET_NAMES:
         st1, st2, gap = preset(name)
-        for d in (LAMBDA / 400.0, LAMBDA, 10.0 * LAMBDA):
-            xi = 2.0 * math.pi * 0.01 * np.arange(64)
-            assert _row_scale_of(st1, st2, gap, d, xi) == 0.0
+        xi = 2.0 * math.pi * 0.01 * np.arange(64)
+        assert _row_scale_of(st1, st2, gap, xi) == 0.0
 
 
 def test_row_scale_shrinks_for_a_gap_denser_than_a_mirror():
     # kappa_m = sqrt(kappa^2 + s_m - s_gap) starts at sqrt(s_m): a medium
-    # thinner than the gap (s_m < s_gap) varies on x_lo s_m/s_gap
+    # thinner than the gap (s_m < s_gap) varies on k_lo s_m/s_gap
     from calmir import materials
 
     dense = ResponseModel.lorentz(2.0, 1.5)
     thin = ResponseModel.lorentz(0.5, 1.0)
     st_thin, st_dense = MirrorStack.homogeneous(thin), MirrorStack.homogeneous(dense)
-    d, xi = 0.5, 1.7
+    xi = 1.7
     eps_gap, eps_thin = materials.epsilon_i(dense, xi), materials.epsilon_i(thin, xi)
     assert eps_thin < eps_gap
-    x_lo = 2.0 * xi * d * math.sqrt(eps_gap)
-    assert _row_scale_of(st_thin, st_dense, dense, d, [xi]) == pytest.approx(x_lo * eps_thin / eps_gap, rel=1e-14)
+    k_lo = xi * math.sqrt(eps_gap)
+    assert _row_scale_of(st_thin, st_dense, dense, [xi]) == pytest.approx(k_lo * eps_thin / eps_gap, rel=1e-14)
     # no medium thinner than the gap: the ratio is capped at 1
-    x_lo = 2.0 * xi * d * math.sqrt(eps_thin)
-    assert _row_scale_of(st_dense, st_dense, thin, d, [xi]) == pytest.approx(x_lo, rel=1e-14)
+    k_lo = xi * math.sqrt(eps_thin)
+    assert _row_scale_of(st_dense, st_dense, thin, [xi]) == pytest.approx(k_lo, rel=1e-14)
 
 
 def test_row_scale_ignores_perfect_mirrors():
     # a perfect mirror's s = +inf sets no scale; the other mirror and the
     # gap do
     dense = MirrorStack.homogeneous(ResponseModel.lorentz(2.0, 1.5))
-    d, xi = 0.5, [1.7, 2.0]
-    assert _row_scale_of(PE, PM, VACUUM, d, xi) == pytest.approx(2.0 * 1.7 * d, rel=1e-15)
-    assert _row_scale_of(PE, VAC_MIRROR, VACUUM, d, xi) == _row_scale_of(VAC_MIRROR, VAC_MIRROR, VACUUM, d, xi)
+    xi = [1.7, 2.0]
+    assert _row_scale_of(PE, PM, VACUUM, xi) == pytest.approx(1.7, rel=1e-15)
+    assert _row_scale_of(PE, VAC_MIRROR, VACUUM, xi) == _row_scale_of(VAC_MIRROR, VAC_MIRROR, VACUUM, xi)
     gap = ResponseModel.lorentz(2.0, 1.5)
-    assert _row_scale_of(PE, dense, gap, d, xi) == _row_scale_of(dense, dense, gap, d, xi)
+    assert _row_scale_of(PE, dense, gap, xi) == _row_scale_of(dense, dense, gap, xi)
 
 
 @pytest.mark.parametrize("name, d, tau", [("fig1a", 3.3, 0.1), ("fig1d", 1.0, 0.01), ("fig1c", LAMBDA, 0.01)])
@@ -514,15 +526,16 @@ def test_sum_ended_in_its_first_block_keeps_its_bits(monkeypatch, name, d, tau):
     assert [float(v).hex() for v in dataclasses.astuple(res)] == [float(v).hex() for v in dataclasses.astuple(held)]
 
 
-def _doubling_offsets(d, w_max, x_row):
+def _doubling_offsets(d, w_max, k_row):
     # the order-64 rule's kappa layout: a first panel blind to the coating,
-    # then edges doubling up to X_CUT
+    # then edges doubling up to X_CUT/(2d)
     offs = [0.0]
-    v = min(1.0, max(0.1 * d, 1e-6))
-    while v < lifshitz.X_CUT:
+    k_cut = 0.5 * lifshitz.X_CUT / d
+    v = min(0.5 / d, max(0.05, 5e-7 / d))
+    while v < k_cut:
         offs.append(v)
         v *= 2.0
-    return np.array(offs + [lifshitz.X_CUT])
+    return np.array(offs + [k_cut])
 
 
 @pytest.mark.parametrize("d", [LAMBDA, 10.0 * LAMBDA])
@@ -546,7 +559,7 @@ def test_coated_stack_kappa_points_under_ceiling(monkeypatch, d):
 
     monkeypatch.setattr(quadrature, "adaptive_integral", counting)
     lifshitz._pair_integrals(st1, st2, gap, d, xi, lifshitz.DEFAULT_CONFIG)
-    monkeypatch.setattr(lifshitz, "_x_offsets", _doubling_offsets)
+    monkeypatch.setattr(lifshitz, "_kappa_offsets", _doubling_offsets)
     lifshitz._pair_integrals(st1, st2, gap, d, xi, QuadratureConfig(kappa_nodes=64))
     new, old = counts
     assert new <= ceiling < old
@@ -714,7 +727,7 @@ _SCHEDULE_CASES = [
 def _hold_row_scale_at_zero(monkeypatch):
     # every kappa call laid out as for a block holding xi = 0: d and the
     # layers alone set the first panel
-    monkeypatch.setattr(lifshitz, "_row_scale", lambda kernel, x_lo: 0.0)
+    monkeypatch.setattr(lifshitz, "_row_scale", lambda kernel, k_lo: 0.0)
 
 
 @pytest.mark.parametrize("name, d, tau, stop", _SCHEDULE_CASES)
@@ -753,16 +766,86 @@ def test_row_scale_moves_block_results_by_round_off(monkeypatch, name, d, tau, s
 
 
 def _count_pair_integrals(monkeypatch):
-    # records the xi array of every kappa call of force_finite_T
+    # records the xi array of every kappa call of force_finite_T or
+    # force_zero_T: call i of `_Rows` integrates its first n rows
     calls = []
-    pair_integrals = lifshitz._pair_integrals
+    integrals = lifshitz._Rows.integrals
 
-    def counted(stack1, stack2, gap, d, xi, cfg):
-        calls.append(np.array(xi))
-        return pair_integrals(stack1, stack2, gap, d, xi, cfg)
+    def counted(rows, i):
+        n = rows._calls[i][1]
+        calls.append(np.array(rows.xi[:n]))
+        return integrals(rows, i)
 
-    monkeypatch.setattr(lifshitz, "_pair_integrals", counted)
+    monkeypatch.setattr(lifshitz._Rows, "integrals", counted)
     return calls
+
+
+_SWEEP_DISTANCES = np.geomspace(LAMBDA / 400.0, 50.0 * LAMBDA, 12).tolist()
+
+
+@pytest.mark.parametrize("tau", [0.01, 0.1])
+@pytest.mark.parametrize("name", ["fig1d", "fig1c", "fig1d-matched"])
+def test_sweep_rows_equal_force_finite_T(name, tau):
+    # a distance's layout, engine target and stop rule are its own, and the
+    # shared reflection products are the values its own kernel gives: each
+    # row of a sweep is force_finite_T at its distance, bit for bit, in any
+    # order and with any other distances
+    st1, st2, gap = _finite_t_stacks(name)
+    sweep = force_sweep(st1, st2, gap, _SWEEP_DISTANCES, tau)
+    alone = [force_finite_T(st1, st2, gap, d, tau) for d in _SWEEP_DISTANCES]
+    hexed = [[float(v).hex() for v in dataclasses.astuple(r)] for r in sweep]
+    assert hexed == [[float(v).hex() for v in dataclasses.astuple(r)] for r in alone]
+    shuffled = _SWEEP_DISTANCES[1::2] + _SWEEP_DISTANCES[::2]
+    assert force_sweep(st1, st2, gap, shuffled, tau) == [sweep[_SWEEP_DISTANCES.index(d)] for d in shuffled]
+
+
+def test_sweep_shares_the_reflection_kernel(monkeypatch):
+    # the distances of a sweep share the starting kappa nodes of each row
+    # block: the first 16 distances of fig1d's sweep grid (Lambda/400 to
+    # Lambda/38, long Matsubara sums) at tau = 0.01 evaluate the kernel on
+    # at most 40% of the points that 16 separate calls take (measured 29%;
+    # 16 distances over the whole grid share fewer rows and read 49%)
+    from calmir import preset_scenario
+    from calmir.reflection import ReflectionKernel
+
+    points = []
+    into_scratch = ReflectionKernel.into_scratch
+
+    def counted(kernel, kappa):
+        points.append(np.size(kappa))
+        return into_scratch(kernel, kappa)
+
+    monkeypatch.setattr(ReflectionKernel, "into_scratch", counted)
+    scn = preset_scenario("fig1d")
+    st1, st2, gap = scn.mirror1, scn.mirror2, scn.gap
+    distances = scn.sweep.distances()[:16].tolist()
+    tau = 0.01
+    force_sweep(st1, st2, gap, distances, tau)
+    shared = sum(points)
+    points.clear()
+    for d in distances:
+        force_finite_T(st1, st2, gap, d, tau)
+    assert shared <= 0.4 * sum(points)
+
+
+def test_sweep_raises_the_error_of_its_first_failing_distance():
+    # each distance keeps its own checks and budget; the first to fail in
+    # sweep order decides the error, whichever fails first in the loop
+    from calmir import preset
+
+    st1, st2, gap = preset("fig1d")
+    cfg = QuadratureConfig(max_matsubara=50)
+    assert force_sweep(st1, st2, gap, [10.0, 20.0], 0.01, cfg) == [
+        force_finite_T(st1, st2, gap, d, 0.01, cfg) for d in (10.0, 20.0)]
+    with pytest.raises(ConvergenceError, match="after 51 terms"):
+        force_sweep(st1, st2, gap, [10.0, 0.05, math.nan], 0.01, cfg)
+    with pytest.raises(ValueError, match="d must be finite"):
+        force_sweep(st1, st2, gap, [10.0, math.nan, 0.05], 0.01, cfg)
+    with pytest.raises(ConvergenceError, match="underflow"):
+        force_sweep(st1, st2, gap, [10.0, 1e-300, 0.05], 0.01, cfg)
+    assert force_sweep(st1, st2, gap, [], 0.01) == []
+    with pytest.raises(ValueError, match="tau must be > 0"):
+        force_sweep(st1, st2, gap, [1.0], 0.0)
 
 
 @pytest.mark.parametrize("name, d, tau", [("fig1a", 3.3, 0.1), ("fig1d", 1.0, 0.01)])

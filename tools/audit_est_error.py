@@ -102,7 +102,7 @@ def zero_T_reference(m1, m2, gap, d: float, cfg: QuadratureConfig) -> tuple[floa
 def _row_scale_held_at_zero():
     """Lay out every kappa call by d and the layers alone, as for xi = 0."""
     row_scale = lifshitz._row_scale
-    lifshitz._row_scale = lambda kernel, x_lo: 0.0
+    lifshitz._row_scale = lambda kernel, k_lo: 0.0
     try:
         yield
     finally:
