@@ -6,11 +6,13 @@
     calmir preset NAME -o FILE                 write a bundled scenario
 
 Pressures are reported as F d^3/(hbar Omega); pass --omega-rad-s to add an
-SI column (Pa).  A sweep at tau > 0 runs one Matsubara loop for all of its
-distances (`force_sweep`); at tau = 0 its rows are computed in parallel
-(--workers) but written in order, so output bytes never depend on the
-worker count.  Exit codes: 0 ok, 1 usage, 2 scenario error, 3 convergence
-failure.
+SI column (Pa).  A sweep runs `force_sweep`, which evaluates the reflection
+once where its distances share nodes: at tau > 0 one Matsubara loop for all
+of its distances, in the calling thread; at tau = 0 --workers N contiguous
+runs of its distances, one `force_sweep` per thread.  Rows are written in
+order, and each row is the same whatever else is swept, so output bytes
+never depend on the worker count.  Exit codes: 0 ok, 1 usage, 2 scenario
+error, 3 convergence failure.
 """
 
 from __future__ import annotations
@@ -82,8 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("scenario", type=Path)
     sp.add_argument("-o", "--output", type=Path, required=True)
     sp.add_argument("--workers", type=_positive_int, default=1,
-                    help="rows computed in parallel at tau = 0; a tau > 0 sweep runs "
-                         "one Matsubara loop in the calling thread")
+                    help="threads of a tau = 0 sweep, each running one contiguous run of "
+                         "its distances; a tau > 0 sweep runs one Matsubara loop in the "
+                         "calling thread")
     common(sp)
 
     sp = sub.add_parser("asympt", help="closed-form limits and regime")
@@ -178,20 +181,22 @@ def _sweep_rows(scn: Scenario, tau: float, cfg: QuadratureConfig, workers: int, 
     distances = scn.sweep.distances()
     c3 = c3_or_none(*_substrates(scn), scn.gap, tau)
 
-    def force(d):
-        return _force_at(scn, float(d), tau, cfg)
+    def sweep(run):
+        return force_sweep(scn.mirror1, scn.mirror2, scn.gap, run, tau, cfg)
 
     # the distances of a tau > 0 sweep sum the same Matsubara rows: one loop,
-    # in this thread, evaluates their shared reflection once.  One worker
+    # in this thread, evaluates their shared reflection once.  At tau = 0
+    # each distance shares the reflection of its neighbour's first pass, so
+    # each worker sweeps one contiguous run of distances.  One worker
     # computes in this thread too: a pool thread per sweep would get a fresh
     # malloc arena each time, which can raise the process's peak memory
-    if tau > 0.0:
-        results = force_sweep(scn.mirror1, scn.mirror2, scn.gap, [float(d) for d in distances], tau, cfg)
-    elif workers == 1:
-        results = list(map(force, distances))
+    ds = [float(d) for d in distances]
+    if tau > 0.0 or workers == 1:
+        results = sweep(ds)
     else:
+        runs = [ds[k * len(ds) // workers:(k + 1) * len(ds) // workers] for k in range(workers)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(force, distances))
+            results = [res for part in pool.map(sweep, runs) for res in part]
 
     rows = []
     for d, res in zip(distances, results):

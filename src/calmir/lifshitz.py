@@ -13,8 +13,11 @@ with kappa_min = xi_n sqrt(eps0 mu0) for a gap medium of response
 
 The kappa integral runs from kappa_min over X_CUT/(2d) = 30/d (the
 integrand carries e^{-2 kappa d}), in kappa itself, so that distances
-integrate a Matsubara row on the same nodes up to their own cuts and
-`force_sweep` evaluates the reflection once for all of them.  Results are
+integrate a row on the same starting nodes up to their own cuts, and the
+tau = 0 xi integral starts on panels that distances share up to theirs.
+`force_sweep` evaluates the reflection once where the distances of a sweep
+share nodes: at tau > 0 on the Matsubara rows of one loop, at tau = 0 on
+the first pass that each distance shares with the one before it.  Results are
 reported in the normalized form F d^3 (i.e. F d^3/(hbar Omega) in physical
 units).  Since
 |r1 r2| <= 1 for passive materials, every term lies between the envelopes
@@ -246,25 +249,28 @@ class _Rows:
     A call integrates the first n rows at one distance d: `add` lays it out
     (`_kappa_offsets` for the thickest layer that its lowest row can see
     and its rows' scale), `integrals` runs the engine.  The rows keep one
-    `ReflectionKernel` per row count; every kernel operation is elementwise,
-    so the kernel of n rows gives the first n rows of a longer one value for
-    value.
+    `ReflectionKernel` per row count, starting from `kernel` on all of them
+    if the caller gives it; every kernel operation is elementwise, so the
+    kernel of n rows gives the first n rows of a longer one value for value.
 
     A call whose starting panels meet another call's reads the reflection
     products r1 r2 at its starting nodes from the union of the calls'
     starting panels: each panel of the union is evaluated once, on as many
     rows as the longest call that starts on it, in `_BLOCK` chunks, inside
     the first engine callback that needs it, and dropped once the last call
-    that needs it has read it.  Panels that the engine splits, and calls that
+    that needs it has read it.  A call to which the caller gives its r1 r2
+    at its starting nodes (`_SweepStarts.give`) reads them from there
+    instead.  Panels that the engine splits, and calls that
     share no panel, evaluate their own kernel.  The nodes are the engine's
     (`adaptive_integral`), bit for bit, so no result depends on which other
     calls share the rows.
     """
 
-    def __init__(self, stacks, gap, xi, cfg):
+    def __init__(self, stacks, gap, xi, cfg, kernel=None):
         self.xi = np.atleast_1d(np.asarray(xi, dtype=float))
         self._stacks, self._gap, self._cfg = stacks, gap, cfg
-        self._kernels = {}  # row count -> kernel on the first rows
+        # row count -> kernel on the first rows
+        self._kernels = {} if kernel is None else {len(self.xi): kernel}
         self._calls = []  # (d, rows, k_lo, offsets)
         self._plan = None  # set by the first `integrals`: which calls share, and where
         self._bands = {}  # row count -> evaluated union panels on that many rows
@@ -283,6 +289,14 @@ class _Rows:
         offsets = _kappa_offsets(d, w_max, _row_scale(kernel, k_lo))
         self._calls.append((d, n, k_lo, offsets))
         return len(self._calls) - 1
+
+    def start_nodes(self, i):
+        """(kernel, offsets, k_lo, nodes): call i's kernel, starting panel
+        edges, rows' lower limits and the (panel, node) offsets of its
+        starting nodes; row r's nodes on panel p are k_lo[r] + nodes[p], as
+        in the engine."""
+        _, n, k_lo, offsets = self._calls[i]
+        return self._kernel(n), offsets, k_lo, _nodes(offsets[:-1], offsets[1:], self._cfg.kappa_nodes)
 
     def _panels(self, i):
         """Call i's starting panels, as (lo, hi) pairs of offsets."""
@@ -314,21 +328,11 @@ class _Rows:
             _, band_of, _ = self._plan
             panels = [p for p, r in band_of.items() if r == rows]
             a, b = np.array(panels).T
-            x, _ = kronrod_rule(self._cfg.kappa_nodes)
-            # the nodes of `adaptive_integral`'s panels, computed as it does
-            half = 0.5 * (b - a)
-            pts = (0.5 * (a + b))[:, None] + half[:, None] * x
             kernel = self._kernel(rows)
-            kappa = np.sqrt(kernel.s_gap[:, 0])[:, None] + pts.ravel()
-            g = np.empty((2,) + kappa.shape)
-            step = max(1, _BLOCK // rows)
-            for c in range(0, kappa.shape[1], step):
-                cols = slice(c, c + step)
-                with scratch:
-                    (te1, tm1), (te2, tm2) = kernel.into_scratch(kappa[:, cols])
-                    np.multiply(te1, te2, out=g[0, :, cols])
-                    np.multiply(tm1, tm2, out=g[1, :, cols])
-            band = self._bands[rows] = g, {p: k * len(x) for k, p in enumerate(panels)}
+            kappa = np.sqrt(kernel.s_gap[:, 0])[:, None] + _nodes(a, b, self._cfg.kappa_nodes).ravel()
+            g = _products(kernel, kappa, np.empty((2,) + kappa.shape))
+            width = 2 * self._cfg.kappa_nodes + 1
+            band = self._bands[rows] = g, {p: k * width for k, p in enumerate(panels)}
         return band
 
     def _first_pass(self, i):
@@ -348,16 +352,20 @@ class _Rows:
                 del self._bands[rows]
         return np.concatenate(parts, axis=2)
 
-    def integrals(self, i):
-        """TE and TM kappa integrals and their error of call i, as `_pair_integrals`."""
+    def integrals(self, i, start=None):
+        """TE and TM kappa integrals and their error of call i, as
+        `_pair_integrals`; `start`, if given, returns r1 r2 for TE and TM,
+        (2, n, M), at the call's starting nodes, in its first engine callback."""
         d, n, k_lo, offsets = self._calls[i]
         shared, _, _ = self._planned()
         kernel = self._kernel(n)
-        first = i in shared
+        first = i in shared or start is not None
 
         def fvals(kappa):
             nonlocal first
-            g = self._first_pass(i) if first else None
+            g = None
+            if first:
+                g = self._first_pass(i) if start is None else start()
             first = False
             out = np.empty(kappa.shape + (2,))
             step = max(1, _BLOCK // max(1, kappa.shape[0]))
@@ -381,6 +389,85 @@ class _Rows:
         err = err + n_eval // n * sys.float_info.epsilon * np.abs(vals).sum(axis=1)
         scale = 1.0 / (2.0 * math.pi)
         return vals[:, 0] * scale, vals[:, 1] * scale, err * scale
+
+
+def _nodes(a, b, nodes):
+    """The Gauss-Kronrod nodes of the panels [a[i], b[i]], one row per panel,
+    computed as `adaptive_integral` computes them, bit for bit."""
+    x, _ = kronrod_rule(nodes)
+    half = 0.5 * (b - a)
+    return (0.5 * (a + b))[:, None] + half[:, None] * x
+
+
+def _products(kernel, kappa, out):
+    """Write r1 r2 for TE and TM at the (R, M) nodes `kappa` of the kernel's
+    R rows into `out`, (2, R, M), in `_BLOCK` chunks; returns `out`."""
+    step = max(1, _BLOCK // max(1, kappa.shape[0]))
+    for c in range(0, kappa.shape[1] if kappa.size else 0, step):
+        cols = slice(c, c + step)
+        with scratch:
+            (te1, tm1), (te2, tm2) = kernel.into_scratch(kappa[:, cols])
+            np.multiply(te1, te2, out=out[0, :, cols])
+            np.multiply(tm1, tm2, out=out[1, :, cols])
+    return out
+
+
+def _common_prefix(a, b) -> int:
+    """The number of leading entries on which 1-D arrays a and b agree."""
+    m = min(len(a), len(b))
+    differ = np.flatnonzero(a[:m] != b[:m])
+    return int(differ[0]) if differ.size else m
+
+
+class _SweepStarts:
+    """r1 r2 at the starting kappa nodes of the latest first-pass kappa call
+    of each layer group in a tau = 0 sweep, for the next distance to reuse.
+
+    A distance's xi integral starts on `_xi_breaks`, which every distance
+    shares up to its own last edge, and its first pass makes one kappa call
+    per group of rows that see the same layers (`_thickest_visible`), which
+    starts on `_kappa_offsets`, shared below the caps up to the distance's
+    own last edge.  So a call's rows and starting kappa panels begin with
+    those of the previous distance's call of its group.  `give` reuses that
+    call's r1 r2 on the rows and panels they share and evaluates the rest:
+    the call's own last rows on every panel, and its own last panels on the
+    shared rows.  The nodes are equal bit for bit and every kernel operation
+    is elementwise, so the reused values are the ones the kernel would give.
+    Each group keeps its latest call's array, which the next call of the
+    same shape (as most neighbours in a sweep grid are) overwrites in place.
+    """
+
+    def __init__(self):
+        self._last = {}  # layer group -> (xi, offsets, g) of its latest call
+
+    def give(self, group, rows, i):
+        """A function that returns r1 r2 for TE and TM, (2, n, M), at the
+        starting nodes of call i of `_Rows` `rows`, the first-pass call of
+        layer group `group`; `_Rows.integrals` runs it in the call's first
+        engine callback, so the kernel runs inside the integrand, as every
+        other kernel call does."""
+        kernel, offsets, k_lo, nodes = rows.start_nodes(i)
+        shape = (2, len(k_lo)) + nodes.shape  # (TE/TM, row, panel, node)
+        need = np.ones(shape[1:3], dtype=bool)
+        g = np.empty(shape)
+        last = self._last.get(group)
+        if last is not None:
+            xi0, offsets0, g0 = last
+            shared = _common_prefix(rows.xi, xi0), _common_prefix(offsets, offsets0) - 1
+            if g0.shape == shape:
+                g = g0
+            else:
+                g[:, : shared[0], : shared[1]] = g0[:, : shared[0], : shared[1]]
+            need[: shared[0], : shared[1]] = False
+        self._last[group] = rows.xi, offsets, g
+        r, p = np.nonzero(need)
+
+        def start():
+            kappa = k_lo[r, None] + nodes[p]  # one kernel row per missing (row, panel) pair
+            g[:, r, p] = _products(kernel.rows(r), kappa, np.empty((2,) + kappa.shape))
+            return g.reshape(2, len(k_lo), -1)
+
+        return start
 
 
 def _pair_integrals(stack1, stack2, gap, d, xi, cfg):
@@ -512,25 +599,36 @@ class _MatsubaraSum:
 
 
 def force_sweep(stack1, stack2, gap, distances, tau, cfg: QuadratureConfig | None = None) -> list[ForceResult]:
-    """Pressures at temperature tau > 0 at each of `distances`, in order.
+    """Pressures at temperature tau >= 0 at each of `distances`, in order.
 
-    Every distance keeps its own Matsubara sum (`_MatsubaraSum`: block
-    schedule, stop rule, error estimate, Matsubara budget and envelope
+    Each result equals `force_zero_T` or `force_finite_T` at its distance
+    bit for bit, whichever other distances are swept with it and in which
+    order; the sweep only evaluates the reflection products r1 r2, which
+    depend on (xi, kappa) alone, once where distances share their nodes.
+
+    At tau = 0 the distances run one after another, each through
+    `force_zero_T`, and each first-pass kappa call reuses r1 r2 on the rows
+    and starting panels that it shares with the previous distance's call of
+    its layer group (`_SweepStarts`), so neighbouring distances of a sweep
+    grid share most of their first pass.
+
+    At tau > 0 every distance keeps its own Matsubara sum (`_MatsubaraSum`:
+    block schedule, stop rule, error estimate, Matsubara budget and envelope
     check), but the sums run in one loop over the rows xi_n = 2 pi n tau,
     which are the same at every distance: each round takes the distances
     whose next block starts at the lowest row and lays out their kappa calls
-    on one `_Rows`, so that the reflection products r1 r2, which depend on
-    (xi, kappa) only, are evaluated once at the starting nodes that the
-    distances share.  A distance's chunk bounds, kappa layout, engine target
-    and stop rule are its own, so each result equals `force_finite_T` at its
-    distance bit for bit, whichever other distances are swept with it.
+    on one `_Rows`, so that r1 r2 are evaluated once at the starting nodes
+    that the distances share.  A distance's chunk bounds, kappa layout,
+    engine target and stop rule are its own.
+
     The sweep raises the error of its first failing distance, in sweep
-    order; the distances after it stop summing when it fails.
+    order; the distances after it stop when it fails.
     """
     asymptotics.check_tau(tau)
-    if tau == 0.0:
-        raise ValueError("tau must be > 0 (use force_zero_T at tau = 0)")
     cfg = cfg or DEFAULT_CONFIG
+    if tau == 0.0:
+        starts = _SweepStarts()
+        return [force_zero_T(stack1, stack2, gap, d, cfg, _starts=starts) for d in distances]
     results, sums, errors = [None] * len(distances), {}, {}
 
     def fail(j, exc):
@@ -586,6 +684,8 @@ def force_finite_T(stack1, stack2, gap, d, tau, cfg: QuadratureConfig | None = N
     largest row, and it acts only where a panel is split; at the default
     tolerance the rows converge on their starting panels almost everywhere.
     """
+    if tau == 0.0:
+        raise ValueError("tau must be > 0 (use force_zero_T at tau = 0)")
     return force_sweep(stack1, stack2, gap, (d,), tau, cfg)[0]
 
 
@@ -597,27 +697,36 @@ def _xi_breaks(d: float) -> np.ndarray:
     return _geometric_edges(0.02, 0.5 * X_CUT / d, _XI_RATIO)
 
 
-def force_zero_T(stack1, stack2, gap, d, cfg: QuadratureConfig | None = None) -> ForceResult:
+def force_zero_T(stack1, stack2, gap, d, cfg: QuadratureConfig | None = None, *, _starts=None) -> ForceResult:
     """Zero-temperature pressure: (1/pi) int_0^xi_cut dxi of the kappa integral.
 
     The xi integral stops at xi_cut = X_CUT/(2d), the last of `_xi_breaks`;
     `xi_integral` states the ideal-mirror bound on the tail it drops, about
     1e-23 in F d^3 units, which est_error does not include.  Each pass of
     the engine splits its rows by the layers they can see
-    (`_thickest_visible`): one `_pair_integrals` call per group, so rows
-    above X_CUT/(2w) do not pay for the fine first kappa panel of a layer
-    of thickness w.
+    (`_thickest_visible`): one kappa call per group, so rows above
+    X_CUT/(2w) do not pay for the fine first kappa panel of a layer of
+    thickness w; the groups read the pass's rows from one kernel
+    (`ReflectionKernel.rows`).  `force_sweep` passes `_starts`
+    (`_SweepStarts`), from which the first pass's calls take r1 r2 at their
+    starting nodes; the result is the same bit for bit.
     """
     asymptotics.check_distance(d)
     cfg = cfg or DEFAULT_CONFIG
     d3 = d**3
 
     def outer(xi):
+        nonlocal _starts
         w_max = _thickest_visible((stack1, stack2), xi)
+        kernel = ReflectionKernel((stack1, stack2), gap, xi[:, None])
         out = np.empty((len(xi), 3))
         for w in np.unique(w_max):
-            rows = w_max == w
-            out[rows] = np.stack(_pair_integrals(stack1, stack2, gap, d, xi[rows], cfg), axis=-1)
+            at = w_max == w
+            rows = _Rows((stack1, stack2), gap, xi[at], cfg, kernel.rows(at))
+            i = rows.add(d, len(rows.xi))
+            start = None if _starts is None else _starts.give(float(w), rows, i)
+            out[at] = np.stack(rows.integrals(i, start), axis=-1)
+        _starts = None  # the rows of later passes are this distance's own splits
         return out
 
     breaks = _xi_breaks(d)

@@ -53,6 +53,7 @@ nonzero.
 
 from __future__ import annotations
 
+import copy
 import math
 import threading
 from dataclasses import dataclass
@@ -285,6 +286,18 @@ class ReflectionKernel:
         self.s_min = np.minimum.reduce([smp.s for smp in self._samples])
         self._excess = [smp.s - self.s_gap for smp in self._samples]
         self._static = xi == 0.0
+
+    def rows(self, index):
+        """The kernel of the rows of this one's xi grid (an array of rows) that
+        `index` selects: a slice, a boolean mask or row numbers.  It is built
+        from this kernel's response samples, not new ones, and its
+        coefficients equal those of the selected rows, value for value."""
+        view = copy.copy(self)
+        view._samples = [ResponseSample(smp.kind, smp.eps[index], smp.mu[index], smp.s[index],
+                                        smp.eps_pole, smp.mu_pole) for smp in self._samples]
+        view.s_gap, view.s_min, view._static = self.s_gap[index], self.s_min[index], self._static[index]
+        view._excess = [e[index] for e in self._excess]
+        return view
 
     def __call__(self, kappa):
         with scratch:

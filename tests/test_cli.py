@@ -308,8 +308,9 @@ def test_sweep_deterministic_across_workers(capsys, tmp_path):
         "[mirror 1]\nsubstrate = diel\n[mirror 2]\nsubstrate = mag\n"
         "[run]\nT = 0\nd = 0.2 20 6 log\n"
     )
+    # 4 workers sweep runs of 1 or 2 distances, and 8 workers leave 2 runs empty
     outputs = []
-    for workers in (1, 4):
+    for workers in (1, 4, 8):
         out_csv = tmp_path / f"w{workers}.csv"
         code, _, _ = run(
             capsys, "sweep", str(src), "-o", str(out_csv), "--workers", str(workers),
@@ -317,7 +318,7 @@ def test_sweep_deterministic_across_workers(capsys, tmp_path):
         )
         assert code == 0
         outputs.append(out_csv.read_bytes())
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
     # this dielectric/magnetic pairing shows a repulsive range at T = 0
     pressures = [float(r.split(",")[2]) for r in outputs[0].decode().splitlines()[1:]]
     assert any(p < 0.0 for p in pressures) and any(p > 0.0 for p in pressures)

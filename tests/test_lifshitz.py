@@ -771,16 +771,20 @@ def _count_pair_integrals(monkeypatch):
     calls = []
     integrals = lifshitz._Rows.integrals
 
-    def counted(rows, i):
+    def counted(rows, i, start=None):
         n = rows._calls[i][1]
         calls.append(np.array(rows.xi[:n]))
-        return integrals(rows, i)
+        return integrals(rows, i, start)
 
     monkeypatch.setattr(lifshitz._Rows, "integrals", counted)
     return calls
 
 
 _SWEEP_DISTANCES = np.geomspace(LAMBDA / 400.0, 50.0 * LAMBDA, 12).tolist()
+
+
+def _hexed(results):
+    return [[float(v).hex() for v in dataclasses.astuple(r)] for r in results]
 
 
 @pytest.mark.parametrize("tau", [0.01, 0.1])
@@ -793,19 +797,28 @@ def test_sweep_rows_equal_force_finite_T(name, tau):
     st1, st2, gap = _finite_t_stacks(name)
     sweep = force_sweep(st1, st2, gap, _SWEEP_DISTANCES, tau)
     alone = [force_finite_T(st1, st2, gap, d, tau) for d in _SWEEP_DISTANCES]
-    hexed = [[float(v).hex() for v in dataclasses.astuple(r)] for r in sweep]
-    assert hexed == [[float(v).hex() for v in dataclasses.astuple(r)] for r in alone]
+    assert _hexed(sweep) == _hexed(alone)
     shuffled = _SWEEP_DISTANCES[1::2] + _SWEEP_DISTANCES[::2]
     assert force_sweep(st1, st2, gap, shuffled, tau) == [sweep[_SWEEP_DISTANCES.index(d)] for d in shuffled]
 
 
-def test_sweep_shares_the_reflection_kernel(monkeypatch):
-    # the distances of a sweep share the starting kappa nodes of each row
-    # block: the first 16 distances of fig1d's sweep grid (Lambda/400 to
-    # Lambda/38, long Matsubara sums) at tau = 0.01 evaluate the kernel on
-    # at most 40% of the points that 16 separate calls take (measured 29%;
-    # 16 distances over the whole grid share fewer rows and read 49%)
-    from calmir import preset_scenario
+@pytest.mark.parametrize("name", ["fig1c", "fig1d", "fig1d-matched"])
+def test_sweep_rows_equal_force_zero_T(name):
+    # a distance reuses r1 r2 only where its nodes equal its predecessor's,
+    # and every other step of its xi integral is its own: each row of a
+    # tau = 0 sweep is force_zero_T at its distance, bit for bit, in order,
+    # shuffled, and with a distance repeated (which reuses its whole first pass)
+    st1, st2, gap = _finite_t_stacks(name)
+    alone = _hexed(force_zero_T(st1, st2, gap, d) for d in _SWEEP_DISTANCES)
+    assert _hexed(force_sweep(st1, st2, gap, _SWEEP_DISTANCES, 0.0)) == alone
+    shuffled = _SWEEP_DISTANCES[1::2] + _SWEEP_DISTANCES[::2]
+    assert _hexed(force_sweep(st1, st2, gap, shuffled, 0.0)) == [alone[_SWEEP_DISTANCES.index(d)] for d in shuffled]
+    repeated = _SWEEP_DISTANCES[:3] + _SWEEP_DISTANCES[2:5]
+    assert _hexed(force_sweep(st1, st2, gap, repeated, 0.0)) == [alone[_SWEEP_DISTANCES.index(d)] for d in repeated]
+
+
+def _kernel_points(monkeypatch):
+    # the (xi, kappa) points that pass through the reflection kernel
     from calmir.reflection import ReflectionKernel
 
     points = []
@@ -816,6 +829,37 @@ def test_sweep_shares_the_reflection_kernel(monkeypatch):
         return into_scratch(kernel, kappa)
 
     monkeypatch.setattr(ReflectionKernel, "into_scratch", counted)
+    return points
+
+
+def test_zero_T_sweep_shares_the_reflection_kernel(monkeypatch):
+    # each distance of fig1c's 64-point sweep grid reuses r1 r2 on the rows
+    # and starting kappa panels it shares with its neighbour: the sweep
+    # evaluates the kernel on at most 50% of the points that 64 separate
+    # calls take (measured 41.9%: 1,004,025 of 2,397,525)
+    from calmir import preset_scenario
+
+    points = _kernel_points(monkeypatch)
+    scn = preset_scenario("fig1c")
+    st1, st2, gap = scn.mirror1, scn.mirror2, scn.gap
+    distances = scn.sweep.distances().tolist()
+    force_sweep(st1, st2, gap, distances, 0.0)
+    shared = sum(points)
+    points.clear()
+    for d in distances:
+        force_zero_T(st1, st2, gap, d)
+    assert shared <= 0.5 * sum(points)
+
+
+def test_sweep_shares_the_reflection_kernel(monkeypatch):
+    # the distances of a sweep share the starting kappa nodes of each row
+    # block: the first 16 distances of fig1d's sweep grid (Lambda/400 to
+    # Lambda/38, long Matsubara sums) at tau = 0.01 evaluate the kernel on
+    # at most 40% of the points that 16 separate calls take (measured 29%;
+    # 16 distances over the whole grid share fewer rows and read 49%)
+    from calmir import preset_scenario
+
+    points = _kernel_points(monkeypatch)
     scn = preset_scenario("fig1d")
     st1, st2, gap = scn.mirror1, scn.mirror2, scn.gap
     distances = scn.sweep.distances()[:16].tolist()
@@ -844,8 +888,11 @@ def test_sweep_raises_the_error_of_its_first_failing_distance():
     with pytest.raises(ConvergenceError, match="underflow"):
         force_sweep(st1, st2, gap, [10.0, 1e-300, 0.05], 0.01, cfg)
     assert force_sweep(st1, st2, gap, [], 0.01) == []
-    with pytest.raises(ValueError, match="tau must be > 0"):
-        force_sweep(st1, st2, gap, [1.0], 0.0)
+    # at tau = 0 the distances run in order, so the first to fail raises
+    assert force_sweep(st1, st2, gap, [1.0], 0.0) == [force_zero_T(st1, st2, gap, 1.0)]
+    with pytest.raises(ValueError, match="d must be finite"):
+        force_sweep(st1, st2, gap, [10.0, math.nan, 1e-300], 0.0)
+    assert force_sweep(st1, st2, gap, [], 0.0) == []
 
 
 @pytest.mark.parametrize("name, d, tau", [("fig1a", 3.3, 0.1), ("fig1d", 1.0, 0.01)])

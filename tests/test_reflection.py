@@ -222,3 +222,23 @@ def test_invalid_layer_thickness():
         Layer(VACUUM, -1.0)
     with pytest.raises(ValueError):
         Layer(VACUUM, math.inf)
+
+
+def test_kernel_row_view_matches_the_full_kernel(monkeypatch):
+    # a view of some rows reads the full kernel's response samples, sampling
+    # nothing again, and gives those rows' coefficients bit for bit; the
+    # xi = 0 row takes the static branch of fig1c's Drude metals
+    from calmir import preset, reflection
+
+    st1, st2, gap = preset("fig1c")
+    xi = np.array([0.0, 0.01, 0.3, 1.0, 5.0, 40.0])[:, None]
+    kappa = xi + np.geomspace(1e-3, 30.0, 7)
+    kernel = reflection.ReflectionKernel((st1, st2), gap, xi)
+    full = [r for pair in kernel(kappa) for r in pair]
+    monkeypatch.setattr(reflection, "response_sample", None)  # a view must not sample
+    mask = np.array([True, False, True, True, False, True])
+    for index in (slice(0, 1), slice(0, 3), slice(2, 6), slice(5, 6), slice(None), mask, np.array([4, 0, 0, 2])):
+        part = [r for pair in kernel.rows(index)(kappa[index]) for r in pair]
+        for r_full, r_part in zip(full, part):
+            assert r_part.shape == kappa[index].shape
+            assert [v.hex() for v in r_part.ravel().tolist()] == [v.hex() for v in r_full[index].ravel().tolist()]
