@@ -224,7 +224,7 @@ _XI_BREAKS = (0.02, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 40.0)
 
 def _xi_integral(g, rel_tol):
     """int_0^inf g(xi) dxi by `xi_integral`, on 24-point Gauss-Kronrod panels."""
-    total, _, _ = xi_integral(lambda xi: g(xi)[:, None], _XI_BREAKS, nodes=24, rel_tol=rel_tol,
+    total, _, _ = xi_integral(lambda xi: g(xi)[None, :], _XI_BREAKS, nodes=24, rel_tol=rel_tol,
                               abs_tol=1e-300)
     return float(total[0])
 

@@ -76,7 +76,7 @@ class QuadratureConfig:
     `kappa_nodes` and `xi_nodes` are the Gauss orders n of the Gauss-Kronrod
     panels of the kappa integral and of the tau = 0 xi integral; each panel
     costs 2n + 1 integrand points (25 and 33 by default).  Both integrals
-    start on coarse geometric panels (`_x_offsets`, `_xi_breaks`) that the
+    start on coarse geometric panels (`_kappa_offsets`, `_xi_breaks`) that the
     engine splits until the tolerance is met.  The kappa order and the two
     growth ratios come from scans of reflection points and time per pressure
     (the kappa-rule and panel-layout entries of CHANGES.md).
@@ -367,7 +367,7 @@ class _Rows:
             if first:
                 g = self._first_pass(i) if start is None else start()
             first = False
-            out = np.empty(kappa.shape + (2,))
+            out = np.empty((2,) + kappa.shape)
             step = max(1, _BLOCK // max(1, kappa.shape[0]))
             for c in range(0, kappa.shape[1], step):
                 kb, cols = kappa[:, c : c + step], slice(c, c + step)
@@ -379,16 +379,16 @@ class _Rows:
                     else:
                         gc = g[0, :, cols], g[1, :, cols]
                     x = np.multiply(kb, 2.0 * d, out=scratch.take(kb.shape))
-                    _damped_terms(kb, x, gc, (out[:, cols, 0], out[:, cols, 1]))
+                    _damped_terms(kb, x, gc, (out[0, :, cols], out[1, :, cols]))
             return out
 
         cfg = self._cfg
         vals, err, n_eval = rowwise_panel_integral(fvals, k_lo, offsets,
                                                    nodes=cfg.kappa_nodes, rel_tol=0.1 * cfg.rel_tol)
         # never report less than the rounding error of summing a row's points
-        err = err + n_eval // n * sys.float_info.epsilon * np.abs(vals).sum(axis=1)
+        err = err + n_eval // n * sys.float_info.epsilon * np.abs(vals).sum(axis=0)
         scale = 1.0 / (2.0 * math.pi)
-        return vals[:, 0] * scale, vals[:, 1] * scale, err * scale
+        return vals[0] * scale, vals[1] * scale, err * scale
 
 
 def _nodes(a, b, nodes):
@@ -719,13 +719,13 @@ def force_zero_T(stack1, stack2, gap, d, cfg: QuadratureConfig | None = None, *,
         nonlocal _starts
         w_max = _thickest_visible((stack1, stack2), xi)
         kernel = ReflectionKernel((stack1, stack2), gap, xi[:, None])
-        out = np.empty((len(xi), 3))
+        out = np.empty((3, len(xi)))
         for w in np.unique(w_max):
             at = w_max == w
             rows = _Rows((stack1, stack2), gap, xi[at], cfg, kernel.rows(at))
             i = rows.add(d, len(rows.xi))
             start = None if _starts is None else _starts.give(float(w), rows, i)
-            out[at] = np.stack(rows.integrals(i, start), axis=-1)
+            out[:, at] = rows.integrals(i, start)
         _starts = None  # the rows of later passes are this distance's own splits
         return out
 

@@ -1,16 +1,20 @@
 """Gauss-Kronrod panel quadrature: one globally adaptive engine.
 
 `adaptive_integral` integrates an integrand with a row axis over shared
-panels.  `f(x)` takes M abscissae and returns (M, ..., C) values: any number
-of rows (one per Matsubara frequency, say), each with C components.  Each
-panel is evaluated once, at the 2n+1 nodes of the (2n+1)-point Kronrod
+panels.  `f(x)` takes M abscissae and returns (C, ..., M) values: C
+components, any number of rows (one per Matsubara frequency, say), and the
+abscissae last, so that one 2-D matrix product gives every panel's sums.
+Each panel is evaluated once, at the 2n+1 nodes of the (2n+1)-point Kronrod
 extension of the n-point Gauss rule (`nodes` = n); its value is the Kronrod
 sum K, and its error is the largest change |K - G| over rows of the sum of
 the first `n_control` components, where G is the Gauss sum on the same
-nodes.  Until every row's summed panel error meets the tolerance, the worst
-panels are split, a few per pass, and only the new halves are evaluated, so
-each pass makes one call of f on every (abscissa, row) point it needs; the
-integrand may split that call into smaller blocks internally.
+nodes.  Until every row's summed panel error meets the tolerance, each pass
+splits the worst panels, but only as many as it takes (at most _BATCH):
+the fewest whose errors, taken out of every row's sum, would leave each row
+within the target, as QUADPACK's QAG splits only the panels that carry the
+error (Piessens et al., QUADPACK, Springer 1983).  Only the new halves are
+evaluated, so each pass makes one call of f on every (abscissa, row) point
+it needs; the integrand may split that call into smaller blocks internally.
 
 `rowwise_panel_integral` adapts the engine to panels shifted to a per-row
 lower limit; it is the kappa integral's named entry point, through which the
@@ -32,7 +36,9 @@ from .errors import ConvergenceError
 
 __all__ = ["kronrod_rule", "rowwise_panel_integral", "adaptive_integral", "xi_integral"]
 
-_BATCH = 8  # panels split per refinement pass
+# Most panels split per refinement pass; a pass splits fewer when the worst
+# few already carry enough of every row's error to meet the target.
+_BATCH = 8
 
 
 @lru_cache(maxsize=None)
@@ -96,37 +102,42 @@ def kronrod_rule(n: int):
 
 
 def _pairs(u, v):
-    """Interleave u and v along the first axis: u[0], v[0], u[1], v[1], ..."""
-    return np.stack([u, v], axis=1).reshape((2 * len(u),) + u.shape[1:])
+    """Interleave 1-D u and v: u[0], v[0], u[1], v[1], ..."""
+    out = np.empty(2 * len(u))
+    out[::2], out[1::2] = u, v
+    return out
 
 
 def adaptive_integral(f, edges, *, nodes, rel_tol, abs_tol, n_control=None, max_panels=800):
     """Adaptively integrate f over the panels in `edges`.
 
-    `f(x)` takes a 1-D array of M abscissae and returns an (M, ..., C) array.
-    Returns (I, err, n_eval): I of shape (..., C); err, one entry per row,
+    `f(x)` takes a 1-D array of M abscissae and returns a (C, ..., M) array.
+    Returns (I, err, n_eval): I of shape (C, ...); err, one entry per row,
     the summed |K - G| of the first `n_control` components (all by default);
     n_eval the number of (abscissa, row) points evaluated, 2 `nodes` + 1 per
-    panel.  Raises `ConvergenceError` if `max_panels` panels do not meet the
-    tolerance.
+    panel.  Each pass splits the fewest panels, at most _BATCH, taken worst
+    first (largest |K - G| over rows, lowest edge on ties), whose errors
+    removed from every row's sum would leave it within the target.  Raises
+    `ConvergenceError` if `max_panels` panels do not meet the tolerance.
     """
     x, w = kronrod_rule(nodes)
     n_eval = 0
 
     def panels(a, b):
-        """Kronrod value of f on each panel [a[i], b[i]], (P, ..., C), and each
-        row's |K - G| on the control components; one f call for all."""
+        """Kronrod value of f on each panel [a[i], b[i]], (P, C, ...), and each
+        row's |K - G| on the control components, (P, ...); one f call for all."""
         nonlocal n_eval
         half = 0.5 * (b - a)
         pts = (0.5 * (a + b))[:, None] + half[:, None] * x
         vals = np.asarray(f(pts.ravel()))
-        n_eval += vals.size // vals.shape[-1]
-        # (panel, *rows, C, node) @ (panel, node, 2): a batched matrix product
-        vals = np.moveaxis(vals.reshape(pts.shape + vals.shape[1:]), 1, -1)
-        wts = (half[:, None, None] * w).reshape((len(a),) + (1,) * (vals.ndim - 3) + w.shape)
-        kg = vals @ wts
+        n_eval += vals.size // len(vals)
+        # K and G of every (component, row, panel) in one product; panels then
+        # go first, so that the sums over them run in panel order
+        kg = (vals.reshape(-1, len(x)) @ w).reshape(-1, len(a), 2).transpose(1, 0, 2)
+        kg = np.multiply(kg, half[:, None, None], order="C")
+        kg = kg.reshape((len(a),) + vals.shape[:-1] + (2,))
         kron = kg[..., 0]
-        return kron, np.abs((kron - kg[..., 1])[..., :n_control].sum(axis=-1))
+        return kron, np.abs((kron - kg[..., 1])[:, :n_control].sum(axis=1))
 
     edges = np.asarray(edges, dtype=float)
     a, b = edges[:-1], edges[1:]
@@ -134,18 +145,22 @@ def adaptive_integral(f, edges, *, nodes, rel_tol, abs_tol, n_control=None, max_
     while True:
         total = value.sum(axis=0)
         err = change.sum(axis=0)
-        scale = np.abs(total[..., :n_control].sum(axis=-1)).max(initial=0.0)
+        scale = np.abs(total[:n_control].sum(axis=0)).max(initial=0.0)
         target = max(abs_tol, rel_tol * scale)
-        if np.all(err <= target):
+        if (err <= target).all():
             return total, (err if err.ndim else float(err)), n_eval
         if len(a) >= max_panels:
             raise ConvergenceError(
                 f"adaptive integral not converged with {len(a)} panels "
                 f"(error estimate {err.max():.3e}, target {target:.3e})"
             )
-        worst = change.reshape(len(a), -1).max(axis=1)
+        rows = change.reshape(len(a), -1)
+        order = np.lexsort((a, -rows.max(axis=1)))[:_BATCH]
+        # whether some row is still over target once the errors of the first
+        # 1, 2, ... of these panels are taken out; once False, False after
+        left = (err.reshape(1, -1) - rows[order].cumsum(axis=0) > target).any(axis=1)
         split = np.zeros(len(a), dtype=bool)
-        split[np.lexsort((a, -worst))[:_BATCH]] = True
+        split[order[: np.count_nonzero(left) + 1]] = True
         m = 0.5 * (a[split] + b[split])
         ca, cb = _pairs(a[split], m), _pairs(m, b[split])
         cvalue, cchange = panels(ca, cb)
@@ -158,13 +173,17 @@ def adaptive_integral(f, edges, *, nodes, rel_tol, abs_tol, n_control=None, max_
 def rowwise_panel_integral(fvals, x_lo, offsets, *, nodes, rel_tol):
     """Integrate over [x_lo[r], x_lo[r] + offsets[-1]] for every row r.
 
-    `fvals(x2d)` maps an (R, M) array of abscissae to (R, M, C) values.
-    Returns (I, err, n_eval) as `adaptive_integral` does: I of shape (R, C),
+    `fvals(x2d)` maps an (R, M) array of abscissae to (C, R, M) values,
+    abscissae last.  The rows share the panel offsets and their splits, and
+    one target, rel_tol times the largest row's |sum of components|: each
+    pass splits the fewest worst panels, at most _BATCH, whose errors taken
+    out would bring every row within it (`adaptive_integral`).
+    Returns (I, err, n_eval) as `adaptive_integral` does: I of shape (C, R),
     err of shape (R,), and n_eval counting each (abscissa, row) point.
     """
     x_lo = np.asarray(x_lo, dtype=float)[:, None]
     return adaptive_integral(
-        lambda x: np.swapaxes(fvals(x_lo + x), 0, 1),
+        lambda x: fvals(x_lo + x),
         offsets, nodes=nodes, rel_tol=rel_tol, abs_tol=0.0,
     )
 
@@ -173,18 +192,18 @@ def xi_integral(f, breaks, upper=math.inf, **engine):
     """int_0^upper f(xi) dxi: `adaptive_integral` (given the keywords) on t = xi/(1 + xi).
 
     The panel edges are t = 0, the mapped `breaks` below `upper` and the
-    mapped `upper` (t = 1 for the default, infinity); f's (M, ..., C) values
-    are multiplied by the Jacobian 1/(1 - t)^2.  `force_zero_T` stops at
-    xi_cut = X_CUT/(2d): between ideal mirrors the dropped tail is at most
-    (Y^2 + 4Y + 6) e^{-Y}/(16 pi^2 d (1 - e^{-Y})) in F d^3 units, Y = X_CUT,
-    about 1.4e-23 at d = Lambda/400.
+    mapped `upper` (t = 1 for the default, infinity); f's (C, ..., M) values,
+    abscissae last, are multiplied by the Jacobian 1/(1 - t)^2.  Panels are
+    split by the engine's rule: each pass the fewest worst ones, at most
+    _BATCH, that would leave every row within the target.  `force_zero_T`
+    stops at xi_cut = X_CUT/(2d): between ideal mirrors the dropped tail is
+    at most (Y^2 + 4Y + 6) e^{-Y}/(16 pi^2 d (1 - e^{-Y})) in F d^3 units,
+    Y = X_CUT, about 1.4e-23 at d = Lambda/400.
     """
     top = 1.0 if math.isinf(upper) else upper / (1.0 + upper)
     edges = np.array(sorted({0.0, top} | {b / (1.0 + b) for b in breaks if b < upper}))
 
     def mapped(t):
-        vals = f(t / (1.0 - t))
-        jac = 1.0 / (1.0 - t) ** 2
-        return vals * jac.reshape((-1,) + (1,) * (vals.ndim - 1))
+        return f(t / (1.0 - t)) * (1.0 / (1.0 - t) ** 2)
 
     return adaptive_integral(mapped, edges, **engine)

@@ -133,8 +133,7 @@ def reference_pair_integrals(monkeypatch, st1, st2, gap, d, xi):
         def ref(kappa):
             x = kappa * (2.0 * d)
             (te1, tm1), (te2, tm2) = reference_reflect(kernel, kappa)
-            return np.stack([reference_damped(kappa, x, te1 * te2), reference_damped(kappa, x, tm1 * tm2)],
-                            axis=-1)
+            return np.stack([reference_damped(kappa, x, te1 * te2), reference_damped(kappa, x, tm1 * tm2)])
 
         return engine(ref, k_lo, offsets, **kw)
 

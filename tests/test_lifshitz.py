@@ -585,7 +585,7 @@ def _outer_rows_to_infinity(st1, st2, gap, d, breaks):
     cfg = lifshitz.DEFAULT_CONFIG
 
     def outer(xi):
-        return np.stack(lifshitz._pair_integrals(st1, st2, gap, d, xi, cfg), axis=-1)
+        return np.stack(lifshitz._pair_integrals(st1, st2, gap, d, xi, cfg))
 
     _, _, n_rows = xi_integral(outer, breaks, nodes=cfg.xi_nodes, rel_tol=cfg.rel_tol,
                                abs_tol=cfg.abs_tol * math.pi / d**3, n_control=2)

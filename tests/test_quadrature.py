@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from calmir import ConvergenceError
-from calmir.quadrature import adaptive_integral, kronrod_rule, rowwise_panel_integral, xi_integral
+from calmir.quadrature import _BATCH, adaptive_integral, kronrod_rule, rowwise_panel_integral, xi_integral
 
 
 def test_rowwise_budget_raises():
@@ -13,7 +13,7 @@ def test_rowwise_budget_raises():
     rng = np.random.default_rng(7)
 
     def fvals(x):
-        return rng.standard_normal(x.shape)[..., None]
+        return rng.standard_normal(x.shape)[None]
 
     with pytest.raises(ConvergenceError, match="panels"):
         rowwise_panel_integral(fvals, np.zeros(3), np.array([0.0, 1.0]), nodes=4, rel_tol=1e-8)
@@ -21,12 +21,49 @@ def test_rowwise_budget_raises():
 
 def test_adaptive_budget_raises():
     def f(x):
-        return np.sqrt(x)[:, None]
+        return np.sqrt(x)[None]
 
     with pytest.raises(ConvergenceError):
         adaptive_integral(
             f, np.array([0.0, 1.0]), nodes=4, rel_tol=1e-15, abs_tol=1e-300, max_panels=6
         )
+
+
+def test_split_only_the_panel_that_misses():
+    # |x - 2.5| is linear on every starting panel but [2, 3], whose halves are
+    # linear too: one split of that panel meets the target, so the first
+    # refinement evaluates 2 (2n + 1) points on each of the R rows
+    x_lo = np.zeros(3)
+    scale = np.array([1.0, 2.0, 5.0])
+    nodes, calls = 6, []
+
+    def fvals(x):
+        calls.append(x.size)
+        return np.stack([scale[:, None] * np.abs(x - 2.5), x * x])
+
+    total, err, n_eval = rowwise_panel_integral(fvals, x_lo, np.array([0.0, 1.0, 2.0, 3.0, 4.0]),
+                                                nodes=nodes, rel_tol=1e-10)
+    first = 4 * (2 * nodes + 1) * len(x_lo)
+    assert calls == [first, 2 * (2 * nodes + 1) * len(x_lo)]
+    assert n_eval == sum(calls)
+    assert np.allclose(total, [scale * 4.25, np.full(3, 64.0 / 3.0)], rtol=1e-13, atol=0.0)
+
+
+def test_every_panel_missing_splits_a_full_batch():
+    # seeded noise misses the target on every panel, so no fewer than
+    # _BATCH splits can meet it: each pass splits _BATCH panels until the
+    # budget runs out
+    rng = np.random.default_rng(11)
+    nodes, calls = 4, []
+
+    def f(x):
+        calls.append(x.size)
+        return rng.standard_normal((1, 2, x.size))
+
+    with pytest.raises(ConvergenceError, match="60 panels"):
+        adaptive_integral(f, np.linspace(0.0, 1.0, 13), nodes=nodes, rel_tol=1e-8, abs_tol=0.0,
+                          max_panels=60)
+    assert calls == [12 * (2 * nodes + 1)] + [2 * _BATCH * (2 * nodes + 1)] * 6
 
 
 @pytest.mark.parametrize("n", [4, 6, 16, 24, 64])
@@ -67,17 +104,17 @@ def test_row_axis_matches_closed_form(f, exact):
 
     def fvals(x):
         calls.append(x.size)
-        return np.stack([f(x), 2.0 * f(x)], axis=-1)
+        return np.stack([f(x), 2.0 * f(x)])
 
     total, err, n_eval = rowwise_panel_integral(fvals, x_lo, offsets, nodes=6, rel_tol=1e-10)
     want = exact(x_lo, x_lo + 60.0)
-    assert total.shape == (4, 2)
+    assert total.shape == (2, 4)
     assert err.shape == (4,)
     # the engine counts every (abscissa, row) point it handed the callback
     assert n_eval == sum(calls)
     # the estimate must bound the actual error also after panels were split
     assert len(calls) > 1
-    actual = np.abs(total.sum(axis=1) - 3.0 * want)
+    actual = np.abs(total.sum(axis=0) - 3.0 * want)
     assert np.all(actual <= err)
     assert np.all(err <= 1e-10 * 3.0 * want.max())
 
@@ -88,11 +125,11 @@ def test_xi_integral_on_known_integrals():
     want = np.append(1.0 / a, 1.0)
 
     def f(xi):
-        return np.concatenate([np.exp(-np.outer(xi, a)), (1.0 + xi[:, None]) ** -2], axis=1)[..., None]
+        return np.concatenate([np.exp(-np.outer(a, xi)), (1.0 + xi[None, :]) ** -2])[None]
 
     rel_tol = 1e-10
     total, err, n_eval = xi_integral(f, [0.1, 1.0, 10.0], nodes=8, rel_tol=rel_tol, abs_tol=1e-300)
-    assert total.shape == (5, 1) and err.shape == (5,)
+    assert total.shape == (1, 5) and err.shape == (5,)
     assert n_eval > 4 * 17 * 5  # some panel was split
     assert np.all(err <= rel_tol * want.max())
-    assert np.all(np.abs(total[:, 0] - want) <= rel_tol * want)
+    assert np.all(np.abs(total[0] - want) <= rel_tol * want)

@@ -89,7 +89,7 @@ def zero_T_reference(m1, m2, gap, d: float, cfg: QuadratureConfig) -> tuple[floa
     """(p, rows): (1/pi) int_0^inf dxi of the kappa integrals, one
     `_pair_integrals` call per pass of the xi engine."""
     def outer(xi):
-        return np.stack(lifshitz._pair_integrals(m1, m2, gap, d, xi, cfg), axis=-1)
+        return np.stack(lifshitz._pair_integrals(m1, m2, gap, d, xi, cfg))
 
     total, _, rows = quadrature.xi_integral(outer, lifshitz._xi_breaks(d), nodes=cfg.xi_nodes,
                                             rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol * math.pi / d**3,
