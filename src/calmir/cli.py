@@ -6,13 +6,13 @@
     calmir preset NAME -o FILE                 write a bundled scenario
 
 Pressures are reported as F d^3/(hbar Omega); pass --omega-rad-s to add an
-SI column (Pa).  A sweep runs `force_sweep`, which evaluates the reflection
-once where its distances share nodes: at tau > 0 one Matsubara loop for all
-of its distances, in the calling thread; at tau = 0 --workers N contiguous
-runs of its distances, one `force_sweep` per thread.  Rows are written in
-order, and each row is the same whatever else is swept, so output bytes
-never depend on the worker count.  Exit codes: 0 ok, 1 usage, 2 scenario
-error, 3 convergence failure.
+SI column (Pa).  A sweep is one `force_sweep` call in the calling thread,
+which evaluates the reflection once where its distances share nodes: at
+tau > 0 in one Matsubara loop for all of its distances, at tau = 0 on the
+first xi pass that each distance shares with the one before it.  Rows are
+written in order, and each row is the same whatever else is swept;
+--workers is accepted and has no effect.  Exit codes: 0 ok, 1 usage, 2
+scenario error, 3 convergence failure.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import argparse
 import functools
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .asymptotics import build_report, c3_or_none
@@ -84,9 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("scenario", type=Path)
     sp.add_argument("-o", "--output", type=Path, required=True)
     sp.add_argument("--workers", type=_positive_int, default=1,
-                    help="threads of a tau = 0 sweep, each running one contiguous run of "
-                         "its distances; a tau > 0 sweep runs one Matsubara loop in the "
-                         "calling thread")
+                    help="accepted, has no effect: every sweep runs in the calling thread")
     common(sp)
 
     sp = sub.add_parser("asympt", help="closed-form limits and regime")
@@ -177,27 +174,10 @@ def cmd_force(args) -> int:
     return 0
 
 
-def _sweep_rows(scn: Scenario, tau: float, cfg: QuadratureConfig, workers: int, omega):
+def _sweep_rows(scn: Scenario, tau: float, cfg: QuadratureConfig, omega):
     distances = scn.sweep.distances()
     c3 = c3_or_none(*_substrates(scn), scn.gap, tau)
-
-    def sweep(run):
-        return force_sweep(scn.mirror1, scn.mirror2, scn.gap, run, tau, cfg)
-
-    # the distances of a tau > 0 sweep sum the same Matsubara rows: one loop,
-    # in this thread, evaluates their shared reflection once.  At tau = 0
-    # each distance shares the reflection of its neighbour's first pass, so
-    # each worker sweeps one contiguous run of distances.  One worker
-    # computes in this thread too: a pool thread per sweep would get a fresh
-    # malloc arena each time, which can raise the process's peak memory
-    ds = [float(d) for d in distances]
-    if tau > 0.0 or workers == 1:
-        results = sweep(ds)
-    else:
-        runs = [ds[k * len(ds) // workers:(k + 1) * len(ds) // workers] for k in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = [res for part in pool.map(sweep, runs) for res in part]
-
+    results = force_sweep(scn.mirror1, scn.mirror2, scn.gap, [float(d) for d in distances], tau, cfg)
     rows = []
     for d, res in zip(distances, results):
         row = [f"{d:.12e}", f"{d / (2.0 * math.pi):.12e}"]
@@ -229,7 +209,7 @@ def cmd_sweep(args) -> int:
     for out in outs:
         _check_writable(out)
     for tau, out in zip(taus, outs):
-        text = _sweep_rows(scn, tau, cfg, args.workers, args.omega_rad_s)
+        text = _sweep_rows(scn, tau, cfg, args.omega_rad_s)
         _write(out, text)
         if not args.quiet:
             print(f"wrote {out}")

@@ -16,21 +16,20 @@ integrand carries e^{-2 kappa d}), in kappa itself, so that distances
 integrate a row on the same starting nodes up to their own cuts, and the
 tau = 0 xi integral starts on panels that distances share up to theirs.
 `force_sweep` evaluates the reflection once where the distances of a sweep
-share nodes: at tau > 0 on the Matsubara rows of one loop, at tau = 0 on
-the first pass that each distance shares with the one before it.  Results are
-reported in the normalized form F d^3 (i.e. F d^3/(hbar Omega) in physical
-units).  Since
-|r1 r2| <= 1 for passive materials, every term lies between the envelopes
-obtained for r1 r2 = +/-1, which integrate to ideal perfect-mirror
-pressures; those envelopes are returned alongside each result, and a
-result that leaves them raises ConvergenceError.
+share nodes, through one store of r1 r2 at starting kappa nodes (`_Starts`):
+at tau > 0 on the Matsubara rows of one loop, at tau = 0 on the first pass
+that each distance shares with the one before it.  Results are reported in
+the normalized form F d^3 (i.e. F d^3/(hbar Omega) in physical units).
+Since |r1 r2| <= 1 for passive materials, every term lies between the
+envelopes obtained for r1 r2 = +/-1, which integrate to ideal perfect-mirror
+pressures; those envelopes are returned alongside each result, and a result
+that leaves them raises ConvergenceError.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,7 +138,8 @@ def _damped_terms(kappa, x, gs, outs):
     The denominator is computed as (1 - e^{-x}) + (1 - g) e^{-x}, a sum of
     two non-negative terms for g <= 1, so it never cancels.  The factors
     that depend only on x and kappa are computed once for all g, on
-    `scratch` arrays.
+    `scratch` arrays.  A g may be its own out: it is read before out is
+    written.
     """
     shape = outs[0].shape
     with scratch:
@@ -244,151 +244,84 @@ def _kappa_offsets(d: float, w_max: float, k_row: float) -> np.ndarray:
 
 
 class _Rows:
-    """Frequency rows xi shared by kappa calls at one or more distances.
+    """Frequency rows xi, with one `ReflectionKernel`, shared by kappa calls
+    at one or more distances.
 
-    A call integrates the first n rows at one distance d: `add` lays it out
-    (`_kappa_offsets` for the thickest layer that its lowest row can see
-    and its rows' scale), `integrals` runs the engine.  The rows keep one
-    `ReflectionKernel` per row count, starting from `kernel` on all of them
-    if the caller gives it; every kernel operation is elementwise, so the
-    kernel of n rows gives the first n rows of a longer one value for value.
-
-    A call whose starting panels meet another call's reads the reflection
-    products r1 r2 at its starting nodes from the union of the calls'
-    starting panels: each panel of the union is evaluated once, on as many
-    rows as the longest call that starts on it, in `_BLOCK` chunks, inside
-    the first engine callback that needs it, and dropped once the last call
-    that needs it has read it.  A call to which the caller gives its r1 r2
-    at its starting nodes (`_SweepStarts.give`) reads them from there
-    instead.  Panels that the engine splits, and calls that
-    share no panel, evaluate their own kernel.  The nodes are the engine's
-    (`adaptive_integral`), bit for bit, so no result depends on which other
-    calls share the rows.
+    A call integrates the rows that its index selects at one distance d: the
+    first rows of a Matsubara round (a slice) at tau > 0, a layer group (a
+    mask) at tau = 0.  `add` lays it out (`_kappa_offsets` for the thickest
+    layer that its lowest row can see and its rows' scale) on the kernel's
+    view of those rows (`ReflectionKernel.rows`), which gives their values
+    value for value, as every kernel operation is elementwise; `integrals`
+    runs the engine.  Given a store (`_Starts`), the rows' first engine
+    callback fills it for all of their calls, and each call reads r1 r2 at
+    its starting nodes from it; without one, a call evaluates them itself,
+    as it does the panels that the engine splits.  The nodes are the
+    engine's (`adaptive_integral`), bit for bit, so no result depends on
+    which other calls share the rows.
     """
 
-    def __init__(self, stacks, gap, xi, cfg, kernel=None):
+    def __init__(self, stacks, gap, xi, cfg, starts=None):
         self.xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        self._stacks, self._gap, self._cfg = stacks, gap, cfg
-        # row count -> kernel on the first rows
-        self._kernels = {} if kernel is None else {len(self.xi): kernel}
-        self._calls = []  # (d, rows, k_lo, offsets)
-        self._plan = None  # set by the first `integrals`: which calls share, and where
-        self._bands = {}  # row count -> evaluated union panels on that many rows
+        self.kernel = ReflectionKernel(stacks, gap, self.xi[:, None])
+        self.k_lo = np.sqrt(self.kernel.s_gap[:, 0])  # each row's kappa_min
+        self.cfg = cfg
+        self.calls = []  # (d, index, kernel view, k_lo, w_max, offsets)
+        self._stacks, self._starts = stacks, starts
+        self._filled = False  # whether `starts` holds every call's starting values
 
-    def _kernel(self, n):
-        kernel = self._kernels.get(n)
-        if kernel is None:
-            kernel = self._kernels[n] = ReflectionKernel(self._stacks, self._gap, self.xi[:n, None])
-        return kernel
-
-    def add(self, d, n) -> int:
-        """Lay out the kappa call of the first n rows at distance d; returns its index."""
-        kernel = self._kernel(n)
-        k_lo = np.sqrt(kernel.s_gap[:, 0])
-        w_max = float(_thickest_visible(self._stacks, self.xi[:n].min()))
+    def add(self, d, index) -> int:
+        """Lay out the kappa call of the rows that `index` selects at distance
+        d; returns its number.  A store is filled for the calls added before
+        the first `integrals`."""
+        kernel, k_lo = self.kernel.rows(index), self.k_lo[index]
+        w_max = float(_thickest_visible(self._stacks, self.xi[index].min()))
         offsets = _kappa_offsets(d, w_max, _row_scale(kernel, k_lo))
-        self._calls.append((d, n, k_lo, offsets))
-        return len(self._calls) - 1
+        self.calls.append((d, index, kernel, k_lo, w_max, offsets))
+        return len(self.calls) - 1
 
-    def start_nodes(self, i):
-        """(kernel, offsets, k_lo, nodes): call i's kernel, starting panel
-        edges, rows' lower limits and the (panel, node) offsets of its
-        starting nodes; row r's nodes on panel p are k_lo[r] + nodes[p], as
-        in the engine."""
-        _, n, k_lo, offsets = self._calls[i]
-        return self._kernel(n), offsets, k_lo, _nodes(offsets[:-1], offsets[1:], self._cfg.kappa_nodes)
-
-    def _panels(self, i):
-        """Call i's starting panels, as (lo, hi) pairs of offsets."""
-        offsets = self._calls[i][3]
-        return zip(offsets[:-1].tolist(), offsets[1:].tolist())
-
-    def _planned(self):
-        """(shared, band_of, readers): the calls that share a starting panel,
-        the row count of the band that evaluates each of their panels, and
-        how many calls read each band."""
-        if self._plan is None and len(self._calls) == 1:
-            self._plan = (), {}, {}
-        elif self._plan is None:
-            users = {}
-            for i in range(len(self._calls)):
-                for panel in self._panels(i):
-                    users.setdefault(panel, []).append(i)
-            shared = {i for u in users.values() if len(u) > 1 for i in u}
-            band_of = {p: max(self._calls[i][1] for i in u) for p, u in users.items() if u[0] in shared}
-            readers = Counter(rows for i in shared for rows in {band_of[p] for p in self._panels(i)})
-            self._plan = shared, band_of, readers
-        return self._plan
-
-    def _band(self, rows):
-        """(g, column): r1 r2 for TE and TM, (2, rows, M), at the nodes of the
-        union panels evaluated on `rows` rows, and each panel's first column."""
-        band = self._bands.get(rows)
-        if band is None:
-            _, band_of, _ = self._plan
-            panels = [p for p, r in band_of.items() if r == rows]
-            a, b = np.array(panels).T
-            kernel = self._kernel(rows)
-            kappa = np.sqrt(kernel.s_gap[:, 0])[:, None] + _nodes(a, b, self._cfg.kappa_nodes).ravel()
-            g = _products(kernel, kappa, np.empty((2,) + kappa.shape))
-            width = 2 * self._cfg.kappa_nodes + 1
-            band = self._bands[rows] = g, {p: k * width for k, p in enumerate(panels)}
-        return band
-
-    def _first_pass(self, i):
-        """r1 r2 for TE and TM, (2, n, M), at the starting nodes of shared call i."""
-        n = self._calls[i][1]
-        _, band_of, readers = self._plan
-        width = 2 * self._cfg.kappa_nodes + 1
-        parts, read = [], set()
-        for panel in self._panels(i):
-            rows = band_of[panel]
-            g, column = self._band(rows)
-            parts.append(g[:, :n, column[panel] : column[panel] + width])
-            read.add(rows)
-        for rows in read:
-            readers[rows] -= 1
-            if not readers[rows]:
-                del self._bands[rows]
-        return np.concatenate(parts, axis=2)
-
-    def integrals(self, i, start=None):
+    def integrals(self, i):
         """TE and TM kappa integrals and their error of call i, as
-        `_pair_integrals`; `start`, if given, returns r1 r2 for TE and TM,
-        (2, n, M), at the call's starting nodes, in its first engine callback."""
-        d, n, k_lo, offsets = self._calls[i]
-        shared, _, _ = self._planned()
-        kernel = self._kernel(n)
-        first = i in shared or start is not None
+        `_pair_integrals`."""
+        d, _, kernel, k_lo, w_max, offsets = self.calls[i]
+        stored = self._starts is not None  # whether the next callback is the first
 
         def fvals(kappa):
-            nonlocal first
-            g = None
-            if first:
-                g = self._first_pass(i) if start is None else start()
-            first = False
+            nonlocal stored
             out = np.empty((2,) + kappa.shape)
+            if stored:
+                if not self._filled:
+                    self._starts.fill(self)
+                    self._filled = True
+                # r1 r2 at the starting nodes, turned into the damped terms in place
+                self._starts.read(w_max, offsets, out)
             step = max(1, _BLOCK // max(1, kappa.shape[0]))
             for c in range(0, kappa.shape[1], step):
                 kb, cols = kappa[:, c : c + step], slice(c, c + step)
                 with scratch:
-                    if g is None:
+                    if stored:
+                        gc = out[0, :, cols], out[1, :, cols]
+                    else:
                         (te1, tm1), (te2, tm2) = kernel.into_scratch(kb)
                         # r1 r2 overwrites r1, which nothing reads again
                         gc = np.multiply(te1, te2, out=te1), np.multiply(tm1, tm2, out=tm1)
-                    else:
-                        gc = g[0, :, cols], g[1, :, cols]
                     x = np.multiply(kb, 2.0 * d, out=scratch.take(kb.shape))
                     _damped_terms(kb, x, gc, (out[0, :, cols], out[1, :, cols]))
+            stored = False
             return out
 
-        cfg = self._cfg
+        cfg = self.cfg
         vals, err, n_eval = rowwise_panel_integral(fvals, k_lo, offsets,
                                                    nodes=cfg.kappa_nodes, rel_tol=0.1 * cfg.rel_tol)
         # never report less than the rounding error of summing a row's points
-        err = err + n_eval // n * sys.float_info.epsilon * np.abs(vals).sum(axis=0)
+        err = err + n_eval // len(k_lo) * sys.float_info.epsilon * np.abs(vals).sum(axis=0)
         scale = 1.0 / (2.0 * math.pi)
         return vals[0] * scale, vals[1] * scale, err * scale
+
+
+def _panels(offsets):
+    """The (lo, hi) pairs of starting panel edges `offsets`."""
+    return zip(offsets[:-1].tolist(), offsets[1:].tolist())
 
 
 def _nodes(a, b, nodes):
@@ -399,19 +332,6 @@ def _nodes(a, b, nodes):
     return (0.5 * (a + b))[:, None] + half[:, None] * x
 
 
-def _products(kernel, kappa, out):
-    """Write r1 r2 for TE and TM at the (R, M) nodes `kappa` of the kernel's
-    R rows into `out`, (2, R, M), in `_BLOCK` chunks; returns `out`."""
-    step = max(1, _BLOCK // max(1, kappa.shape[0]))
-    for c in range(0, kappa.shape[1] if kappa.size else 0, step):
-        cols = slice(c, c + step)
-        with scratch:
-            (te1, tm1), (te2, tm2) = kernel.into_scratch(kappa[:, cols])
-            np.multiply(te1, te2, out=out[0, :, cols])
-            np.multiply(tm1, tm2, out=out[1, :, cols])
-    return out
-
-
 def _common_prefix(a, b) -> int:
     """The number of leading entries on which 1-D arrays a and b agree."""
     m = min(len(a), len(b))
@@ -419,55 +339,90 @@ def _common_prefix(a, b) -> int:
     return int(differ[0]) if differ.size else m
 
 
-class _SweepStarts:
-    """r1 r2 at the starting kappa nodes of the latest first-pass kappa call
-    of each layer group in a tau = 0 sweep, for the next distance to reuse.
+class _Starts:
+    """r1 r2 at the starting kappa nodes of a sweep's calls, for the calls of
+    the next `_Rows` to reuse where their nodes are the same.
 
-    A distance's xi integral starts on `_xi_breaks`, which every distance
-    shares up to its own last edge, and its first pass makes one kappa call
-    per group of rows that see the same layers (`_thickest_visible`), which
-    starts on `_kappa_offsets`, shared below the caps up to the distance's
-    own last edge.  So a call's rows and starting kappa panels begin with
-    those of the previous distance's call of its group.  `give` reuses that
-    call's r1 r2 on the rows and panels they share and evaluates the rest:
-    the call's own last rows on every panel, and its own last panels on the
-    shared rows.  The nodes are equal bit for bit and every kernel operation
-    is elementwise, so the reused values are the ones the kernel would give.
-    Each group keeps its latest call's array, which the next call of the
-    same shape (as most neighbours in a sweep grid are) overwrites in place.
+    An entry is keyed by (w_max, lo, hi), the thickest layer that a call's
+    rows see and one of its starting kappa panels, and holds the rows xi of
+    the longest call of its `_Rows` on the panel (the others' rows begin
+    with them: at tau > 0 a round's calls start at one Matsubara row, at
+    tau = 0 a key has one call) and r1 r2 for TE and TM there, (2, rows,
+    2n+1).  Distances share `_kappa_offsets`' edges below its caps, and at
+    tau = 0 the first xi pass's rows up to their own last `_xi_breaks`
+    panel, so a call's rows on a panel begin with those of the previous
+    distance's call.  `fill` evaluates, in `_BLOCK` chunks of (row, panel)
+    pairs on a kernel view with one row per pair, the rows past those that
+    each entry shares, writes them into the entries in place and keeps only
+    that `_Rows`' entries.  The nodes are equal bit for bit and every kernel
+    operation is elementwise, so the reused values are those the kernel
+    would give.
     """
 
     def __init__(self):
-        self._last = {}  # layer group -> (xi, offsets, g) of its latest call
+        self._entries = {}  # (w_max, lo, hi) -> (xi, g)
 
-    def give(self, group, rows, i):
-        """A function that returns r1 r2 for TE and TM, (2, n, M), at the
-        starting nodes of call i of `_Rows` `rows`, the first-pass call of
-        layer group `group`; `_Rows.integrals` runs it in the call's first
-        engine callback, so the kernel runs inside the integrand, as every
-        other kernel call does."""
-        kernel, offsets, k_lo, nodes = rows.start_nodes(i)
-        shape = (2, len(k_lo)) + nodes.shape  # (TE/TM, row, panel, node)
-        need = np.ones(shape[1:3], dtype=bool)
-        g = np.empty(shape)
-        last = self._last.get(group)
-        if last is not None:
-            xi0, offsets0, g0 = last
-            shared = _common_prefix(rows.xi, xi0), _common_prefix(offsets, offsets0) - 1
-            if g0.shape == shape:
-                g = g0
+    def read(self, w_max, offsets, out):
+        """Write r1 r2 for TE and TM at the starting nodes of a call into out,
+        (2, n, M), from the first n rows of its panels' entries."""
+        c = 0
+        for lo, hi in _panels(offsets):
+            g = self._entries[w_max, lo, hi][1]
+            out[:, :, c : c + g.shape[2]] = g[:, : out.shape[1]]
+            c += g.shape[2]
+
+    def fill(self, rows):
+        """Evaluate the (row, panel) pairs that the calls of `rows` need and
+        the store lacks, and drop every entry that they do not need."""
+        longest = {}  # key -> (row numbers, xi) of the longest call on its panel
+        # shortest call first, so that the longest call on a panel sets its rows
+        for _, index, _, _, w_max, offsets in sorted(rows.calls, key=lambda call: len(call[3])):
+            at = np.arange(len(rows.xi))[index]
+            for lo, hi in _panels(offsets):
+                longest[w_max, lo, hi] = at, rows.xi[at]
+        nodes = rows.cfg.kappa_nodes
+        # entries that no call here starts on go before any new one is made
+        old = {key: self._entries[key] for key in longest if key in self._entries}
+        self._entries, todo, panels = {}, [], []
+        for key, (at, xi) in longest.items():
+            prev = old.pop(key, None)
+            shared = 0 if prev is None else _common_prefix(xi, prev[0])
+            if prev is not None and len(prev[0]) == len(xi):
+                g = prev[1]  # same shape: overwrite the rows past the shared ones
             else:
-                g[:, : shared[0], : shared[1]] = g0[:, : shared[0], : shared[1]]
-            need[: shared[0], : shared[1]] = False
-        self._last[group] = rows.xi, offsets, g
-        r, p = np.nonzero(need)
+                g = np.empty((2, len(xi), 2 * nodes + 1))
+                if shared:
+                    g[:, :shared] = prev[1][:, :shared]
+            self._entries[key] = xi, g
+            if shared < len(xi):
+                todo.append((g[:, shared:], at[shared:]))
+                panels.append(key[1:])
+        if not todo:
+            return
+        x = _nodes(*np.array(panels).T, nodes)
+        # chunks of the pairs in todo order, each piece a run of one entry's rows
+        ends = np.cumsum([0] + [len(at) for _, at in todo]).tolist()
+        step = max(1, _BLOCK // (2 * nodes + 1))
+        for c in range(0, ends[-1], step):
+            _products_into(rows, [(g[:, a - e0 : b - e0], at[a - e0 : b - e0], x[j])
+                                  for j, ((g, at), e0, e1) in enumerate(zip(todo, ends, ends[1:]))
+                                  for a, b in [(max(c, e0), min(c + step, e1))] if a < b])
 
-        def start():
-            kappa = k_lo[r, None] + nodes[p]  # one kernel row per missing (row, panel) pair
-            g[:, r, p] = _products(kernel.rows(r), kappa, np.empty((2,) + kappa.shape))
-            return g.reshape(2, len(k_lo), -1)
 
-        return start
+def _products_into(rows, chunk):
+    """For each (g, at, x) of `chunk`, write r1 r2 for TE and TM at the nodes
+    x of the rows `at` of `rows` into g, (2, len(at), 2n+1); one kernel call
+    for the chunk, with one kernel row per (row, panel) pair."""
+    at = np.concatenate([a for _, a, _ in chunk])
+    bounds = np.cumsum([0] + [len(a) for _, a, _ in chunk]).tolist()
+    with scratch:
+        kappa = scratch.take((len(at), len(chunk[0][2])))
+        for (_, a, x), r0, r1 in zip(chunk, bounds, bounds[1:]):
+            np.add(rows.k_lo[a, None], x, out=kappa[r0:r1])
+        (te1, tm1), (te2, tm2) = rows.kernel.rows(at).into_scratch(kappa)
+        for (g, _, _), r0, r1 in zip(chunk, bounds, bounds[1:]):
+            np.multiply(te1[r0:r1], te2[r0:r1], out=g[0])
+            np.multiply(tm1[r0:r1], tm2[r0:r1], out=g[1])
 
 
 def _pair_integrals(stack1, stack2, gap, d, xi, cfg):
@@ -483,10 +438,11 @@ def _pair_integrals(stack1, stack2, gap, d, xi, cfg):
     (a row sees fewer layers as xi grows) and for the smallest row scale
     (`_row_scale`, the lowest row's over a vacuum gap), so the rows share
     one layout, set by the row that needs the finest.  This is one `_Rows`
-    call on its own; `force_sweep` shares the rows between distances.
+    call on all the rows, with no store; `force_sweep` shares rows and
+    starting nodes between distances.
     """
     rows = _Rows((stack1, stack2), gap, xi, cfg)
-    return rows.integrals(rows.add(d, len(rows.xi)))
+    return rows.integrals(rows.add(d, slice(None)))
 
 
 def _result(te, tm, n_terms_used, est, d, tau) -> ForceResult:
@@ -606,11 +562,15 @@ def force_sweep(stack1, stack2, gap, distances, tau, cfg: QuadratureConfig | Non
     order; the sweep only evaluates the reflection products r1 r2, which
     depend on (xi, kappa) alone, once where distances share their nodes.
 
+    A sweep of more than one distance keeps one store of r1 r2 at the
+    starting kappa nodes of its calls (`_Starts`), which each `_Rows` fills
+    with the (row, panel) pairs that its calls need and the store lacks.
+
     At tau = 0 the distances run one after another, each through
-    `force_zero_T`, and each first-pass kappa call reuses r1 r2 on the rows
-    and starting panels that it shares with the previous distance's call of
-    its layer group (`_SweepStarts`), so neighbouring distances of a sweep
-    grid share most of their first pass.
+    `force_zero_T`, whose first xi pass reads the store: each of its kappa
+    calls reuses r1 r2 on the rows and starting panels that it shares with
+    the previous distance's call of its layer group, so neighbouring
+    distances of a sweep grid share most of their first pass.
 
     At tau > 0 every distance keeps its own Matsubara sum (`_MatsubaraSum`:
     block schedule, stop rule, error estimate, Matsubara budget and envelope
@@ -618,16 +578,16 @@ def force_sweep(stack1, stack2, gap, distances, tau, cfg: QuadratureConfig | Non
     which are the same at every distance: each round takes the distances
     whose next block starts at the lowest row and lays out their kappa calls
     on one `_Rows`, so that r1 r2 are evaluated once at the starting nodes
-    that the distances share.  A distance's chunk bounds, kappa layout,
-    engine target and stop rule are its own.
+    that the distances share.  A distance's rows, kappa layout, engine
+    target and stop rule are its own.
 
     The sweep raises the error of its first failing distance, in sweep
     order; the distances after it stop when it fails.
     """
     asymptotics.check_tau(tau)
     cfg = cfg or DEFAULT_CONFIG
+    starts = _Starts() if len(distances) > 1 else None
     if tau == 0.0:
-        starts = _SweepStarts()
         return [force_zero_T(stack1, stack2, gap, d, cfg, _starts=starts) for d in distances]
     results, sums, errors = [None] * len(distances), {}, {}
 
@@ -647,11 +607,11 @@ def force_sweep(stack1, stack2, gap, distances, tau, cfg: QuadratureConfig | Non
         n0 = min(s.n0 for s in sums.values())
         group = {j: s for j, s in sums.items() if s.n0 == n0}
         ns = np.arange(n0, n0 + max(s.rows() for s in group.values()))
-        rows = _Rows((stack1, stack2), gap, 2.0 * math.pi * tau * ns, cfg)
+        rows = _Rows((stack1, stack2), gap, 2.0 * math.pi * tau * ns, cfg, starts)
         calls = {}
         for j, s in group.items():
             try:
-                calls[j] = rows.add(s.d, s.rows())
+                calls[j] = rows.add(s.d, slice(s.rows()))
             except (ValueError, RuntimeError) as exc:
                 fail(j, exc)
         for j, call in calls.items():
@@ -706,10 +666,11 @@ def force_zero_T(stack1, stack2, gap, d, cfg: QuadratureConfig | None = None, *,
     the engine splits its rows by the layers they can see
     (`_thickest_visible`): one kappa call per group, so rows above
     X_CUT/(2w) do not pay for the fine first kappa panel of a layer of
-    thickness w; the groups read the pass's rows from one kernel
-    (`ReflectionKernel.rows`).  `force_sweep` passes `_starts`
-    (`_SweepStarts`), from which the first pass's calls take r1 r2 at their
-    starting nodes; the result is the same bit for bit.
+    thickness w; each pass is one `_Rows`, whose calls read their rows from
+    its one kernel.  `force_sweep` passes its store, `_starts` (`_Starts`),
+    to the first pass, whose calls take r1 r2 at their starting nodes from
+    it; later passes, this distance's own splits, get none.  The result is
+    the same bit for bit.
     """
     asymptotics.check_distance(d)
     cfg = cfg or DEFAULT_CONFIG
@@ -717,15 +678,12 @@ def force_zero_T(stack1, stack2, gap, d, cfg: QuadratureConfig | None = None, *,
 
     def outer(xi):
         nonlocal _starts
+        rows = _Rows((stack1, stack2), gap, xi, cfg, _starts)
         w_max = _thickest_visible((stack1, stack2), xi)
-        kernel = ReflectionKernel((stack1, stack2), gap, xi[:, None])
+        groups = [(at, rows.add(d, at)) for at in (w_max == w for w in np.unique(w_max))]
         out = np.empty((3, len(xi)))
-        for w in np.unique(w_max):
-            at = w_max == w
-            rows = _Rows((stack1, stack2), gap, xi[at], cfg, kernel.rows(at))
-            i = rows.add(d, len(rows.xi))
-            start = None if _starts is None else _starts.give(float(w), rows, i)
-            out[:, at] = rows.integrals(i, start)
+        for at, i in groups:
+            out[:, at] = rows.integrals(i)
         _starts = None  # the rows of later passes are this distance's own splits
         return out
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import threading
 
 import pytest
 
@@ -299,16 +300,20 @@ def test_sweep_refuses_a_family_whose_file_names_clash(capsys, tmp_path, tempera
     assert list(tmp_path.glob("*.csv")) == []
 
 
+_DIEL_MAG_T0 = (
+    "[material diel]\neps_strength = 3\neps_resonance = 1\n"
+    "[material mag]\neps_strength = 0.1\neps_resonance = 1\n"
+    "mu_strength = 0.3\nmu_resonance = 1\n"
+    "[mirror 1]\nsubstrate = diel\n[mirror 2]\nsubstrate = mag\n"
+    "[run]\nT = 0\nd = 0.2 20 6 log\n"
+)
+
+
 def test_sweep_deterministic_across_workers(capsys, tmp_path):
     src = tmp_path / "det.txt"
-    src.write_text(
-        "[material diel]\neps_strength = 3\neps_resonance = 1\n"
-        "[material mag]\neps_strength = 0.1\neps_resonance = 1\n"
-        "mu_strength = 0.3\nmu_resonance = 1\n"
-        "[mirror 1]\nsubstrate = diel\n[mirror 2]\nsubstrate = mag\n"
-        "[run]\nT = 0\nd = 0.2 20 6 log\n"
-    )
-    # 4 workers sweep runs of 1 or 2 distances, and 8 workers leave 2 runs empty
+    src.write_text(_DIEL_MAG_T0)
+    # --workers is accepted and has no effect: every sweep is one
+    # force_sweep call in the calling thread
     outputs = []
     for workers in (1, 4, 8):
         out_csv = tmp_path / f"w{workers}.csv"
@@ -322,6 +327,20 @@ def test_sweep_deterministic_across_workers(capsys, tmp_path):
     # this dielectric/magnetic pairing shows a repulsive range at T = 0
     pressures = [float(r.split(",")[2]) for r in outputs[0].decode().splitlines()[1:]]
     assert any(p < 0.0 for p in pressures) and any(p > 0.0 for p in pressures)
+
+
+def test_sweep_starts_no_thread(capsys, tmp_path, monkeypatch):
+    # a T = 0 sweep with --workers 4 computes every row in the calling thread
+    def refuse(thread):
+        raise RuntimeError("a sweep started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    src = tmp_path / "det.txt"
+    src.write_text(_DIEL_MAG_T0)
+    out_csv = tmp_path / "w4.csv"
+    code, _, _ = run(capsys, "sweep", str(src), "-o", str(out_csv), "--workers", "4", "--tol", "1e-6", "--quiet")
+    assert code == 0
+    assert len(out_csv.read_bytes().splitlines()) == 7
 
 
 @pytest.mark.parametrize("tau", ["0.01", "0.1"])

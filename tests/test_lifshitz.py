@@ -767,14 +767,14 @@ def test_row_scale_moves_block_results_by_round_off(monkeypatch, name, d, tau, s
 
 def _count_pair_integrals(monkeypatch):
     # records the xi array of every kappa call of force_finite_T or
-    # force_zero_T: call i of `_Rows` integrates its first n rows
+    # force_zero_T: call i of `_Rows` integrates the rows its index selects
     calls = []
     integrals = lifshitz._Rows.integrals
 
-    def counted(rows, i, start=None):
-        n = rows._calls[i][1]
-        calls.append(np.array(rows.xi[:n]))
-        return integrals(rows, i, start)
+    def counted(rows, i):
+        _, index, *_ = rows.calls[i]
+        calls.append(np.array(rows.xi[index]))
+        return integrals(rows, i)
 
     monkeypatch.setattr(lifshitz._Rows, "integrals", counted)
     return calls
@@ -815,6 +815,18 @@ def test_sweep_rows_equal_force_zero_T(name):
     assert _hexed(force_sweep(st1, st2, gap, shuffled, 0.0)) == [alone[_SWEEP_DISTANCES.index(d)] for d in shuffled]
     repeated = _SWEEP_DISTANCES[:3] + _SWEEP_DISTANCES[2:5]
     assert _hexed(force_sweep(st1, st2, gap, repeated, 0.0)) == [alone[_SWEEP_DISTANCES.index(d)] for d in repeated]
+
+
+@pytest.mark.parametrize("name, tau", [("fig1c", 0.0), ("fig1d", 0.01)])
+def test_sweep_store_chunks_bit_identical(monkeypatch, name, tau):
+    # the store evaluates its missing (row, panel) pairs in chunks of _BLOCK
+    # points, a chunk running across the rows of several panels; chunks of
+    # a few pairs leave every row of a sweep the same, bit for bit
+    st1, st2, gap = _finite_t_stacks(name)
+    distances = _SWEEP_DISTANCES[:6]
+    want = _hexed(force_sweep(st1, st2, gap, distances, tau))
+    monkeypatch.setattr(lifshitz, "_BLOCK", 7 * (2 * lifshitz.DEFAULT_CONFIG.kappa_nodes + 1))
+    assert _hexed(force_sweep(st1, st2, gap, distances, tau)) == want
 
 
 def _kernel_points(monkeypatch):
@@ -870,6 +882,26 @@ def test_sweep_shares_the_reflection_kernel(monkeypatch):
     for d in distances:
         force_finite_T(st1, st2, gap, d, tau)
     assert shared <= 0.4 * sum(points)
+
+
+@pytest.mark.parametrize("name, tau", [("fig1d", 0.01), ("fig1c", 0.0)])
+def test_sweep_builds_one_kernel_per_rows(monkeypatch, name, tau):
+    # each `_Rows` (a Matsubara round at tau > 0, an xi pass at tau = 0)
+    # samples the media once, for all of its calls; a kernel per row count
+    # took 39 kernels in 10 rounds on fig1d at tau = 0.01
+    from calmir import preset_scenario
+    from calmir.reflection import ReflectionKernel
+
+    built = {"kernels": 0, "rows": 0}
+    for cls, key in ((ReflectionKernel, "kernels"), (lifshitz._Rows, "rows")):
+        def counted(obj, *args, _init=cls.__init__, _key=key, **kwargs):
+            built[_key] += 1
+            _init(obj, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    scn = preset_scenario(name)
+    force_sweep(scn.mirror1, scn.mirror2, scn.gap, scn.sweep.distances().tolist(), tau)
+    assert built["rows"] > 1 and built["kernels"] == built["rows"]
 
 
 def test_sweep_raises_the_error_of_its_first_failing_distance():
