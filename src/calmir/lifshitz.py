@@ -16,10 +16,10 @@ integrand carries e^{-2 kappa d}), in kappa itself, so that distances
 integrate a row on the same starting nodes up to their own cuts, and the
 tau = 0 xi integral starts on panels that distances share up to theirs.
 `force_sweep` evaluates the reflection once where the distances of a sweep
-share nodes, through one store of r1 r2 at starting kappa nodes (`_Starts`):
-at tau > 0 on the Matsubara rows of one loop, at tau = 0 on the first pass
-that each distance shares with the one before it.  Results are reported in
-the normalized form F d^3 (i.e. F d^3/(hbar Omega) in physical units).
+share nodes, through stores of r1 r2 at starting kappa nodes (`_Starts`):
+at tau > 0 one per round of the loop that drives every distance's Matsubara
+sum (`_matsubara_sum`), at tau = 0 one for the first xi passes.  Results are
+reported in the normalized form F d^3 (F d^3/(hbar Omega) in physical units).
 Since |r1 r2| <= 1 for passive materials, every term lies between the
 envelopes obtained for r1 r2 = +/-1, which integrate to ideal perfect-mirror
 pressures; those envelopes are returned alongside each result, and a result
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import asymptotics
 from .errors import ConvergenceError
-from .quadrature import kronrod_rule, rowwise_panel_integral, xi_integral
+from .quadrature import panel_nodes, rowwise_panel_integral, xi_integral
 from .reflection import Kinematics, Pol, ReflectionKernel, scratch
 
 __all__ = [
@@ -324,14 +324,6 @@ def _panels(offsets):
     return zip(offsets[:-1].tolist(), offsets[1:].tolist())
 
 
-def _nodes(a, b, nodes):
-    """The Gauss-Kronrod nodes of the panels [a[i], b[i]], one row per panel,
-    computed as `adaptive_integral` computes them, bit for bit."""
-    x, _ = kronrod_rule(nodes)
-    half = 0.5 * (b - a)
-    return (0.5 * (a + b))[:, None] + half[:, None] * x
-
-
 def _common_prefix(a, b) -> int:
     """The number of leading entries on which 1-D arrays a and b agree."""
     m = min(len(a), len(b))
@@ -340,23 +332,23 @@ def _common_prefix(a, b) -> int:
 
 
 class _Starts:
-    """r1 r2 at the starting kappa nodes of a sweep's calls, for the calls of
-    the next `_Rows` to reuse where their nodes are the same.
+    """r1 r2 at the starting kappa nodes of kappa calls, for calls on the
+    same nodes to reuse: those of one Matsubara round, or the first xi
+    passes of a tau = 0 sweep's distances (`force_sweep`).
 
     An entry is keyed by (w_max, lo, hi), the thickest layer that a call's
-    rows see and one of its starting kappa panels, and holds the rows xi of
-    the longest call of its `_Rows` on the panel (the others' rows begin
-    with them: at tau > 0 a round's calls start at one Matsubara row, at
-    tau = 0 a key has one call) and r1 r2 for TE and TM there, (2, rows,
-    2n+1).  Distances share `_kappa_offsets`' edges below its caps, and at
-    tau = 0 the first xi pass's rows up to their own last `_xi_breaks`
-    panel, so a call's rows on a panel begin with those of the previous
-    distance's call.  `fill` evaluates, in `_BLOCK` chunks of (row, panel)
-    pairs on a kernel view with one row per pair, the rows past those that
-    each entry shares, writes them into the entries in place and keeps only
-    that `_Rows`' entries.  The nodes are equal bit for bit and every kernel
-    operation is elementwise, so the reused values are those the kernel
-    would give.
+    rows see (its layer group) and one of its starting kappa panels, and
+    holds the rows xi of the longest call of its `_Rows` on the panel (the
+    others' rows begin with them: at tau > 0 a round's calls start at one
+    Matsubara row, at tau = 0 a key has one call) and r1 r2 for TE and TM
+    there, (2, rows, 2n+1).  Distances share `_kappa_offsets`' edges below
+    its caps, and at tau = 0 the first pass's rows up to their own last
+    `_xi_breaks` panel, so a call's rows on a panel begin with those of the
+    last call of its layer group.  `fill` evaluates, in `_BLOCK` chunks of
+    (row, panel) pairs on a kernel view with one row per pair, the rows past
+    those that each entry shares, into the entries in place.  The nodes are
+    the engine's (`panel_nodes`) and every kernel operation is elementwise,
+    so the reused values are those the kernel would give.
     """
 
     def __init__(self):
@@ -373,7 +365,8 @@ class _Starts:
 
     def fill(self, rows):
         """Evaluate the (row, panel) pairs that the calls of `rows` need and
-        the store lacks, and drop every entry that they do not need."""
+        the store lacks; of the layer groups of those calls, drop the entries
+        that they do not need, and keep the other groups' entries whole."""
         longest = {}  # key -> (row numbers, xi) of the longest call on its panel
         # shortest call first, so that the longest call on a panel sets its rows
         for _, index, _, _, w_max, offsets in sorted(rows.calls, key=lambda call: len(call[3])):
@@ -381,11 +374,13 @@ class _Starts:
             for lo, hi in _panels(offsets):
                 longest[w_max, lo, hi] = at, rows.xi[at]
         nodes = rows.cfg.kappa_nodes
-        # entries that no call here starts on go before any new one is made
-        old = {key: self._entries[key] for key in longest if key in self._entries}
-        self._entries, todo, panels = {}, [], []
+        # entries of these groups that no call here starts on go first
+        groups = {key[0] for key in longest}
+        self._entries = {key: entry for key, entry in self._entries.items()
+                         if key in longest or key[0] not in groups}
+        todo, panels = [], []
         for key, (at, xi) in longest.items():
-            prev = old.pop(key, None)
+            prev = self._entries.get(key)
             shared = 0 if prev is None else _common_prefix(xi, prev[0])
             if prev is not None and len(prev[0]) == len(xi):
                 g = prev[1]  # same shape: overwrite the rows past the shared ones
@@ -399,7 +394,7 @@ class _Starts:
                 panels.append(key[1:])
         if not todo:
             return
-        x = _nodes(*np.array(panels).T, nodes)
+        x, _ = panel_nodes(*np.array(panels).T, nodes)
         # chunks of the pairs in todo order, each piece a run of one entry's rows
         ends = np.cumsum([0] + [len(at) for _, at in todo]).tolist()
         step = max(1, _BLOCK // (2 * nodes + 1))
@@ -471,51 +466,35 @@ def _first_block(tau: float, d: float, rel_tol: float) -> int:
     return min(_MAX_BLOCK, max(4, math.ceil(n_gap) + 3))
 
 
-class _MatsubaraSum:
-    """The Matsubara sum at one distance: its block schedule and stop rule.
+def _matsubara_sum(d, tau, cfg):
+    """The Matsubara sum at one distance: a generator that yields (n0, rows)
+    for its next block of rows n0 ... n0 + rows - 1, is sent that block's
+    kappa integrals (te, tm, qerr), one kappa call per block, and returns
+    the ForceResult.
 
-    The terms come in blocks of rows n0 ... n0 + rows() - 1, one kappa call
-    per block: the first block is sized by `_first_block`, so that a sum
-    ended by the gap factor takes one call, and later blocks double up to
-    _MAX_BLOCK, never past max_matsubara.  `add` reads a block's terms one
-    by one, in order, and stops once the running term and a geometric tail
-    estimate drop below tolerance, so the block sizes decide how many rows
-    past the stop are evaluated; they move the result only through the
-    layout of each block, which follows its rows, and so only within
-    round-off of est_error (by at most 7.2e-7 est_error on the tests' block
-    schedules).  A prefactor 2 tau d^3 below the smallest normal float
-    raises ConvergenceError at once: its terms underflow, and the sum would
-    need ~1/(tau d) of them.
+    The first block is sized by `_first_block`, so that a sum ended by the
+    gap factor takes one call, and later blocks double up to _MAX_BLOCK,
+    never past max_matsubara.  A block's terms are read one by one, in
+    order, until the running term and a geometric tail estimate drop below
+    tolerance, so the block sizes decide how many rows past the stop are
+    evaluated; they move the result only through the layout of each block,
+    which follows its rows, and so only within round-off of est_error (by at
+    most 7.2e-7 est_error on the tests' block schedules).  A block that
+    reaches max_matsubara without the stop raises ConvergenceError, as does,
+    at once, a prefactor 2 tau d^3 below the smallest normal float: its
+    terms underflow, and the sum would need ~1/(tau d) of them.
     """
-
-    def __init__(self, d, tau, cfg):
-        asymptotics.check_distance(d)
-        if 2.0 * tau * d**3 < sys.float_info.min:
-            raise ConvergenceError(
-                f"Matsubara terms underflow: 2 tau d^3 = {2.0 * tau * d**3:.3e} at tau={tau}, d={d}")
-        self.d, self.tau, self.cfg = d, tau, cfg
-        self.n0 = 0
-        self.block = _first_block(tau, d, cfg.rel_tol)
-        self.s_te = self.s_tm = 0.0
-        self.s_abs = 0.0  # sum of |term|, which bounds the round-off of the running sums
-        self.est = 0.0
-        self.prev_mag = None
-        self.n_decreasing = 0
-        self.tail = math.inf
-
-    def rows(self) -> int:
-        """The number of rows in the next block."""
-        return min(self.block, self.cfg.max_matsubara + 1 - self.n0)
-
-    def add(self, te, tm, qerr):
-        """Sum the next block's kappa integrals; returns the ForceResult once
-        the stop rule holds, else None, and raises ConvergenceError when the
-        block reaches max_matsubara without it."""
-        cfg, tau, d = self.cfg, self.tau, self.d
-        d3 = d**3
-        s_te, s_tm, s_abs, est = self.s_te, self.s_tm, self.s_abs, self.est
-        prev_mag, n_decreasing, tail = self.prev_mag, self.n_decreasing, self.tail
-        for n, te_n, tm_n, qerr_n in zip(range(self.n0, self.n0 + len(te)),
+    asymptotics.check_distance(d)
+    d3 = d**3
+    if 2.0 * tau * d3 < sys.float_info.min:
+        raise ConvergenceError(
+            f"Matsubara terms underflow: 2 tau d^3 = {2.0 * tau * d3:.3e} at tau={tau}, d={d}")
+    n0, block = 0, _first_block(tau, d, cfg.rel_tol)
+    s_te = s_tm = est = s_abs = 0.0  # s_abs: sum of |term|, bounding the sums' round-off
+    prev_mag, n_decreasing, tail = None, 0, math.inf
+    while True:
+        te, tm, qerr = yield n0, min(block, cfg.max_matsubara + 1 - n0)
+        for n, te_n, tm_n, qerr_n in zip(range(n0, n0 + len(te)),
                                          te.tolist(), tm.tolist(), qerr.tolist()):
             w = 0.5 if n == 0 else 1.0
             factor = 2.0 * tau * w * d3
@@ -542,16 +521,13 @@ class _MatsubaraSum:
                 est += (n + 1) * sys.float_info.epsilon * s_abs
                 return _result(s_te, s_tm, n + 1, est, d, tau)
             prev_mag = mag
-        self.s_te, self.s_tm, self.s_abs, self.est = s_te, s_tm, s_abs, est
-        self.prev_mag, self.n_decreasing, self.tail = prev_mag, n_decreasing, tail
-        self.n0 += len(te)
-        self.block = min(2 * self.block, _MAX_BLOCK)
-        if self.n0 > cfg.max_matsubara:
+        n0 += len(te)
+        block = min(2 * block, _MAX_BLOCK)
+        if n0 > cfg.max_matsubara:
             raise ConvergenceError(
-                f"Matsubara sum not converged after {self.n0} terms "
+                f"Matsubara sum not converged after {n0} terms "
                 f"(last term magnitude {prev_mag:.3e}, tail estimate {tail:.3e})"
             )
-        return None
 
 
 def force_sweep(stack1, stack2, gap, distances, tau, cfg: QuadratureConfig | None = None) -> list[ForceResult]:
@@ -560,36 +536,36 @@ def force_sweep(stack1, stack2, gap, distances, tau, cfg: QuadratureConfig | Non
     Each result equals `force_zero_T` or `force_finite_T` at its distance
     bit for bit, whichever other distances are swept with it and in which
     order; the sweep only evaluates the reflection products r1 r2, which
-    depend on (xi, kappa) alone, once where distances share their nodes.
-
-    A sweep of more than one distance keeps one store of r1 r2 at the
-    starting kappa nodes of its calls (`_Starts`), which each `_Rows` fills
-    with the (row, panel) pairs that its calls need and the store lacks.
+    depend on (xi, kappa) alone, once where distances share their nodes,
+    through stores of r1 r2 at the starting kappa nodes of their calls
+    (`_Starts`).
 
     At tau = 0 the distances run one after another, each through
-    `force_zero_T`, whose first xi pass reads the store: each of its kappa
-    calls reuses r1 r2 on the rows and starting panels that it shares with
-    the previous distance's call of its layer group, so neighbouring
-    distances of a sweep grid share most of their first pass.
+    `force_zero_T`, and one store serves the first xi pass of each: each of
+    its kappa calls reuses r1 r2 on the rows and starting panels that it
+    shares with the last call of its layer group, so neighbouring distances
+    of a sweep grid share most of their first pass.
 
-    At tau > 0 every distance keeps its own Matsubara sum (`_MatsubaraSum`:
+    At tau > 0 every distance keeps its own Matsubara sum (`_matsubara_sum`:
     block schedule, stop rule, error estimate, Matsubara budget and envelope
     check), but the sums run in one loop over the rows xi_n = 2 pi n tau,
     which are the same at every distance: each round takes the distances
     whose next block starts at the lowest row and lays out their kappa calls
-    on one `_Rows`, so that r1 r2 are evaluated once at the starting nodes
-    that the distances share.  A distance's rows, kappa layout, engine
-    target and stop rule are its own.
+    on one `_Rows`, with a store of its own when it has more than one call
+    (no later round starts on the same rows), so that r1 r2 are evaluated
+    once at the starting nodes that the distances share.  A distance's rows,
+    kappa layout, engine target and stop rule are its own.
 
     The sweep raises the error of its first failing distance, in sweep
     order; the distances after it stop when it fails.
     """
     asymptotics.check_tau(tau)
     cfg = cfg or DEFAULT_CONFIG
-    starts = _Starts() if len(distances) > 1 else None
     if tau == 0.0:
+        starts = _Starts() if len(distances) > 1 else None
         return [force_zero_T(stack1, stack2, gap, d, cfg, _starts=starts) for d in distances]
-    results, sums, errors = [None] * len(distances), {}, {}
+    results, errors = [None] * len(distances), {}
+    sums = {}  # j -> (the sum at distances[j], (n0, rows) of its next block)
 
     def fail(j, exc):
         # the distances after j can no longer decide which error is raised
@@ -598,33 +574,30 @@ def force_sweep(stack1, stack2, gap, distances, tau, cfg: QuadratureConfig | Non
             del sums[k]
 
     for j, d in enumerate(distances):
+        s = _matsubara_sum(d, tau, cfg)
         try:
-            sums[j] = _MatsubaraSum(d, tau, cfg)
+            sums[j] = s, next(s)
         except (ValueError, RuntimeError) as exc:
             fail(j, exc)
             break
     while sums:
-        n0 = min(s.n0 for s in sums.values())
-        group = {j: s for j, s in sums.items() if s.n0 == n0}
-        ns = np.arange(n0, n0 + max(s.rows() for s in group.values()))
-        rows = _Rows((stack1, stack2), gap, 2.0 * math.pi * tau * ns, cfg, starts)
-        calls = {}
-        for j, s in group.items():
-            try:
-                calls[j] = rows.add(s.d, slice(s.rows()))
-            except (ValueError, RuntimeError) as exc:
-                fail(j, exc)
+        n0 = min(n for _, (n, _) in sums.values())
+        group = {j: m for j, (_, (n, m)) in sums.items() if n == n0}
+        ns = np.arange(n0, n0 + max(group.values()))
+        rows = _Rows((stack1, stack2), gap, 2.0 * math.pi * tau * ns, cfg,
+                     _Starts() if len(group) > 1 else None)
+        calls = {j: rows.add(distances[j], slice(m)) for j, m in group.items()}
         for j, call in calls.items():
             if j not in sums:
                 continue
+            s = sums[j][0]
             try:
-                res = sums[j].add(*rows.integrals(call))
+                sums[j] = s, s.send(rows.integrals(call))
+            except StopIteration as done:
+                results[j] = done.value
+                del sums[j]
             except (ValueError, RuntimeError) as exc:
                 fail(j, exc)
-                continue
-            if res is not None:
-                results[j] = res
-                del sums[j]
     if errors:
         raise errors[min(errors)]
     return results
@@ -634,12 +607,12 @@ def force_finite_T(stack1, stack2, gap, d, tau, cfg: QuadratureConfig | None = N
     """Pressure at temperature tau > 0: the one-distance case of `force_sweep`.
 
     The Matsubara sum is truncated once the running term and a geometric
-    tail estimate drop below tolerance (`_MatsubaraSum`), in blocks of rows
-    with one kappa call each.  A block's kappa layout follows the layers
-    that its lowest row can see and its rows' own scale (`_row_scale`); the
-    first block holds n = 0, which sees every layer and whose scale is 0,
-    so it is laid out by d and the layers alone, and a sum that ends in it
-    does not depend on the row scale.  The other coupling between the rows
+    tail estimate drop below tolerance (`_matsubara_sum`), in blocks of rows
+    with one kappa call each, and no store.  A block's kappa layout follows
+    the layers that its lowest row can see and its rows' own scale
+    (`_row_scale`); the first block holds n = 0, which sees every layer and
+    whose scale is 0, so it is laid out by d and the layers alone, and a sum
+    that ends in it does not depend on the row scale.  The other coupling between the rows
     of a block is the kappa engine's target, relative to the block's
     largest row, and it acts only where a panel is split; at the default
     tolerance the rows converge on their starting panels almost everywhere.

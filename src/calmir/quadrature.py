@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-__all__ = ["kronrod_rule", "rowwise_panel_integral", "adaptive_integral", "xi_integral"]
+__all__ = ["kronrod_rule", "panel_nodes", "rowwise_panel_integral", "adaptive_integral", "xi_integral"]
 
 # Most panels split per refinement pass; a pass splits fewer when the worst
 # few already carry enough of every row's error to meet the target.
@@ -101,6 +101,13 @@ def kronrod_rule(n: int):
     return x, w
 
 
+def panel_nodes(a, b, nodes):
+    """The Gauss-Kronrod nodes of the panels [a[i], b[i]], one row per panel,
+    (P, 2 nodes + 1), and their half-widths (P,): the engine's, bit for bit."""
+    half = 0.5 * (b - a)
+    return (0.5 * (a + b))[:, None] + half[:, None] * kronrod_rule(nodes)[0], half
+
+
 def _pairs(u, v):
     """Interleave 1-D u and v: u[0], v[0], u[1], v[1], ..."""
     out = np.empty(2 * len(u))
@@ -127,8 +134,7 @@ def adaptive_integral(f, edges, *, nodes, rel_tol, abs_tol, n_control=None, max_
         """Kronrod value of f on each panel [a[i], b[i]], (P, C, ...), and each
         row's |K - G| on the control components, (P, ...); one f call for all."""
         nonlocal n_eval
-        half = 0.5 * (b - a)
-        pts = (0.5 * (a + b))[:, None] + half[:, None] * x
+        pts, half = panel_nodes(a, b, nodes)
         vals = np.asarray(f(pts.ravel()))
         n_eval += vals.size // len(vals)
         # K and G of every (component, row, panel) in one product; panels then

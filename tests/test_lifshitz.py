@@ -848,7 +848,7 @@ def test_zero_T_sweep_shares_the_reflection_kernel(monkeypatch):
     # each distance of fig1c's 64-point sweep grid reuses r1 r2 on the rows
     # and starting kappa panels it shares with its neighbour: the sweep
     # evaluates the kernel on at most 50% of the points that 64 separate
-    # calls take (measured 41.9%: 1,004,025 of 2,397,525)
+    # calls take (measured 34.6%: 737,325 of 2,130,825)
     from calmir import preset_scenario
 
     points = _kernel_points(monkeypatch)
@@ -861,6 +861,53 @@ def test_zero_T_sweep_shares_the_reflection_kernel(monkeypatch):
     for d in distances:
         force_zero_T(st1, st2, gap, d)
     assert shared <= 0.5 * sum(points)
+
+
+def test_shuffled_zero_T_sweep_keeps_the_other_layer_groups(monkeypatch):
+    # a distance's first pass drops only the entries of its own layer groups
+    # that it does not start on, so a group that skips a distance finds its
+    # last call's rows again: fig1c's sweep grid in a shuffled order took
+    # 1,182,450 kernel points when each pass dropped every other group's
+    # entries, and takes 1,150,725
+    from calmir import preset_scenario
+
+    points = _kernel_points(monkeypatch)
+    scn = preset_scenario("fig1c")
+    distances = scn.sweep.distances()
+    distances = distances[np.random.default_rng(5).permutation(len(distances))].tolist()
+    force_sweep(scn.mirror1, scn.mirror2, scn.gap, distances, 0.0)
+    assert sum(points) <= 1_150_725
+
+
+def _entries_on_fill(monkeypatch):
+    # the number of entries that each `_Starts.fill` finds in its store
+    found = []
+    fill = lifshitz._Starts.fill
+
+    def counted(starts, rows):
+        found.append(len(starts._entries))
+        return fill(starts, rows)
+
+    monkeypatch.setattr(lifshitz._Starts, "fill", counted)
+    return found
+
+
+def test_store_lives_as_long_as_its_reuse(monkeypatch):
+    # no Matsubara round can reuse an earlier round's rows, so each round
+    # fills a store of its own, empty (a sweep-wide store held 138, 36, 25,
+    # ... entries of the round before on fig1d); at tau = 0 each distance's
+    # first pass finds the entries of the distances before it
+    from calmir import preset_scenario
+
+    found = _entries_on_fill(monkeypatch)
+    for name, tau in (("fig1d", 0.01), ("fig1c", 0.0)):
+        scn = preset_scenario(name)
+        found.clear()
+        force_sweep(scn.mirror1, scn.mirror2, scn.gap, scn.sweep.distances().tolist(), tau)
+        if tau > 0.0:
+            assert found and not any(found)
+        else:
+            assert len(found) == len(scn.sweep.distances()) and found[0] == 0 and all(found[1:])
 
 
 def test_sweep_shares_the_reflection_kernel(monkeypatch):
