@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import ConvergenceError, UnsupportedConfigurationError
 from .materials import Kind, ResponseModel, _eps_mu
-from .quadrature import kronrod_rule, xi_integral
+from .quadrature import kronrod_rule, panel_nodes, xi_integral
 
 __all__ = [
     "ZETA3",
@@ -271,15 +271,15 @@ def _c3_sum(g, h, xi_max, rel_tol):
     estimate meets rel_tol.  N starts at 64 and doubles; past 2^16 this
     raises `ConvergenceError`.
     """
-    x, w = kronrod_rule(24)
+    w = kronrod_rule(24)[1]
     n = 64
     while n <= _C3_MAX_TERMS:
         ends = np.array([n, 2 * n])
         x0 = h * ends
         m = math.ceil(math.log2(xi_max / x0[0])) if xi_max > x0[0] else 0
         edges = np.append(0.0, 2.0 ** np.arange(-m, 1.0))
-        half = 0.5 * np.diff(edges)
-        t = ((edges[:-1] + half)[:, None] + half[:, None] * x).ravel()
+        nodes, half = panel_nodes(edges[:-1], edges[1:], 24)
+        t = nodes.ravel()
         vals = g(np.concatenate([h * np.arange(2 * n + 3), (x0[:, None] / t).ravel()]))
         f = vals[: 2 * n + 3]
         tails = vals[2 * n + 3 :].reshape(2, -1) * x0[:, None] / t**2

@@ -16,7 +16,7 @@ integrand carries e^{-2 kappa d}), in kappa itself, so that distances
 integrate a row on the same starting nodes up to their own cuts, and the
 tau = 0 xi integral starts on panels that distances share up to theirs.
 `force_sweep` evaluates the reflection once where the distances of a sweep
-share nodes, through stores of r1 r2 at starting kappa nodes (`_Starts`):
+share nodes, through stores of r1 r2 at starting kappa nodes (`_Rows`):
 at tau > 0 one per round of the loop that drives every distance's Matsubara
 sum (`_matsubara_sum`), at tau = 0 one for the first xi passes.  Results are
 reported in the normalized form F d^3 (F d^3/(hbar Omega) in physical units).
@@ -129,6 +129,15 @@ def matsubara_xi(n: int, tau: float) -> float:
     if n < 0 or int(n) != n:
         raise ValueError("n must be a non-negative integer")
     return 2.0 * math.pi * n * tau
+
+
+def _check_scale(d: float, tau: float) -> None:
+    """Raise ConvergenceError where the pressure integrals' raw scale, d^-4
+    at tau = 0 and d^-3 at tau > 0, underflows (d > 8.19e76 and 3.56e102):
+    they would read 0, and d^3 overflows soon after."""
+    power = 3 if tau > 0.0 else 4
+    if d > 1.0 and (1.0 / d) ** power < sys.float_info.min:
+        raise ConvergenceError(f"pressure integrals underflow: d^-{power} = {(1.0 / d) ** power:.3e} at d={d}")
 
 
 def _damped_terms(kappa, x, gs, outs):
@@ -253,22 +262,27 @@ class _Rows:
     layer that its lowest row can see and its rows' scale) on the kernel's
     view of those rows (`ReflectionKernel.rows`), which gives their values
     value for value, as every kernel operation is elementwise; `integrals`
-    runs the engine.  Given a store (`_Starts`), the rows' first engine
-    callback fills it for all of their calls, and each call reads r1 r2 at
-    its starting nodes from it; without one, a call evaluates them itself,
-    as it does the panels that the engine splits.  The nodes are the
-    engine's (`adaptive_integral`), bit for bit, so no result depends on
-    which other calls share the rows.
+    runs the engine.  Given a store, a dict {(w_max, lo, hi): (xi, g)} that
+    calls on the same starting kappa nodes share (a Matsubara round's, or
+    the first xi passes of a tau = 0 sweep), the rows' first engine callback
+    fills it for all their calls (`_fill`) and each call reads r1 r2 at its
+    starting nodes from it; without one, a call evaluates them itself, as it
+    does the panels that the engine splits.  An entry holds, for a layer
+    group (the thickest layer w_max that its rows see) and a starting panel
+    (lo, hi), the rows xi of the longest call on it, whose first rows are
+    every other call's, and r1 r2 for TE and TM there, (2, rows, 2n+1).  The
+    nodes are the engine's (`panel_nodes`), bit for bit, so no result
+    depends on which other calls share the rows or the store.
     """
 
-    def __init__(self, stacks, gap, xi, cfg, starts=None):
+    def __init__(self, stacks, gap, xi, cfg, store=None):
         self.xi = np.atleast_1d(np.asarray(xi, dtype=float))
         self.kernel = ReflectionKernel(stacks, gap, self.xi[:, None])
         self.k_lo = np.sqrt(self.kernel.s_gap[:, 0])  # each row's kappa_min
         self.cfg = cfg
         self.calls = []  # (d, index, kernel view, k_lo, w_max, offsets)
-        self._stacks, self._starts = stacks, starts
-        self._filled = False  # whether `starts` holds every call's starting values
+        self._stacks, self._store = stacks, store
+        self._filled = False  # whether the store holds every call's starting values
 
     def add(self, d, index) -> int:
         """Lay out the kappa call of the rows that `index` selects at distance
@@ -284,17 +298,21 @@ class _Rows:
         """TE and TM kappa integrals and their error of call i, as
         `_pair_integrals`."""
         d, _, kernel, k_lo, w_max, offsets = self.calls[i]
-        stored = self._starts is not None  # whether the next callback is the first
+        stored = self._store is not None  # whether the next callback is the first
 
         def fvals(kappa):
             nonlocal stored
             out = np.empty((2,) + kappa.shape)
             if stored:
                 if not self._filled:
-                    self._starts.fill(self)
-                    self._filled = True
-                # r1 r2 at the starting nodes, turned into the damped terms in place
-                self._starts.read(w_max, offsets, out)
+                    self._fill()
+                # r1 r2 at the starting nodes, from the first rows of their
+                # panels' entries, turned into the damped terms in place
+                c = 0
+                for lo, hi in _panels(offsets):
+                    g = self._store[w_max, lo, hi][1]
+                    out[:, :, c : c + g.shape[2]] = g[:, : out.shape[1]]
+                    c += g.shape[2]
             step = max(1, _BLOCK // max(1, kappa.shape[0]))
             for c in range(0, kappa.shape[1], step):
                 kb, cols = kappa[:, c : c + step], slice(c, c + step)
@@ -318,6 +336,57 @@ class _Rows:
         scale = 1.0 / (2.0 * math.pi)
         return vals[0] * scale, vals[1] * scale, err * scale
 
+    def _fill(self):
+        """Evaluate into the store, in place, the (row, panel) pairs that the
+        calls need past the rows that each entry shares with them
+        (`_common_prefix`), in `_BLOCK` chunks with one kernel row per pair.
+        Of the calls' layer groups, the entries that no call starts on go
+        first; the other groups' entries stay for later distances."""
+        self._filled = True
+        store, nodes = self._store, self.cfg.kappa_nodes
+        longest = {}  # key -> (row numbers, xi) of the longest call on its panel
+        # shortest call first, so that the longest call on a panel sets its rows
+        for _, index, _, _, w_max, offsets in sorted(self.calls, key=lambda call: len(call[3])):
+            at = np.arange(len(self.xi))[index]
+            for lo, hi in _panels(offsets):
+                longest[w_max, lo, hi] = at, self.xi[at]
+        groups = {key[0] for key in longest}
+        for key in [key for key in store if key[0] in groups and key not in longest]:
+            del store[key]
+        todo = []  # (g, row numbers, panel) still to evaluate
+        for key, (at, xi) in longest.items():
+            prev = store.get(key)
+            shared = 0 if prev is None else _common_prefix(xi, prev[0])
+            if prev is not None and len(prev[0]) == len(xi):
+                g = prev[1]  # same shape: overwrite the rows past the shared ones
+            else:
+                g = np.empty((2, len(xi), 2 * nodes + 1))
+                if shared:
+                    g[:, :shared] = prev[1][:, :shared]
+            store[key] = xi, g
+            if shared < len(xi):
+                todo.append((g[:, shared:], at[shared:], key[1:]))
+        if not todo:
+            return
+        x, _ = panel_nodes(*np.array([panel for *_, panel in todo]).T, nodes)
+        pair_rows = np.concatenate([a for _, a, _ in todo])  # in todo order
+        ends = np.cumsum([0] + [len(a) for _, a, _ in todo]).tolist()
+        step = max(1, _BLOCK // (2 * nodes + 1))
+        for c in range(0, len(pair_rows), step):
+            chunk = pair_rows[c : c + step]
+            # its pieces: the pairs a ... b - 1, a run of the rows of entry j
+            pieces = [(j, a, b) for j, (e0, e1) in enumerate(zip(ends, ends[1:]))
+                      for a, b in [(max(c, e0), min(c + step, e1))] if a < b]
+            with scratch:
+                kappa = scratch.take((len(chunk), 2 * nodes + 1))
+                for j, a, b in pieces:
+                    np.add(self.k_lo[pair_rows[a:b], None], x[j], out=kappa[a - c : b - c])
+                (te1, tm1), (te2, tm2) = self.kernel.rows(chunk).into_scratch(kappa)
+                for j, a, b in pieces:
+                    g, r = todo[j][0][:, a - ends[j] : b - ends[j]], slice(a - c, b - c)
+                    np.multiply(te1[r], te2[r], out=g[0])
+                    np.multiply(tm1[r], tm2[r], out=g[1])
+
 
 def _panels(offsets):
     """The (lo, hi) pairs of starting panel edges `offsets`."""
@@ -329,95 +398,6 @@ def _common_prefix(a, b) -> int:
     m = min(len(a), len(b))
     differ = np.flatnonzero(a[:m] != b[:m])
     return int(differ[0]) if differ.size else m
-
-
-class _Starts:
-    """r1 r2 at the starting kappa nodes of kappa calls, for calls on the
-    same nodes to reuse: those of one Matsubara round, or the first xi
-    passes of a tau = 0 sweep's distances (`force_sweep`).
-
-    An entry is keyed by (w_max, lo, hi), the thickest layer that a call's
-    rows see (its layer group) and one of its starting kappa panels, and
-    holds the rows xi of the longest call of its `_Rows` on the panel (the
-    others' rows begin with them: at tau > 0 a round's calls start at one
-    Matsubara row, at tau = 0 a key has one call) and r1 r2 for TE and TM
-    there, (2, rows, 2n+1).  Distances share `_kappa_offsets`' edges below
-    its caps, and at tau = 0 the first pass's rows up to their own last
-    `_xi_breaks` panel, so a call's rows on a panel begin with those of the
-    last call of its layer group.  `fill` evaluates, in `_BLOCK` chunks of
-    (row, panel) pairs on a kernel view with one row per pair, the rows past
-    those that each entry shares, into the entries in place.  The nodes are
-    the engine's (`panel_nodes`) and every kernel operation is elementwise,
-    so the reused values are those the kernel would give.
-    """
-
-    def __init__(self):
-        self._entries = {}  # (w_max, lo, hi) -> (xi, g)
-
-    def read(self, w_max, offsets, out):
-        """Write r1 r2 for TE and TM at the starting nodes of a call into out,
-        (2, n, M), from the first n rows of its panels' entries."""
-        c = 0
-        for lo, hi in _panels(offsets):
-            g = self._entries[w_max, lo, hi][1]
-            out[:, :, c : c + g.shape[2]] = g[:, : out.shape[1]]
-            c += g.shape[2]
-
-    def fill(self, rows):
-        """Evaluate the (row, panel) pairs that the calls of `rows` need and
-        the store lacks; of the layer groups of those calls, drop the entries
-        that they do not need, and keep the other groups' entries whole."""
-        longest = {}  # key -> (row numbers, xi) of the longest call on its panel
-        # shortest call first, so that the longest call on a panel sets its rows
-        for _, index, _, _, w_max, offsets in sorted(rows.calls, key=lambda call: len(call[3])):
-            at = np.arange(len(rows.xi))[index]
-            for lo, hi in _panels(offsets):
-                longest[w_max, lo, hi] = at, rows.xi[at]
-        nodes = rows.cfg.kappa_nodes
-        # entries of these groups that no call here starts on go first
-        groups = {key[0] for key in longest}
-        self._entries = {key: entry for key, entry in self._entries.items()
-                         if key in longest or key[0] not in groups}
-        todo, panels = [], []
-        for key, (at, xi) in longest.items():
-            prev = self._entries.get(key)
-            shared = 0 if prev is None else _common_prefix(xi, prev[0])
-            if prev is not None and len(prev[0]) == len(xi):
-                g = prev[1]  # same shape: overwrite the rows past the shared ones
-            else:
-                g = np.empty((2, len(xi), 2 * nodes + 1))
-                if shared:
-                    g[:, :shared] = prev[1][:, :shared]
-            self._entries[key] = xi, g
-            if shared < len(xi):
-                todo.append((g[:, shared:], at[shared:]))
-                panels.append(key[1:])
-        if not todo:
-            return
-        x, _ = panel_nodes(*np.array(panels).T, nodes)
-        # chunks of the pairs in todo order, each piece a run of one entry's rows
-        ends = np.cumsum([0] + [len(at) for _, at in todo]).tolist()
-        step = max(1, _BLOCK // (2 * nodes + 1))
-        for c in range(0, ends[-1], step):
-            _products_into(rows, [(g[:, a - e0 : b - e0], at[a - e0 : b - e0], x[j])
-                                  for j, ((g, at), e0, e1) in enumerate(zip(todo, ends, ends[1:]))
-                                  for a, b in [(max(c, e0), min(c + step, e1))] if a < b])
-
-
-def _products_into(rows, chunk):
-    """For each (g, at, x) of `chunk`, write r1 r2 for TE and TM at the nodes
-    x of the rows `at` of `rows` into g, (2, len(at), 2n+1); one kernel call
-    for the chunk, with one kernel row per (row, panel) pair."""
-    at = np.concatenate([a for _, a, _ in chunk])
-    bounds = np.cumsum([0] + [len(a) for _, a, _ in chunk]).tolist()
-    with scratch:
-        kappa = scratch.take((len(at), len(chunk[0][2])))
-        for (_, a, x), r0, r1 in zip(chunk, bounds, bounds[1:]):
-            np.add(rows.k_lo[a, None], x, out=kappa[r0:r1])
-        (te1, tm1), (te2, tm2) = rows.kernel.rows(at).into_scratch(kappa)
-        for (g, _, _), r0, r1 in zip(chunk, bounds, bounds[1:]):
-            np.multiply(te1[r0:r1], te2[r0:r1], out=g[0])
-            np.multiply(tm1[r0:r1], tm2[r0:r1], out=g[1])
 
 
 def _pair_integrals(stack1, stack2, gap, d, xi, cfg):
@@ -480,18 +460,19 @@ def _matsubara_sum(d, tau, cfg):
     evaluated; they move the result only through the layout of each block,
     which follows its rows, and so only within round-off of est_error (by at
     most 7.2e-7 est_error on the tests' block schedules).  A block that
-    reaches max_matsubara without the stop raises ConvergenceError, as does,
-    at once, a prefactor 2 tau d^3 below the smallest normal float: its
-    terms underflow, and the sum would need ~1/(tau d) of them.
+    reaches max_matsubara without the stop raises ConvergenceError, as do at
+    once `_check_scale` and a prefactor 2 tau d^3 below the smallest normal
+    float: its terms underflow, and the sum would need ~1/(tau d) of them.
     """
     asymptotics.check_distance(d)
+    _check_scale(d, tau)
     d3 = d**3
     if 2.0 * tau * d3 < sys.float_info.min:
         raise ConvergenceError(
             f"Matsubara terms underflow: 2 tau d^3 = {2.0 * tau * d3:.3e} at tau={tau}, d={d}")
     n0, block = 0, _first_block(tau, d, cfg.rel_tol)
     s_te = s_tm = est = s_abs = 0.0  # s_abs: sum of |term|, bounding the sums' round-off
-    prev_mag, n_decreasing, tail = None, 0, math.inf
+    prev_mag, fell, tail = None, False, math.inf  # fell: whether the last comparison fell
     while True:
         te, tm, qerr = yield n0, min(block, cfg.max_matsubara + 1 - n0)
         for n, te_n, tm_n, qerr_n in zip(range(n0, n0 + len(te)),
@@ -505,22 +486,19 @@ def _matsubara_sum(d, tau, cfg):
             s_abs += abs(term_te) + abs(term_tm)
             est += factor * qerr_n
             mag = abs(term_te + term_tm)
+            falls = prev_mag is not None and (mag < prev_mag or mag == prev_mag == 0.0)
             if prev_mag is not None:
-                if mag < prev_mag or (mag == 0.0 and prev_mag == 0.0):
-                    n_decreasing += 1
-                else:
-                    n_decreasing = 0
                 # geometric tail after the last two terms, inf unless they fall
                 ratio = mag / prev_mag if prev_mag else 0.0
                 tail = mag * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
             thresh = cfg.rel_tol * abs(s_te + s_tm) + cfg.abs_tol
-            if n_decreasing >= 2 and mag <= thresh and tail <= thresh:
+            if fell and falls and mag <= thresh and tail <= thresh:
                 # factor 3: early terms may decay slower than the last ratio
                 est += 3.0 * tail
                 # never report less than the rounding error of summing n + 1 terms
                 est += (n + 1) * sys.float_info.epsilon * s_abs
                 return _result(s_te, s_tm, n + 1, est, d, tau)
-            prev_mag = mag
+            prev_mag, fell = mag, falls
         n0 += len(te)
         block = min(2 * block, _MAX_BLOCK)
         if n0 > cfg.max_matsubara:
@@ -538,7 +516,7 @@ def force_sweep(stack1, stack2, gap, distances, tau, cfg: QuadratureConfig | Non
     order; the sweep only evaluates the reflection products r1 r2, which
     depend on (xi, kappa) alone, once where distances share their nodes,
     through stores of r1 r2 at the starting kappa nodes of their calls
-    (`_Starts`).
+    (dicts that `_Rows` fills and reads).
 
     At tau = 0 the distances run one after another, each through
     `force_zero_T`, and one store serves the first xi pass of each: each of
@@ -562,8 +540,8 @@ def force_sweep(stack1, stack2, gap, distances, tau, cfg: QuadratureConfig | Non
     asymptotics.check_tau(tau)
     cfg = cfg or DEFAULT_CONFIG
     if tau == 0.0:
-        starts = _Starts() if len(distances) > 1 else None
-        return [force_zero_T(stack1, stack2, gap, d, cfg, _starts=starts) for d in distances]
+        store = {} if len(distances) > 1 else None
+        return [force_zero_T(stack1, stack2, gap, d, cfg, _store=store) for d in distances]
     results, errors = [None] * len(distances), {}
     sums = {}  # j -> (the sum at distances[j], (n0, rows) of its next block)
 
@@ -585,7 +563,7 @@ def force_sweep(stack1, stack2, gap, distances, tau, cfg: QuadratureConfig | Non
         group = {j: m for j, (_, (n, m)) in sums.items() if n == n0}
         ns = np.arange(n0, n0 + max(group.values()))
         rows = _Rows((stack1, stack2), gap, 2.0 * math.pi * tau * ns, cfg,
-                     _Starts() if len(group) > 1 else None)
+                     {} if len(group) > 1 else None)
         calls = {j: rows.add(distances[j], slice(m)) for j, m in group.items()}
         for j, call in calls.items():
             if j not in sums:
@@ -630,34 +608,36 @@ def _xi_breaks(d: float) -> np.ndarray:
     return _geometric_edges(0.02, 0.5 * X_CUT / d, _XI_RATIO)
 
 
-def force_zero_T(stack1, stack2, gap, d, cfg: QuadratureConfig | None = None, *, _starts=None) -> ForceResult:
+def force_zero_T(stack1, stack2, gap, d, cfg: QuadratureConfig | None = None, *, _store=None) -> ForceResult:
     """Zero-temperature pressure: (1/pi) int_0^xi_cut dxi of the kappa integral.
 
     The xi integral stops at xi_cut = X_CUT/(2d), the last of `_xi_breaks`;
     `xi_integral` states the ideal-mirror bound on the tail it drops, about
-    1e-23 in F d^3 units, which est_error does not include.  Each pass of
-    the engine splits its rows by the layers they can see
+    1e-23 in F d^3 units, which est_error does not include; a d whose
+    integrals underflow raises ConvergenceError (`_check_scale`).  Each
+    pass of the engine splits its rows by the layers they can see
     (`_thickest_visible`): one kappa call per group, so rows above
     X_CUT/(2w) do not pay for the fine first kappa panel of a layer of
     thickness w; each pass is one `_Rows`, whose calls read their rows from
-    its one kernel.  `force_sweep` passes its store, `_starts` (`_Starts`),
-    to the first pass, whose calls take r1 r2 at their starting nodes from
-    it; later passes, this distance's own splits, get none.  The result is
-    the same bit for bit.
+    its one kernel.  `force_sweep` passes its store, `_store` (a dict that
+    `_Rows` fills), to the first pass, whose calls take r1 r2 at their
+    starting nodes from it; later passes, this distance's own splits, get
+    none.  The result is the same bit for bit.
     """
     asymptotics.check_distance(d)
+    _check_scale(d, 0.0)
     cfg = cfg or DEFAULT_CONFIG
     d3 = d**3
 
     def outer(xi):
-        nonlocal _starts
-        rows = _Rows((stack1, stack2), gap, xi, cfg, _starts)
+        nonlocal _store
+        rows = _Rows((stack1, stack2), gap, xi, cfg, _store)
         w_max = _thickest_visible((stack1, stack2), xi)
         groups = [(at, rows.add(d, at)) for at in (w_max == w for w in np.unique(w_max))]
         out = np.empty((3, len(xi)))
         for at, i in groups:
             out[:, at] = rows.integrals(i)
-        _starts = None  # the rows of later passes are this distance's own splits
+        _store = None  # the rows of later passes are this distance's own splits
         return out
 
     breaks = _xi_breaks(d)
@@ -699,7 +679,8 @@ def bound_envelope(d: float, tau: float) -> tuple[float, float]:
     ceil(42/(4 pi tau d)) + 1 of them reach round-off.  The repulsive mode
     sum replaces Li_s(z) by -Li_s(-z) = Li_s(z) - 2^{1-s} Li_s(z^2), and
     z^2 = e^{-2 xi (2d)}, so mode by mode lo = -(A(d) - 2 A(2d)); A at d and
-    2d is summed together.
+    2d is summed together.  Above 0.02, a d whose Matsubara terms underflow
+    raises ConvergenceError (`_check_scale`).
     """
     asymptotics.check_distance(d)
     asymptotics.check_tau(tau)
@@ -707,6 +688,7 @@ def bound_envelope(d: float, tau: float) -> tuple[float, float]:
     if tau * d <= _LOW_T:
         t4 = (2.0 * tau * d) ** 4 / 3.0
         return (-fc_norm * (0.875 - t4), fc_norm * (1.0 + t4))
+    _check_scale(d, tau)
 
     h = 2.0 * math.pi * tau
     k = np.arange(1.0, math.ceil(42.0 / (4.0 * math.pi * tau * d)) + 2.0)

@@ -218,6 +218,11 @@ def test_exit_codes(capsys, tmp_path):
     # Matsubara terms whose prefactor 2 tau d^3 underflows are a convergence failure
     code, _, err = run(capsys, "force", str(good), "-d", "1", "--tau", "5e-324", "--max-matsubara", "10")
     assert code == 3 and "underflow" in err
+    # so is a distance whose integrals underflow, rather than a traceback
+    # from d^3 overflowing (1e103, 1e200) or a silent zero (1e80 at tau = 0)
+    for d, tau in (("1e103", "0"), ("1e80", "0"), ("1e200", "0.01")):
+        code, _, err = run(capsys, "force", str(good), "-d", d, "--tau", tau)
+        assert code == 3 and "underflow" in err
     # an output path that cannot be written is a usage error with the path and
     # the reason
     missing = tmp_path / "missing"

@@ -880,15 +880,15 @@ def test_shuffled_zero_T_sweep_keeps_the_other_layer_groups(monkeypatch):
 
 
 def _entries_on_fill(monkeypatch):
-    # the number of entries that each `_Starts.fill` finds in its store
+    # the number of entries that each `_Rows._fill` finds in its store
     found = []
-    fill = lifshitz._Starts.fill
+    fill = lifshitz._Rows._fill
 
-    def counted(starts, rows):
-        found.append(len(starts._entries))
-        return fill(starts, rows)
+    def counted(rows):
+        found.append(len(rows._store))
+        return fill(rows)
 
-    monkeypatch.setattr(lifshitz._Starts, "fill", counted)
+    monkeypatch.setattr(lifshitz._Rows, "_fill", counted)
     return found
 
 
@@ -1009,6 +1009,37 @@ def test_underflowing_tau_d_raises_convergence_error():
     for d in (1.0, 0.1):
         with pytest.raises(ConvergenceError, match="underflow"):
             force_finite_T(*preset("fig1d"), d, 5e-324, QuadratureConfig(max_matsubara=10))
+
+
+def test_distances_whose_integrals_underflow_raise_convergence_error():
+    # the integrals' raw scale, d^-4 at tau = 0 and d^-3 at tau > 0, falls
+    # below the smallest normal float past d = 8.19e76 and 3.56e102: at
+    # tau = 0 the pressure reads 0 from d ~ 1e80 on, inside its envelopes,
+    # and d^3 overflows past 5.6e102 at either temperature
+    from calmir import preset
+
+    st1, st2, gap = preset("fig1d")
+    for d, tau in ((1e80, 0.0), (1e103, 0.0), (1e200, 0.01)):
+        with pytest.raises(ConvergenceError, match="underflow"):
+            force_sweep(st1, st2, gap, [d], tau)
+        # the first failing distance in sweep order decides the error
+        with pytest.raises(ConvergenceError, match="underflow"):
+            force_sweep(st1, st2, gap, [1.0, d, math.nan], tau)
+    with pytest.raises(ConvergenceError, match="underflow"):
+        force_zero_T(st1, st2, gap, 1e80)
+    with pytest.raises(ConvergenceError, match="underflow"):
+        force_finite_T(st1, st2, gap, 1e200, 0.01)
+    with pytest.raises(ConvergenceError, match="underflow"):
+        bound_envelope(1e103, 0.01)
+    # inside the guard the far-distance laws hold: F d^3 falls as 1/d at
+    # tau = 0 and tends to its n = 0 term at tau > 0
+    near, far = (force_zero_T(st1, st2, gap, d) for d in (1e10, 1e76))
+    assert far.pressure_norm * 1e76 == pytest.approx(near.pressure_norm * 1e10, rel=1e-9)
+    assert far.est_error > 0.0
+    with np.errstate(over="ignore"):  # the envelope's far images overflow to inf, adding 0
+        near, far = (force_finite_T(st1, st2, gap, d, 0.01) for d in (1e4, 1e102))
+    assert far.pressure_norm == pytest.approx(near.pressure_norm, rel=1e-9)
+    assert far.est_error > 0.0
 
 
 @pytest.mark.xfail(strict=True, reason="the Matsubara sum stops at a sign change of its summand (ROADMAP)")
