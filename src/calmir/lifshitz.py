@@ -565,9 +565,7 @@ def force_sweep(stack1, stack2, gap, distances, tau, cfg: QuadratureConfig | Non
         rows = _Rows((stack1, stack2), gap, 2.0 * math.pi * tau * ns, cfg,
                      {} if len(group) > 1 else None)
         calls = {j: rows.add(distances[j], slice(m)) for j, m in group.items()}
-        for j, call in calls.items():
-            if j not in sums:
-                continue
+        for j, call in calls.items():  # ascending j
             s = sums[j][0]
             try:
                 sums[j] = s, s.send(rows.integrals(call))
@@ -575,7 +573,8 @@ def force_sweep(stack1, stack2, gap, distances, tau, cfg: QuadratureConfig | Non
                 results[j] = done.value
                 del sums[j]
             except (ValueError, RuntimeError) as exc:
-                fail(j, exc)
+                fail(j, exc)  # which drops the rest of the round
+                break
     if errors:
         raise errors[min(errors)]
     return results
@@ -681,25 +680,27 @@ def bound_envelope(d: float, tau: float) -> tuple[float, float]:
     z^2 = e^{-2 xi (2d)}, so mode by mode lo = -(A(d) - 2 A(2d)); A at d and
     2d is summed together.  Above 0.02, a d whose Matsubara terms underflow
     raises ConvergenceError (`_check_scale`).
+
+    Both branches are functions of u = tau d times 1/d: with a = 2 m d (m = k
+    at d, 2k at 2d), h^2 d^3/a = 2 pi^2 u^2/m, 2h d^3/a^2 = pi u/m^2 and
+    2 d^3/a^3 = 1/(4 m^3), so nothing overflows inside the guard.
     """
     asymptotics.check_distance(d)
     asymptotics.check_tau(tau)
-    fc_norm = math.pi**2 / (240.0 * d)
-    if tau * d <= _LOW_T:
-        t4 = (2.0 * tau * d) ** 4 / 3.0
-        return (-fc_norm * (0.875 - t4), fc_norm * (1.0 + t4))
+    u = tau * d
+    if u <= _LOW_T:
+        t4 = (2.0 * u) ** 4 / 3.0
+        return (-math.pi**2 / 240.0 * (0.875 - t4) / d, math.pi**2 / 240.0 * (1.0 + t4) / d)
     _check_scale(d, tau)
 
-    h = 2.0 * math.pi * tau
-    k = np.arange(1.0, math.ceil(42.0 / (4.0 * math.pi * tau * d)) + 2.0)
-    a = 2.0 * np.array([[d], [2.0 * d]]) * k  # images at d and at 2d
-    q = np.exp(-a * h)
-    one_q = -np.expm1(-a * h)  # 1 - q without cancellation
+    m = np.array([[1.0], [2.0]]) * np.arange(1.0, math.ceil(42.0 / (4.0 * math.pi * u)) + 2.0)
+    ah = 4.0 * math.pi * u * m  # a h, images at d and at 2d
+    q = np.exp(-ah)
+    one_q = -np.expm1(-ah)  # 1 - q without cancellation
     s0 = q / one_q
     s1 = s0 / one_q
     s2 = s1 * (1.0 + q) / one_q
-    images = (h * h / a * s2 + 2.0 * h / a**2 * s1 + 2.0 / a**3 * s0).sum(axis=1)
-    # sum'_n A(xi_n, .) at d and at 2d
-    att = (asymptotics.ZETA3 / (8.0 * np.array([d, 2.0 * d]) ** 3) + images) / math.pi
-    scale = 2.0 * tau * d**3
-    return (-scale * float(att[0] - 2.0 * att[1]), scale * float(att[0]))
+    images = (2.0 * math.pi**2 * u * u / m * s2 + math.pi * u / m**2 * s1 + 0.25 / m**3 * s0).sum(axis=1)
+    # d^3 sum'_n A(xi_n, .) at d and at 2d
+    att = (asymptotics.ZETA3 / np.array([8.0, 64.0]) + images) / math.pi
+    return (-2.0 * u * float(att[0] - 2.0 * att[1]) / d, 2.0 * u * float(att[0]) / d)

@@ -54,7 +54,8 @@ def trapezoid_force(stack1, stack2, gap, d, tau, *, nx=20001, x_cut=45.0, nxi=15
         x0 = 2.0 * d * math.sqrt(s0)
         x = np.linspace(x0 + 1e-9, x0 + x_cut, nx)
         kap = x / (2.0 * d)
-        kin = Kinematics(xi=np.full_like(kap, xi), kappa_gap=kap)
+        # one xi, broadcast over kappa: the media are sampled once per row
+        kin = Kinematics(xi=np.full(1, xi), kappa_gap=kap)
         total = np.zeros_like(kap)
         for pol in (Pol.TE, Pol.TM):
             g = stack_reflection(stack1, gap, pol, kin) * stack_reflection(

@@ -2,7 +2,9 @@
 
 import functools
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -107,11 +109,25 @@ def test_upper_gamma_scaled_monotone_in_z():
         assert np.all(np.diff(scaled) < 0.0)
 
 
+@pytest.mark.parametrize("k", [0, -1, -3, -5])
+def test_upper_gamma_against_mpmath_at_large_z(k):
+    # a downward recurrence from E1 drifted by up to 1.2e-5 here (Gamma(-5, 300))
+    with mpmath.workdps(30):
+        for z in (30.0, 50.0, 300.0, 700.0):
+            want = mpmath.gammainc(k, z)
+            if want >= sys.float_info.min:  # a normal float
+                assert float(abs(upper_gamma(k, z) / want - 1)) <= 1e-12, (k, z)
+
+
 def test_upper_gamma_domain():
     with pytest.raises(ValueError):
         upper_gamma(2, 1.0)
     with pytest.raises(ValueError):
         upper_gamma(0, 0.0)
+    for bad in (math.nan, math.inf, np.array([1.0, math.nan])):
+        for k in (1, 0, -3):
+            with pytest.raises(ValueError):
+                upper_gamma(k, bad)
 
 
 def test_hamaker_trivial_and_sign():
@@ -304,6 +320,19 @@ def test_matched_media_rejects_magnetic_mirror1():
     mag = ResponseModel.lorentz(1.0, 1.0, 0.5, 1.0)
     with pytest.raises(UnsupportedConfigurationError):
         matched_media_force(mag, mag, 0.1)
+
+
+def test_matched_media_rejects_ideal_mirrors_and_the_report_omits_c1():
+    diel, mag = ResponseModel.lorentz(3.0, 1.0), ResponseModel.lorentz(0.1, 1.0, 0.3, 1.0)
+    with pytest.raises(UnsupportedConfigurationError, match="mirror 1 must be a dielectric"):
+        matched_media_force(PERFECT_ELECTRIC, mag, 0.1)
+    with pytest.raises(UnsupportedConfigurationError, match="mirror 2 must have a finite"):
+        matched_media_force(diel, PERFECT_MAGNETIC, 0.1)
+    # a gap matched to mirror 2 asks for c1, which does not exist for an
+    # ideal mirror 1: the report leaves it out instead of raising
+    gap = ResponseModel.lorentz(0.1, 1.0)
+    assert build_report(0.03, 0.0, mirror1=diel, mirror2=mag, gap=gap).c1_norm is not None
+    assert build_report(0.03, 0.0, mirror1=PERFECT_ELECTRIC, mirror2=mag, gap=gap).c1_norm is None
 
 
 def test_ideal_limits_values():

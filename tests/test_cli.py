@@ -165,6 +165,19 @@ def test_asympt_outputs(capsys, fig1a_file, ideal_file):
     assert "unavailable" in parse_kv(out)["c3_norm"]
 
 
+def test_asympt_names_why_c3_or_c1_is_reported(capsys, tmp_path):
+    fig1c = tmp_path / "fig1c.txt"
+    fig1c.write_text(serialize(preset_scenario("fig1c")))
+    code, out, _ = run(capsys, "asympt", str(fig1c), "-d", "1")
+    assert code == 0 and parse_kv(out)["c3_norm"] == "unavailable (layered mirrors)"
+    # fig1d's mirrors across a gap carrying mirror 2's permittivity
+    matched = tmp_path / "matched.txt"
+    matched.write_text(serialize(preset_scenario("fig1d"))
+                       + "[material matched]\neps_strength = 0.1\neps_resonance = 1.0\n[gap]\nmedium = matched\n")
+    code, out, _ = run(capsys, "asympt", str(matched), "-d", "0.01")
+    assert code == 0 and float(parse_kv(out)["c1_norm"]) > 0.0
+
+
 def test_cached_parser_matches_a_fresh_one(capsys, monkeypatch, fig1a_file):
     # main reuses one parser per process: a usage error in between must not
     # change what the calls after it parse or print
@@ -213,6 +226,9 @@ def test_exit_codes(capsys, tmp_path):
         "[material m]\neps_strength = 1\neps_resonance = 0\n"
         "[mirror 1]\nsubstrate = m\n[mirror 2]\nsubstrate = m\n[run]\nT = 0.001\nd = 1 1 1 lin\n"
     )
+    # a tolerance that QuadratureConfig refuses is a usage error
+    code, _, err = run(capsys, "force", str(good), "-d", "1", "--tol", "0")
+    assert code == 1 and "tolerances must be positive" in err
     code, _, err = run(capsys, "force", str(good), "-d", "0.05", "--max-matsubara", "10")
     assert code == 3 and "error" in err
     # Matsubara terms whose prefactor 2 tau d^3 underflows are a convergence failure

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -16,6 +17,7 @@ from calmir import (
     Pol,
     QuadratureConfig,
     ResponseModel,
+    UnsupportedConfigurationError,
     VACUUM,
     bound_envelope,
     force_finite_T,
@@ -974,6 +976,19 @@ def test_sweep_raises_the_error_of_its_first_failing_distance():
     assert force_sweep(st1, st2, gap, [], 0.0) == []
 
 
+def test_a_failing_distance_ends_its_round(monkeypatch):
+    # both first blocks are capped at the budget's 51 rows, so both distances
+    # share round 0; the first fails there, and the second's call is not made
+    from calmir import preset
+
+    calls = []
+    integrals = lifshitz._Rows.integrals
+    monkeypatch.setattr(lifshitz._Rows, "integrals", lambda rows, i: calls.append(i) or integrals(rows, i))
+    with pytest.raises(ConvergenceError, match="after 51 terms"):
+        force_sweep(*preset("fig1d"), [0.05, 0.06], 0.01, QuadratureConfig(max_matsubara=50))
+    assert calls == [0]
+
+
 @pytest.mark.parametrize("name, d, tau", [("fig1a", 3.3, 0.1), ("fig1d", 1.0, 0.01)])
 def test_matsubara_sum_ended_by_the_gap_takes_one_kappa_call(monkeypatch, name, d, tau):
     from calmir import preset
@@ -1036,10 +1051,25 @@ def test_distances_whose_integrals_underflow_raise_convergence_error():
     near, far = (force_zero_T(st1, st2, gap, d) for d in (1e10, 1e76))
     assert far.pressure_norm * 1e76 == pytest.approx(near.pressure_norm * 1e10, rel=1e-9)
     assert far.est_error > 0.0
-    with np.errstate(over="ignore"):  # the envelope's far images overflow to inf, adding 0
-        near, far = (force_finite_T(st1, st2, gap, d, 0.01) for d in (1e4, 1e102))
+    near, far = (force_finite_T(st1, st2, gap, d, 0.01) for d in (1e4, 1e102))
     assert far.pressure_norm == pytest.approx(near.pressure_norm, rel=1e-9)
     assert far.est_error > 0.0
+
+
+def test_bound_envelope_does_not_overflow_inside_the_range_guard():
+    # the envelopes depend on d through u = tau d and one 1/d; written with
+    # d^3 and (2d)^3, they overflowed from d ~ 1.4e102 on, which dropped the
+    # 2d images from lo (lo = -hi) and then zeroed both, so that the
+    # envelope check of force_finite_T failed at 2.9e102
+    from calmir import preset
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in (1e102, 2e102, 2.9e102, 3.5e102):
+            lo, hi = bound_envelope(d, 0.01)
+            assert lo / hi == pytest.approx(-0.75, abs=1e-12)
+        res = force_finite_T(*preset("fig1d"), 2.9e102, 0.01)
+    assert res.bound_lo < res.pressure_norm < res.bound_hi
 
 
 @pytest.mark.xfail(strict=True, reason="the Matsubara sum stops at a sign change of its summand (ROADMAP)")
@@ -1071,9 +1101,33 @@ def test_identical_mirrors_attract():
         assert res.pressure_norm >= 0.0
 
 
+def test_quadrature_config_rejects_bad_settings():
+    for kw, message in (({"rel_tol": 0.0}, "tolerances"), ({"abs_tol": -1e-14}, "tolerances"),
+                        ({"kappa_nodes": 1}, "node counts"), ({"xi_nodes": 1}, "node counts"),
+                        ({"max_matsubara": 0}, "max_matsubara")):
+        with pytest.raises(ValueError, match=message):
+            QuadratureConfig(**kw)
+
+
+def test_a_gap_with_both_poles_fails_only_at_its_static_row():
+    # the scenario parser rejects such a gap; given to the library directly,
+    # it has no propagation band at xi = 0 (s_gap = inf), which the tau > 0
+    # sum reaches at n = 0 and the tau = 0 xi integral never evaluates
+    from calmir import preset
+
+    st1, st2, _ = preset("fig1d")
+    gap = ResponseModel.lorentz(1.0, 0.0, 1.0, 0.0)
+    with pytest.raises(UnsupportedConfigurationError, match="no propagation band"):
+        force_finite_T(st1, st2, gap, 1.0, 0.01)
+    assert force_zero_T(st1, st2, gap, 1.0).pressure_norm == pytest.approx(3.175e-06, rel=1e-3)
+
+
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         force_zero_T(PE, PE, VACUUM, 0.0)
+    for kappa in (0.0, -1.0):
+        with pytest.raises(ValueError, match="kappa \\* d must be > 0"):
+            integrand(PE, PE, VACUUM, Pol.TM, 1.0, Kinematics(xi=0.0, kappa_gap=kappa))
     with pytest.raises(ValueError):
         force_finite_T(PE, PE, VACUUM, 1.0, 0.0)
     with pytest.raises(ValueError):

@@ -57,6 +57,9 @@ def test_invalid_parameters_rejected():
         ResponseModel.lorentz(math.nan, 1.0)
     with pytest.raises(ValueError):
         ResponseModel(kind=Kind.VACUUM, eps_strength=1.0)
+    for bad in ("oops", None, [1.0]):
+        with pytest.raises(ValueError, match="eps_resonance must be a real number"):
+            ResponseModel.lorentz(1.0, bad)
 
 
 def test_passivity_and_monotonicity_random():

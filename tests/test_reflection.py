@@ -215,6 +215,28 @@ def test_doubly_metallic_static_limit():
     assert stack_reflection(st, VACUUM, Pol.TE, kin0) == pytest.approx(1.0)
 
 
+def test_perfect_layer_on_the_same_perfect_substrate():
+    # the interface between two perfect electric media reflects nothing, so
+    # the stack reflects as the half-space does
+    coated = MirrorStack((Layer(PERFECT_ELECTRIC, 0.7),), PERFECT_ELECTRIC)
+    bare = MirrorStack.homogeneous(PERFECT_ELECTRIC)
+    for pol in Pol:
+        for kin in (KIN, Kinematics(xi=0.0, kappa_gap=0.3)):
+            assert stack_reflection(coated, VACUUM, pol, kin) == stack_reflection(bare, VACUUM, pol, kin)
+
+
+@pytest.mark.parametrize("kappa", [0.1, 1.0, 3.0])
+def test_static_limit_between_two_poles_of_equal_degree(kappa):
+    # a Drude gap against a Drude mirror: both TM responses carry a 1/xi^2
+    # pole, so the xi = 0 coefficient is the ratio of their strengths, not 1
+    gap, st = ResponseModel.drude(1.0), MirrorStack.homogeneous(ResponseModel.drude(3.0))
+    for pol in Pol:
+        at_zero = stack_reflection(st, gap, pol, Kinematics(xi=0.0, kappa_gap=kappa))
+        near_zero = stack_reflection(st, gap, pol, Kinematics(xi=1e-6, kappa_gap=kappa))
+        assert at_zero == pytest.approx(near_zero, rel=0.0, abs=1e-10)
+    assert abs(stack_reflection(st, gap, Pol.TM, Kinematics(xi=0.0, kappa_gap=kappa))) < 1.0
+
+
 def test_invalid_layer_thickness():
     with pytest.raises(ValueError):
         Layer(VACUUM, 0.0)

@@ -1,5 +1,8 @@
 """Scenario grammar: round-trips, diagnostics, robustness."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -223,6 +226,38 @@ def test_sweep_grid_distances():
     assert np.allclose(log.distances(), [1.0, 2.0, 4.0])
     single = SweepGrid(2.0, 2.0, 1, "log")
     assert np.allclose(single.distances(), [2.0])
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1.0, math.inf, 4), "endpoints must be finite"),
+    ((math.nan, 2.0, 4), "endpoints must be finite"),
+    ((1.0, 2.0, 10**6 + 1), r"capped at 10\^6"),
+    ((1.0, 2.0, 4, "quadratic"), "scale must be 'log' or 'lin'"),
+])
+def test_sweep_grid_rejects(args, message):
+    with pytest.raises(ValueError, match=message):
+        SweepGrid(*args)
+
+
+def test_scenario_rejects_a_negative_temperature():
+    s = preset_scenario("fig1a")
+    with pytest.raises(ValueError, match="temperature must be finite and >= 0"):
+        dataclasses.replace(s, temperature=-0.1)
+    with pytest.raises(ValueError, match="temperatures must be finite and >= 0"):
+        dataclasses.replace(s, temperature=0.1, temperatures=(0.1, -0.2))
+
+
+def test_material_id_of_a_material_missing_from_the_table():
+    s = preset_scenario("fig1a")
+    assert s.material_id(s.mirror1.substrate) == "metal"
+    with pytest.raises(ValueError, match="missing from its table"):
+        s.material_id(PERFECT_ELECTRIC)
+
+
+@pytest.mark.parametrize("data", [None, 42, ["[gap]"]])
+def test_parse_needs_text_or_bytes(data):
+    with pytest.raises(ScenarioError, match="must be text or bytes"):
+        parse(data)
 
 
 def test_scenario_temperature_family_rules():
