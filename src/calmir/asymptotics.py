@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import ConvergenceError, UnsupportedConfigurationError
 from .materials import Kind, ResponseModel, _eps_mu
-from .quadrature import adaptive_integral, kronrod_rule, panel_nodes, xi_integral
+from .quadrature import adaptive_integral, geometric_edges, kronrod_rule, panel_nodes, xi_integral
 
 __all__ = [
     "ZETA3",
@@ -176,18 +176,17 @@ def upper_gamma(k: int, z):
         raise ValueError("z must be finite and > 0")
 
     def gamma(x):
-        """Gamma(k, x) for k <= 0; x is a numpy float, so x**k reads inf on overflow."""
+        """Gamma(k, x) for k <= 0, with x^k = m^k 2^{e k} (x = m 2^e, 0.5 <= m < 1)
+        scaled by 2^{e k} last: it overflows, to inf, only where Gamma(k, x) does."""
         lnx = math.log(x)
-        top, edges, edge = math.log(x + 40.0) - lnx, [0.0], 0.25 / max(1.0, x)
-        while edge < top:
-            edges.append(edge)
-            edge *= 4.0
 
         def f(s):  # x (e^s - 1): expm1 does not cancel; e^{s + ln x} stays finite for subnormal x
             return np.exp(k * s - (x * np.expm1(s) if x >= 1.0 else np.exp(s + lnx) - x))[None]
 
-        total, _, _ = adaptive_integral(f, edges + [top], nodes=12, rel_tol=1e-14, abs_tol=0.0)
-        return x**k * math.exp(-x) * float(total[0])
+        edges = geometric_edges(0.25 / max(1.0, x), math.log(x + 40.0) - lnx, 4.0)
+        total, _, _ = adaptive_integral(f, edges, nodes=12, rel_tol=1e-14, abs_tol=0.0)
+        m, e = np.frexp(x)
+        return np.ldexp(m**k * math.exp(-x) * float(total[0]), e * int(k))
 
     out = np.exp(-z) if k == 1 else np.array([gamma(x) for x in z.ravel()]).reshape(z.shape)
     return float(out) if np.ndim(z) == 0 else out
@@ -252,7 +251,7 @@ def _c3_sum(g, h, xi_max, rel_tol):
         ends = np.array([n, 2 * n])
         x0 = h * ends
         m = math.ceil(math.log2(xi_max / x0[0])) if xi_max > x0[0] else 0
-        edges = np.append(0.0, 2.0 ** np.arange(-m, 1.0))
+        edges = geometric_edges(2.0**-m, 1.0, 2.0)
         nodes, half = panel_nodes(edges[:-1], edges[1:], 24)
         t = nodes.ravel()
         vals = g(np.concatenate([h * np.arange(2 * n + 3), (x0[:, None] / t).ravel()]))

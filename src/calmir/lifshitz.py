@@ -36,7 +36,7 @@ import numpy as np
 
 from . import asymptotics
 from .errors import ConvergenceError
-from .quadrature import panel_nodes, rowwise_panel_integral, xi_integral
+from .quadrature import geometric_edges, panel_nodes, rowwise_panel_integral, xi_integral
 from .reflection import Kinematics, Pol, ReflectionKernel, scratch
 
 __all__ = [
@@ -140,32 +140,28 @@ def _check_scale(d: float, tau: float) -> None:
         raise ConvergenceError(f"pressure integrals underflow: d^-{power} = {(1.0 / d) ** power:.3e} at d={d}")
 
 
-def _damped_terms(kappa, x, gs, outs):
-    """Write kappa^2 g e^{-x} / (1 - g e^{-x}) for each g into the matching
-    array of `outs`, without ever forming e^{+x}.
+def _damped_terms(kappa, d, gs, outs):
+    """Write kappa^2 g e^{-2 kappa d} / (1 - g e^{-2 kappa d}) for each g into
+    the matching array of `outs`, as kappa^2 g / (expm1(2 kappa d) + (1 - g)).
 
-    The denominator is computed as (1 - e^{-x}) + (1 - g) e^{-x}, a sum of
-    two non-negative terms for g <= 1, so it never cancels.  The factors
-    that depend only on x and kappa are computed once for all g, on
-    `scratch` arrays.  A g may be its own out: it is read before out is
-    written.
+    The denominator is a sum of two non-negative terms for g <= 1, so it
+    never cancels; where e^{2 kappa d} overflows it is inf, and the term 0,
+    its limit.  The factors that depend only on kappa and d are computed
+    once for all g, on `scratch` arrays.  A g may be its own out: it is read
+    before out is written.
     """
     shape = outs[0].shape
     with scratch:
-        damp, edge, k2, ge, den = (scratch.take(shape) for _ in range(5))
-        np.exp(np.negative(x, out=damp), out=damp)
-        np.negative(np.expm1(np.negative(x, out=edge), out=edge), out=edge)
+        grow, k2, den = (scratch.take(shape) for _ in range(3))
+        with np.errstate(over="ignore"):
+            np.expm1(np.multiply(kappa, 2.0 * d, out=grow), out=grow)
         np.multiply(kappa, kappa, out=k2)
         for g, out in zip(gs, outs):
-            np.multiply(g, damp, out=ge)
-            # fmax skips NaN, as any(ge >= 1.0) does
-            if ge.size and np.fmax.reduce(ge, axis=None) >= 1.0:
+            np.add(grow, np.subtract(1.0, g, out=den), out=den)
+            # fmin skips NaN, as any(den <= 0.0) does
+            if den.size and np.fmin.reduce(den, axis=None) <= 0.0:
                 raise RuntimeError("internal invariant violated: r1 r2 e^{-2 kappa d} >= 1")
-            np.subtract(1.0, g, out=den)
-            np.multiply(den, damp, out=den)
-            np.add(edge, den, out=den)
-            np.multiply(k2, ge, out=ge)
-            np.divide(ge, den, out=out)
+            np.divide(np.multiply(k2, g, out=out), den, out=out)
     return outs
 
 
@@ -177,17 +173,8 @@ def integrand(stack1, stack2, gap, pol: Pol, d: float, kin: Kinematics):
         raise ValueError("kappa * d must be > 0")
     (te1, tm1), (te2, tm2) = ReflectionKernel((stack1, stack2), gap, kin.xi)(kappa)
     g = tm1 * tm2 if pol is Pol.TM else te1 * te2
-    (out,) = _damped_terms(kappa, 2.0 * kappa * d, (g,), (np.empty(np.shape(g)),))
+    (out,) = _damped_terms(kappa, d, (g,), (np.empty(np.shape(g)),))
     return float(out) if out.ndim == 0 else out
-
-
-def _geometric_edges(first: float, cut: float, ratio: float) -> np.ndarray:
-    """Edges 0, first, first ratio, first ratio^2, ... below cut, then cut."""
-    edges = [0.0]
-    while first < cut:
-        edges.append(first)
-        first *= ratio
-    return np.array(edges + [cut])
 
 
 def _thickest_visible(stacks, xi):
@@ -249,7 +236,7 @@ def _kappa_offsets(d: float, w_max: float, k_row: float) -> np.ndarray:
     delta = min(0.5 / d, max(0.05 * max(1.0, 2.0 * k_row), floor))
     if w_max > 0.0:
         delta = max(min(delta, 0.5 * _LAYER_FRACTION / w_max), floor)
-    return _geometric_edges(delta, 0.5 * X_CUT / d, _KAPPA_RATIO)
+    return geometric_edges(delta, 0.5 * X_CUT / d, _KAPPA_RATIO)
 
 
 class _Rows:
@@ -315,16 +302,13 @@ class _Rows:
                     c += g.shape[2]
             step = max(1, _BLOCK // max(1, kappa.shape[0]))
             for c in range(0, kappa.shape[1], step):
-                kb, cols = kappa[:, c : c + step], slice(c, c + step)
-                with scratch:
-                    if stored:
-                        gc = out[0, :, cols], out[1, :, cols]
-                    else:
+                kb, g = kappa[:, c : c + step], out[:, :, c : c + step]
+                if not stored:
+                    with scratch:
                         (te1, tm1), (te2, tm2) = kernel.into_scratch(kb)
-                        # r1 r2 overwrites r1, which nothing reads again
-                        gc = np.multiply(te1, te2, out=te1), np.multiply(tm1, tm2, out=tm1)
-                    x = np.multiply(kb, 2.0 * d, out=scratch.take(kb.shape))
-                    _damped_terms(kb, x, gc, (out[0, :, cols], out[1, :, cols]))
+                        np.multiply(te1, te2, out=g[0])
+                        np.multiply(tm1, tm2, out=g[1])
+                _damped_terms(kb, d, g, g)
             stored = False
             return out
 
@@ -463,6 +447,8 @@ def _matsubara_sum(d, tau, cfg):
     reaches max_matsubara without the stop raises ConvergenceError, as do at
     once `_check_scale` and a prefactor 2 tau d^3 below the smallest normal
     float: its terms underflow, and the sum would need ~1/(tau d) of them.
+    So does a block whose last frequency 2 pi tau n overflows when squared,
+    before it is yielded: the media's s = xi^2 eps mu would read inf.
     """
     asymptotics.check_distance(d)
     _check_scale(d, tau)
@@ -474,7 +460,11 @@ def _matsubara_sum(d, tau, cfg):
     s_te = s_tm = est = s_abs = 0.0  # s_abs: sum of |term|, bounding the sums' round-off
     prev_mag, fell, tail = None, False, math.inf  # fell: whether the last comparison fell
     while True:
-        te, tm, qerr = yield n0, min(block, cfg.max_matsubara + 1 - n0)
+        rows = min(block, cfg.max_matsubara + 1 - n0)
+        xi_last = 2.0 * math.pi * tau * (n0 + rows - 1)
+        if xi_last * xi_last == math.inf:
+            raise ConvergenceError(f"Matsubara frequency xi = {xi_last:.3e} overflows when squared at tau={tau}")
+        te, tm, qerr = yield n0, rows
         for n, te_n, tm_n, qerr_n in zip(range(n0, n0 + len(te)),
                                          te.tolist(), tm.tolist(), qerr.tolist()):
             w = 0.5 if n == 0 else 1.0
@@ -604,7 +594,7 @@ def _xi_breaks(d: float) -> np.ndarray:
     them): geometric from 0.02 by _XI_RATIO up to xi_cut = X_CUT/(2d), the
     last edge and the integral's upper limit, beyond which every kappa row
     starts at x >= X_CUT; the engine splits as needed."""
-    return _geometric_edges(0.02, 0.5 * X_CUT / d, _XI_RATIO)
+    return geometric_edges(0.02, 0.5 * X_CUT / d, _XI_RATIO)
 
 
 def force_zero_T(stack1, stack2, gap, d, cfg: QuadratureConfig | None = None, *, _store=None) -> ForceResult:
@@ -683,7 +673,9 @@ def bound_envelope(d: float, tau: float) -> tuple[float, float]:
 
     Both branches are functions of u = tau d times 1/d: with a = 2 m d (m = k
     at d, 2k at 2d), h^2 d^3/a = 2 pi^2 u^2/m, 2h d^3/a^2 = pi u/m^2 and
-    2 d^3/a^3 = 1/(4 m^3), so nothing overflows inside the guard.
+    2 d^3/a^3 = 1/(4 m^3), so nothing overflows inside the guard; the first
+    is summed as 2 pi^2 u/m (u S2), so that an image whose S2 vanishes reads
+    0 where u^2 would overflow.
     """
     asymptotics.check_distance(d)
     asymptotics.check_tau(tau)
@@ -700,7 +692,7 @@ def bound_envelope(d: float, tau: float) -> tuple[float, float]:
     s0 = q / one_q
     s1 = s0 / one_q
     s2 = s1 * (1.0 + q) / one_q
-    images = (2.0 * math.pi**2 * u * u / m * s2 + math.pi * u / m**2 * s1 + 0.25 / m**3 * s0).sum(axis=1)
+    images = (2.0 * math.pi**2 * u / m * (u * s2) + math.pi * u / m**2 * s1 + 0.25 / m**3 * s0).sum(axis=1)
     # d^3 sum'_n A(xi_n, .) at d and at 2d
     att = (asymptotics.ZETA3 / np.array([8.0, 64.0]) + images) / math.pi
     return (-2.0 * u * float(att[0] - 2.0 * att[1]) / d, 2.0 * u * float(att[0]) / d)

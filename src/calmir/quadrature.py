@@ -34,7 +34,8 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-__all__ = ["kronrod_rule", "panel_nodes", "rowwise_panel_integral", "adaptive_integral", "xi_integral"]
+__all__ = ["kronrod_rule", "geometric_edges", "panel_nodes", "rowwise_panel_integral", "adaptive_integral",
+           "xi_integral"]
 
 # Most panels split per refinement pass; a pass splits fewer when the worst
 # few already carry enough of every row's error to meet the target.
@@ -99,6 +100,15 @@ def kronrod_rule(n: int):
     # the cached arrays are shared by every caller, so they are read-only
     x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+def geometric_edges(first: float, cut: float, ratio: float) -> np.ndarray:
+    """Panel edges 0, first, first ratio, first ratio^2, ... below cut, then cut."""
+    edges = [0.0]
+    while first < cut:
+        edges.append(first)
+        first *= ratio
+    return np.array(edges + [cut])
 
 
 def panel_nodes(a, b, nodes):

@@ -3,6 +3,7 @@
 import functools
 import math
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -117,6 +118,21 @@ def test_upper_gamma_against_mpmath_at_large_z(k):
             want = mpmath.gammainc(k, z)
             if want >= sys.float_info.min:  # a normal float
                 assert float(abs(upper_gamma(k, z) / want - 1)) <= 1e-12, (k, z)
+
+
+def test_upper_gamma_finite_where_z_power_overflows():
+    # z^-5 overflows at z = 2e-62, but Gamma(-5, z) ~ z^-5/5 does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = upper_gamma(-5, 2e-62)
+        assert upper_gamma(-5.0, 2e-62) == got  # an integral float k scales alike
+    with mpmath.workdps(30):
+        want = mpmath.gammainc(-5, 2e-62)
+    assert float(abs(got / want - 1)) <= 1e-15
+    # past the largest float Gamma itself overflows, and reads inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert upper_gamma(-5, 1.3e-62) == math.inf
 
 
 def test_upper_gamma_domain():

@@ -13,7 +13,9 @@ import platform
 import resource
 import sys
 import threading
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -115,13 +117,13 @@ def reference_reflect(kernel, kappa):
     return [out[i] for i in kernel._slot]
 
 
-def reference_damped(kappa, x, g):
-    damp = np.exp(-x)
-    edge = -np.expm1(-x)
-    ge = g * damp
-    if np.any(ge >= 1.0):
+def reference_damped(kappa, d, g):
+    with np.errstate(over="ignore"):
+        grow = np.expm1(kappa * (2.0 * d))
+    den = grow + (1.0 - g)
+    if np.any(den <= 0.0):
         raise RuntimeError("internal invariant violated")
-    return kappa * kappa * ge / (edge + (1.0 - g) * damp)
+    return kappa * kappa * g / den
 
 
 def reference_pair_integrals(monkeypatch, st1, st2, gap, d, xi):
@@ -131,9 +133,8 @@ def reference_pair_integrals(monkeypatch, st1, st2, gap, d, xi):
 
     def with_reference(_, k_lo, offsets, **kw):
         def ref(kappa):
-            x = kappa * (2.0 * d)
             (te1, tm1), (te2, tm2) = reference_reflect(kernel, kappa)
-            return np.stack([reference_damped(kappa, x, te1 * te2), reference_damped(kappa, x, tm1 * tm2)])
+            return np.stack([reference_damped(kappa, d, te1 * te2), reference_damped(kappa, d, tm1 * tm2)])
 
         return engine(ref, k_lo, offsets, **kw)
 
@@ -298,15 +299,39 @@ def test_reflection_beyond_slack_raises(sign):
 
 def test_damped_term_invariant_raises():
     x = np.array([0.1, 0.5, 2.0])
-    kappa = x / 2.0
+    kappa, d = x / 2.0, 1.0  # 2 kappa d = x exactly
     out = np.empty(3)
-    lifshitz._damped_terms(kappa, x, (np.array([1.0, -1.0, 0.5]),), (out,))
-    assert np.array_equal(out, reference_damped(kappa, x, np.array([1.0, -1.0, 0.5])))
+    lifshitz._damped_terms(kappa, d, (np.array([1.0, -1.0, 0.5]),), (out,))
+    assert np.array_equal(out, reference_damped(kappa, d, np.array([1.0, -1.0, 0.5])))
     for g in ([1.2, 0.5, 0.5], [1.2, np.nan, 0.5]):  # NaN hides no violation
         with pytest.raises(RuntimeError, match="r1 r2 e"):
-            lifshitz._damped_terms(kappa, x, (np.array(g),), (out,))
-    # a NaN alone is no violation, as with any(g e^{-x} >= 1)
-    lifshitz._damped_terms(kappa, x, (np.array([np.nan, 0.5, 0.5]),), (out,))
+            lifshitz._damped_terms(kappa, d, (np.array(g),), (out,))
+    # a NaN alone is no violation, as with any(den <= 0)
+    lifshitz._damped_terms(kappa, d, (np.array([np.nan, 0.5, 0.5]),), (out,))
+
+
+def test_damped_term_against_mpmath():
+    # g across [-1, 1] and up to 1e-16 below 1, 2 kappa d from 1e-10 to ~700
+    rng = np.random.default_rng(7)
+    n = 4000
+    g = np.where(rng.random(n) < 0.5, rng.uniform(-1.0, 1.0, n), 1.0 - 10.0 ** rng.uniform(-16.0, 0.0, n))
+    kappa, d = 0.5 * 10.0 ** rng.uniform(-10.0, 2.85, n), 1.0
+    (got,) = lifshitz._damped_terms(kappa, d, (g,), (np.empty(n),))
+    with mpmath.workdps(40):
+        for k, gi, v in zip(kappa.tolist(), g.tolist(), got.tolist()):
+            damp = mpmath.exp(-2 * mpmath.mpf(k) * d)
+            want = mpmath.mpf(k) ** 2 * gi * damp / (1 - gi * damp)
+            assert float(abs(v / want - 1)) <= 1e-15, (k, gi)
+
+
+def test_damped_term_vanishes_where_its_growth_overflows():
+    # e^{2 kappa d} overflows past 2 kappa d = 709.78: the term is 0, its limit
+    kappa = np.array([354.8, 354.9, 400.0, 1e5])
+    out = np.empty(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lifshitz._damped_terms(kappa, 1.0, (np.array([0.5, 1.0, -1.0, 0.9]),), (out,))
+    assert out[0] > 0.0 and np.all(out[1:] == 0.0)
 
 
 # --- page faults -----------------------------------------------------------------------------

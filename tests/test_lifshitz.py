@@ -1072,6 +1072,36 @@ def test_bound_envelope_does_not_overflow_inside_the_range_guard():
     assert res.bound_lo < res.pressure_norm < res.bound_hi
 
 
+def test_huge_temperature_gives_a_finite_envelope():
+    # written as 2 pi^2 u^2/m S2, the images' u^2 overflowed from tau d ~ 1.3e154
+    # on and met S2 = 0 as inf * 0 = NaN, so the envelope check failed
+    from calmir import preset
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lo, hi = bound_envelope(1e5, 1e150)
+        res = force_finite_T(*preset("fig1d"), 1e5, 1e150)
+    assert lo == pytest.approx(-7.174248675584e148, rel=1e-12)
+    assert hi == pytest.approx(9.565664900779e148, rel=1e-12)
+    assert res.pressure_norm == pytest.approx(1.620447985841e146, rel=1e-12)
+
+
+def test_matsubara_frequency_overflow_raises_convergence_error():
+    # a frequency whose square overflows made s_gap = inf, which the kernel
+    # read as a gap with poles in eps and mu ("doubly metallic")
+    from calmir import preset
+
+    st1, st2, gap = preset("fig1d")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tau in (1e153, 1e160):
+            with pytest.raises(ConvergenceError, match="overflows when squared"):
+                force_finite_T(st1, st2, gap, 1.0, tau)
+        res = force_finite_T(st1, st2, gap, 1.0, 1e152)
+    assert res.n_terms_used == 3
+    assert res.pressure_norm == pytest.approx(1.620447985841e148, rel=1e-12)
+
+
 @pytest.mark.xfail(strict=True, reason="the Matsubara sum stops at a sign change of its summand (ROADMAP)")
 def test_matsubara_sum_runs_past_a_sign_change():
     # fig1d at Lambda/400, tau = 0.01: the summand crosses zero near n = 340,
