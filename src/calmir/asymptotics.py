@@ -34,6 +34,7 @@ is negative (repulsive) and behaves as -c1/d at short distance.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -227,45 +228,54 @@ _C3_MAX_TERMS = 1 << 16
 
 
 def _c3_sum(g, h, xi_max, rel_tol):
-    """The primed Matsubara sum 0.5 g(0) + sum_{n >= 1} g(n h) of c3.
+    """h times the primed Matsubara sum 0.5 g(0) + sum_{n >= 1} g(n h) of c3.
 
     `g` maps an array of frequencies to the terms; its features lie below
     `xi_max`.  Terms n < N are summed explicitly and the rest by the
     Euler-Maclaurin formula
 
-        sum_{n >= N} g(n h) = (1/h) int_{N h}^inf g + g_N/2
-                              - h g'_N/12 + h^3 g'''_N/720 - ...
+        h sum_{n >= N} g(n h) = int_{N h}^inf g + h (g_N/2
+                                - h g'_N/12 + h^3 g'''_N/720 - ...)
 
-    with the derivatives from central differences of g_{N-2} ... g_{N+2}.
-    The integral runs on t = N h/xi in (0, 1], over 24-point Gauss-Kronrod
-    panels with edges at t = 2^-j down to xi >= xi_max and one panel for the
-    rest, so the panels follow g's features however small h is.  The sums
-    at N and 2N come from one call of g; their difference plus the 2N tail's
-    |K - G| estimates the error of the 2N sum, which is returned once the
-    estimate meets rel_tol.  N starts at 64 and doubles; past 2^16 this
-    raises `ConvergenceError`.
+    with the derivatives from central differences of g_{N-2} ... g_{N+2}, so
+    that nothing is divided by h.  The integral runs on t = N h/xi in (0, 1],
+    over 24-point Gauss-Kronrod panels with edges at t = 2^-j down to
+    xi >= xi_max and one panel for the rest, so the panels follow g's
+    features however small h is.  Its weight dxi/dt = (N h/t)/t is taken at
+    each node as xi times (half-width/t), which overflows nowhere.  Where the
+    edge below xi_max, 2^-j, is not a normal float (tau below ~1e-309 on the
+    presets' mirrors) the nodes lose their precision, and this raises
+    `ConvergenceError`.  The sums at N and 2N come from one call of g; their
+    difference plus the 2N tail's |K - G| estimates the error of the 2N sum,
+    which is returned once the estimate meets rel_tol.  N starts at 64 and
+    doubles; past 2^16 this raises `ConvergenceError`.
     """
     w = kronrod_rule(24)[1]
     n = 64
     while n <= _C3_MAX_TERMS:
         ends = np.array([n, 2 * n])
         x0 = h * ends
-        m = math.ceil(math.log2(xi_max / x0[0])) if xi_max > x0[0] else 0
-        edges = geometric_edges(2.0**-m, 1.0, 2.0)
+        m = math.ceil(math.log2(xi_max) - math.log2(x0[0])) if xi_max > x0[0] else 0
+        first = math.ldexp(1.0, -m)
+        if first < sys.float_info.min:
+            raise ConvergenceError(f"c3 tail panels reach t = 2^-{m}, below the normal floats, "
+                                   f"at tau = {h / (2.0 * math.pi):.3e}")
+        edges = geometric_edges(first, 1.0, 2.0)
         nodes, half = panel_nodes(edges[:-1], edges[1:], 24)
         t = nodes.ravel()
-        vals = g(np.concatenate([h * np.arange(2 * n + 3), (x0[:, None] / t).ravel()]))
+        xi = x0[:, None] / t
+        vals = g(np.concatenate([h * np.arange(2 * n + 3), xi.ravel()]))
         f = vals[: 2 * n + 3]
-        tails = vals[2 * n + 3 :].reshape(2, -1) * x0[:, None] / t**2
+        tails = vals[2 * n + 3 :].reshape(2, -1) * xi * (half[:, None] / nodes).ravel()
         # Kronrod and Gauss values of the integrals from N h and 2N h, (2, 2)
-        kg = tails @ (half[:, None, None] * w).reshape(-1, 2)
+        kg = tails @ np.tile(w, (len(half), 1))
         sums = (
-            np.array([f[1:e].sum() for e in ends])
-            + 0.5 * f[0]
-            + kg[:, 0] / h
-            + f[ends[:, None] + np.arange(-2, 3)] @ _EM_WEIGHTS
+            h * (np.array([f[1:e].sum() for e in ends])
+                 + 0.5 * f[0]
+                 + f[ends[:, None] + np.arange(-2, 3)] @ _EM_WEIGHTS)
+            + kg[:, 0]
         )
-        est = abs(sums[1] - sums[0]) + abs(kg[1, 0] - kg[1, 1]) / h
+        est = abs(sums[1] - sums[0]) + abs(kg[1, 0] - kg[1, 1])
         if est <= rel_tol * abs(sums[1]):
             return float(sums[1])
         n *= 2
@@ -305,7 +315,7 @@ def hamaker_c3(mat1: ResponseModel, mat2: ResponseModel, tau: float = 0.0, *, re
     scale = max(
         max(m.eps_strength, m.eps_resonance, m.mu_strength, m.mu_resonance) for m in (mat1, mat2)
     )
-    return tau / (4.0 * math.pi) * _c3_sum(g, 2.0 * math.pi * tau, 16.0 * scale, rel_tol)
+    return _c3_sum(g, 2.0 * math.pi * tau, 16.0 * scale, rel_tol) / (8.0 * math.pi**2)
 
 
 def c3_or_none(mirror1: ResponseModel | None, mirror2: ResponseModel | None,

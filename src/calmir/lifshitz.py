@@ -11,10 +11,12 @@ with kappa_min = xi_n sqrt(eps0 mu0) for a gap medium of response
 (eps0, mu0).  At tau = 0 the sum becomes (1/2 pi) int dxi and the prefactor
 2 tau goes over to 1/pi times the xi integral.
 
-The kappa integral runs from kappa_min over X_CUT/(2d) = 30/d (the
-integrand carries e^{-2 kappa d}), in kappa itself, so that distances
-integrate a row on the same starting nodes up to their own cuts, and the
-tau = 0 xi integral starts on panels that distances share up to theirs.
+The kappa integral runs from kappa_min to 2 kappa d >= 40 (the integrand
+carries e^{-2 kappa d}), in kappa itself, on starting panels whose edges lie
+on one ladder 0.05 4^j at every distance, so that distances integrate a row
+on the same starting nodes wherever their layouts overlap; the tau = 0 xi
+integral starts on panels that distances share up to their own cuts
+X_CUT/(2d).
 `force_sweep` evaluates the reflection once where the distances of a sweep
 share nodes, through stores of r1 r2 at starting kappa nodes (`_Rows`):
 at tau > 0 one per round of the loop that drives every distance's Matsubara
@@ -59,8 +61,9 @@ X_CUT = 60.0  # e^{-60} is far below any supported tolerance
 _BLOCK = 1 << 15
 # First kappa panel width, as a fraction of 1/(2w) for the thickest layer w.
 _LAYER_FRACTION = 0.05
-# Growth of the coarse starting panels of the kappa and tau = 0 xi integrals.
-_KAPPA_RATIO = 4.0
+# The kappa integral stops at the first panel edge at or past this 2 kappa d.
+_KAPPA_REACH = 40.0
+# Growth of the coarse starting panels of the tau = 0 xi integral.
 _XI_RATIO = 8.0
 # Matsubara blocks: the first reaches _GAP_MARGIN times the index where
 # e^{-2 xi_n d} falls to rel_tol, later ones double; none exceeds _MAX_BLOCK.
@@ -77,8 +80,9 @@ class QuadratureConfig:
     costs 2n + 1 integrand points (25 and 33 by default).  Both integrals
     start on coarse geometric panels (`_kappa_offsets`, `_xi_breaks`) that the
     engine splits until the tolerance is met.  The kappa order and the two
-    growth ratios come from scans of reflection points and time per pressure
-    (the kappa-rule and panel-layout entries of CHANGES.md).
+    growth ratios (4 on the kappa ladder, 8 in xi) come from scans of
+    reflection points and time per pressure (the kappa-rule and panel-layout
+    entries of CHANGES.md).
     `max_matsubara` is the highest Matsubara index the tau > 0 sum may reach:
     a sum not converged after its max_matsubara + 1 terms (n = 0 ... max)
     raises ConvergenceError.
@@ -213,30 +217,41 @@ def _row_scale(kernel, k_lo) -> float:
 
 def _kappa_offsets(d: float, w_max: float, k_row: float) -> np.ndarray:
     """Starting panel edges of the kappa integral, as offsets from each row's
-    lower limit: geometric from 0 up to X_CUT/(2d).
+    lower limit: 0, then values of the ladder 0.05 4^j (j an integer) from
+    the first panel's width up to the first at or past 2 kappa d = _KAPPA_REACH.
 
     Reflection data varies on kappa scales of order the material resonances,
     i.e. of order 1, and on the rows' own scale k_row (`_row_scale`, 0 for a
-    block holding xi = 0), so the first panel is 0.05 max(1, 2 k_row) wide,
-    at most 1/(2d) (the scale of e^{-2 kappa d}) and at least 5e-7/d.  A
-    layer of thickness w contributes e^{-2 kappa_b w}, which varies on the
-    kappa scale 1/(2w), so with w_max the thickest layer that the rows can
-    see (`_thickest_visible`, 0 without one) the first panel is also at most
-    _LAYER_FRACTION/(2 w_max) wide, and again at least 5e-7/d.  Later panels
-    grow by _KAPPA_RATIO up to X_CUT/(2d), as the integrand decays like
-    e^{-2 kappa d}.
+    block holding xi = 0), so the first panel is at most delta = 0.05 max(1,
+    2 k_row) wide, with delta at most 1/(2d) (the scale of e^{-2 kappa d})
+    and at least 5e-7/d.  A layer of thickness w contributes e^{-2 kappa_b w},
+    which varies on the kappa scale 1/(2w), so with w_max the thickest layer
+    that the rows can see (`_thickest_visible`, 0 without one) delta is also
+    at most _LAYER_FRACTION/(2 w_max), and again at least 5e-7/d.  The first
+    edge is the largest ladder value at or below delta, so it lies in
+    (delta/4, delta]; later panels grow by 4, as the integrand decays like
+    e^{-2 kappa d}, and the last edge lies in [20/d, 80/d).  Between ideal
+    mirrors the part of a row past 2 kappa d = X drops out to (X^2 + 2X +
+    2) e^{-X}/2 = 3.6e-15 of the row at X = 40, below the round-off floor of
+    at least 100 eps of the row that its 4 or more panels carry.
 
-    Only the cap at 1/(2d), the floor at 5e-7/d and the last edge depend on
-    d, so distances whose first panel meets neither (1e-5 < d < 10 for a
-    block holding xi = 0, over layers thinner than 5e4 d) share every edge
-    but their own last one, bit for bit, which lets `force_sweep` evaluate
-    the reflection once for all of them.
+    Each edge is `math.ldexp(0.05, 2 j)`, exact in binary, so distances share
+    every edge that both their layouts reach, bit for bit, whatever their
+    first panel and their last, which lets `force_sweep` evaluate the
+    reflection once for all of them.
     """
     floor = 5e-7 / d
     delta = min(0.5 / d, max(0.05 * max(1.0, 2.0 * k_row), floor))
     if w_max > 0.0:
         delta = max(min(delta, 0.5 * _LAYER_FRACTION / w_max), floor)
-    return geometric_edges(delta, 0.5 * X_CUT / d, _KAPPA_RATIO)
+    # the largest j with 0.05 4^j <= delta; the log may be off by one ulp
+    j = math.floor(math.log(delta / 0.05, 4.0))
+    j += (math.ldexp(0.05, 2 * j + 2) <= delta) - (math.ldexp(0.05, 2 * j) > delta)
+    edges = [0.0, math.ldexp(0.05, 2 * j)]
+    while 2.0 * edges[-1] * d < _KAPPA_REACH:
+        j += 1
+        edges.append(math.ldexp(0.05, 2 * j))
+    return np.array(edges)
 
 
 class _Rows:
@@ -257,9 +272,12 @@ class _Rows:
     does the panels that the engine splits.  An entry holds, for a layer
     group (the thickest layer w_max that its rows see) and a starting panel
     (lo, hi), the rows xi of the longest call on it, whose first rows are
-    every other call's, and r1 r2 for TE and TM there, (2, rows, 2n+1).  The
-    nodes are the engine's (`panel_nodes`), bit for bit, so no result
-    depends on which other calls share the rows or the store.
+    every other call's, and r1 r2 for TE and TM there, (2, rows, 2n+1).
+    Panel edges are ladder values (`_kappa_offsets`), the same floats at
+    every distance, so calls at different distances meet on every panel
+    that both their layouts hold.  The nodes are the engine's
+    (`panel_nodes`), bit for bit, so no result depends on which other calls
+    share the rows or the store.
     """
 
     def __init__(self, stacks, gap, xi, cfg, store=None):
@@ -391,7 +409,7 @@ def _pair_integrals(stack1, stack2, gap, d, xi, cfg):
     |K - G| of te + tm over the Gauss-Kronrod panels plus a round-off floor,
     N eps (|te| + |tm|) for the N points evaluated per row (same units).
     The floor enters no refinement decision.  The engine integrates in
-    kappa itself, from each row's kappa_min over X_CUT/(2d); each panel
+    kappa itself, from each row's kappa_min to 2 kappa d >= 40; each panel
     costs 2 kappa_nodes + 1 reflection points per row.  The initial panels
     are `_kappa_offsets` for the thickest layer that the lowest row can see
     (a row sees fewer layers as xi grows) and for the smallest row scale
@@ -521,8 +539,10 @@ def force_sweep(stack1, stack2, gap, distances, tau, cfg: QuadratureConfig | Non
     whose next block starts at the lowest row and lays out their kappa calls
     on one `_Rows`, with a store of its own when it has more than one call
     (no later round starts on the same rows), so that r1 r2 are evaluated
-    once at the starting nodes that the distances share.  A distance's rows,
-    kappa layout, engine target and stop rule are its own.
+    once at the starting nodes that the distances share: the panels that
+    both layouts of a layer group hold, as every edge lies on one ladder
+    (`_kappa_offsets`).  A distance's rows, kappa layout, engine target and
+    stop rule are its own.
 
     The sweep raises the error of its first failing distance, in sweep
     order; the distances after it stop when it fails.

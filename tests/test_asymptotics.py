@@ -244,6 +244,26 @@ def test_hamaker_c3_cost_does_not_grow_as_one_over_tau(monkeypatch, name):
         assert sum(seen) // 2 <= 4096
 
 
+def test_hamaker_c3_at_tiny_tau_is_its_zero_temperature_value():
+    # c3 = h S/(8 pi^2) with h S summed directly: the tail weight x0/t^2 read
+    # 1/0 at the smallest nodes below tau ~ 1e-157 (4.2e-13 off at 1e-160,
+    # nan from ~1e-170), and log2(xi_max/x0) overflowed at 1e-320
+    m1, m2 = preset_substrates("fig1d")
+    want = hamaker_c3(m1, m2, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tau in (1e-160, 1e-200, 1e-300):
+            assert hamaker_c3(m1, m2, tau) == pytest.approx(want, rel=1e-12, abs=0.0), tau
+        # below the normal floats the tail's nodes lose their precision
+        with pytest.raises(ConvergenceError, match="tau = 1.000e-320"):
+            hamaker_c3(m1, m2, 1e-320)
+    # at ordinary temperatures c3 keeps the values it had when the sum
+    # divided its tail integral by h and weighted it by x0/t^2
+    for tau, old in ((1e-3, 5.6889865797264e-05), (1e-2, 5.6889865797262e-05),
+                     (0.1, 5.6898691169764905e-05), (0.3, 6.415014183384991e-05)):
+        assert hamaker_c3(m1, m2, tau) == pytest.approx(old, rel=1e-14, abs=0.0), tau
+
+
 def test_hamaker_c3_reaches_features_of_strong_oscillators():
     # the tail panels reach past the largest oscillator frequency, so a
     # strong, fast material converges as cheaply and matches its own tau = 0

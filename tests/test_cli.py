@@ -239,6 +239,12 @@ def test_exit_codes(capsys, tmp_path):
     for d, tau in (("1e103", "0"), ("1e80", "0"), ("1e200", "0.01")):
         code, _, err = run(capsys, "force", str(good), "-d", d, "--tau", tau)
         assert code == 3 and "underflow" in err
+    # so is a c3 whose Matsubara tail cannot be resolved at a tiny tau,
+    # rather than an OverflowError traceback
+    fig1d = tmp_path / "fig1d.txt"
+    fig1d.write_text(serialize(preset_scenario("fig1d")))
+    code, _, err = run(capsys, "asympt", str(fig1d), "-d", "0.3", "--tau", "1e-320")
+    assert code == 3 and "tau = 1.000e-320" in err
     # an output path that cannot be written is a usage error with the path and
     # the reason
     missing = tmp_path / "missing"

@@ -1,7 +1,9 @@
 """Pressure evaluator: exact limits, envelopes, truncation behaviour."""
 
 import dataclasses
+import itertools
 import math
+import sys
 import warnings
 
 import mpmath
@@ -395,35 +397,71 @@ def test_blocked_pair_integrals_bit_identical(monkeypatch, block):
         assert np.array_equal(a, b)
 
 
+def _ladder_index(v):
+    # the j with v == math.ldexp(0.05, 2 j) (float equality), else None
+    j = round(math.log(v / 0.05, 4.0))
+    return j if v == math.ldexp(0.05, 2 * j) else None
+
+
+def _assert_ladder(edges, d, delta):
+    # 0, then consecutive values of the ladder 0.05 4^j: the first in
+    # (delta/4, delta], the last the first at or past 20/d
+    js = [_ladder_index(v) for v in edges[1:].tolist()]
+    assert edges[0] == 0.0 and None not in js
+    assert js == list(range(js[0], js[0] + len(js)))
+    assert edges[1] <= delta < 4.0 * edges[1]
+    assert edges[-2] < 20.0 / d <= edges[-1]
+
+
+def _grid_distances():
+    from calmir import preset_scenario
+
+    return preset_scenario("fig1d").sweep.distances().tolist()
+
+
 def test_kappa_offsets_first_panel_follows_thickest_layer():
-    # without layers the edges grow by 4 from min(1/(2d), 0.05) up to
-    # X_CUT/(2d); a layer of thickness w (e^{-2 kappa_b w}) caps the first
-    # panel at a fraction of 1/(2w)
-    for d in (LAMBDA / 400.0, LAMBDA / 20.0, LAMBDA, 10.0 * LAMBDA):
-        k_cut = 0.5 * lifshitz.X_CUT / d
-        delta = min(0.5 / d, 0.05)
-        powers = [delta * 4.0**k for k in range(20) if delta * 4.0**k < k_cut]
-        plain = lifshitz._kappa_offsets(d, 0.0, 0.0)
-        assert np.array_equal(plain, [0.0, *powers, k_cut])
-        w = 20.0 * math.pi  # fig1c's coating
-        layered = lifshitz._kappa_offsets(d, w, 0.0)
-        assert layered[1] <= 0.5 * lifshitz._LAYER_FRACTION / w
-        assert layered[0] == 0.0 and layered[-1] == k_cut
-        assert np.all(np.diff(layered) > 0.0)
+    # without layers the first panel width delta is min(1/(2d), 0.05) (at
+    # least 5e-7/d); a layer of thickness w (e^{-2 kappa_b w}) caps it at
+    # _LAYER_FRACTION/(2w); the first edge is the ladder value at or below it
+    w = 20.0 * math.pi  # fig1c's coating
+    for d in (LAMBDA / 400.0, LAMBDA / 20.0, LAMBDA, 10.0 * LAMBDA, 1e4, 1e80):
+        floor = 5e-7 / d
+        delta = min(0.5 / d, max(0.05, floor))
+        _assert_ladder(lifshitz._kappa_offsets(d, 0.0, 0.0), d, delta)
+        layered = max(min(delta, 0.5 * lifshitz._LAYER_FRACTION / w), floor)
+        _assert_ladder(lifshitz._kappa_offsets(d, w, 0.0), d, layered)
     # a layer thin against d leaves the layout alone
     assert np.array_equal(lifshitz._kappa_offsets(LAMBDA, 0.01, 0.0), lifshitz._kappa_offsets(LAMBDA, 0.0, 0.0))
 
 
 def test_kappa_offsets_below_the_caps_do_not_depend_on_d():
-    # below the 1/(2d) cap every distance starts on the same edges, bit for
-    # bit, and only its last edge X_CUT/(2d) is its own
-    distances = (LAMBDA / 400.0, 0.1, 0.5, 1.0)
+    # every edge is a ladder value, so any two distances share, bit for bit,
+    # every edge that both layouts reach; below the 1/(2d) cap they start on
+    # the same edge, and the shorter layout is the start of the longer one
+    below = (LAMBDA / 400.0, 0.1, 0.5, 1.0)
     for w_max, k_row in ((0.0, 0.0), (20.0 * math.pi, 0.0), (0.0, 3.0)):
-        layouts = [lifshitz._kappa_offsets(d, w_max, k_row) for d in distances]
+        layouts = [lifshitz._kappa_offsets(d, w_max, k_row) for d in below]
         shortest = layouts[-1]
-        for d, edges in zip(distances, layouts):
-            assert np.array_equal(edges[: len(shortest) - 1], shortest[:-1])
-            assert edges[-1] == 0.5 * lifshitz.X_CUT / d
+        for edges in layouts:
+            assert np.array_equal(edges[: len(shortest)], shortest)
+        grid = [lifshitz._kappa_offsets(d, w_max, k_row) for d in _grid_distances()]
+        for a, b in itertools.combinations(grid, 2):
+            lo, hi = max(a[1], b[1]), min(a[-1], b[-1])
+            assert np.array_equal(a[(a >= lo) & (a <= hi)], b[(b >= lo) & (b <= hi)])
+
+
+def test_kappa_cut_drops_less_than_the_round_off_floor():
+    # the last edge reaches 2 kappa d >= 40; between ideal mirrors a row past
+    # 2 kappa d = X drops (X^2 + 2X + 2) e^{-X}/2 of itself, and a layout of
+    # at least 4 panels of 2n + 1 >= 25 points gives each row a round-off
+    # floor of at least 100 eps of itself, which is larger
+    x = 40.0
+    assert (x * x + 2.0 * x + 2.0) * math.exp(-x) / 2.0 < 100.0 * sys.float_info.epsilon
+    assert 2 * lifshitz.DEFAULT_CONFIG.kappa_nodes + 1 >= 25
+    for d in _grid_distances() + [1e-4, 1e4, 1e80]:
+        for w_max, k_row in ((0.0, 0.0), (20.0 * math.pi, 0.0), (0.0, 3.0), (0.0, 40.0)):
+            edges = lifshitz._kappa_offsets(d, w_max, k_row)
+            assert 2.0 * edges[-1] * d >= 40.0 and len(edges) - 1 >= 4
 
 
 def test_pair_integrals_lay_out_by_the_thickest_layer_of_either_stack(monkeypatch):
@@ -452,9 +490,10 @@ def _row_scale_of(st1, st2, gap, xi):
 
 
 def test_row_scale_sizes_the_first_kappa_panel():
-    # the first panel is 0.05 max(1, 2 k_row) wide, at most 1/(2d), and the
-    # layer cap still wins; k_row = kappa_min = xi for homogeneous mirrors
-    # across a vacuum gap, and 0 for a block that holds xi = 0
+    # the first panel width delta is 0.05 max(1, 2 k_row), at most 1/(2d),
+    # and the layer cap still wins; the first edge is the ladder value at or
+    # below delta; k_row = kappa_min = xi for homogeneous mirrors across a
+    # vacuum gap, and 0 for a block that holds xi = 0
     from calmir import preset
 
     st1, st2, gap = preset("fig1d")
@@ -462,16 +501,16 @@ def test_row_scale_sizes_the_first_kappa_panel():
     assert _row_scale_of(st1, st2, gap, [0.0, 1.0, 5.0]) == 0.0
     k_row = _row_scale_of(st1, st2, gap, [20.0, 3.0, 5.0])  # the lowest row need not come first
     assert k_row == pytest.approx(3.0, rel=1e-15)
-    edges = lifshitz._kappa_offsets(d, 0.0, k_row)
-    assert edges[1] == pytest.approx(0.1 * k_row, rel=1e-15) and edges[-1] == 0.5 * lifshitz.X_CUT / d
+    _assert_ladder(lifshitz._kappa_offsets(d, 0.0, k_row), d, 0.1 * k_row)
     assert np.array_equal(lifshitz._kappa_offsets(d, 0.0, 0.25), lifshitz._kappa_offsets(d, 0.0, 0.0))
     # the cap at 1/(2d), the scale of e^{-2 kappa d}
-    assert lifshitz._kappa_offsets(d, 0.0, 40.0)[1] == 0.5 / d
-    assert lifshitz._kappa_offsets(20.0, 0.0, 0.0)[1] == 0.5 / 20.0
+    _assert_ladder(lifshitz._kappa_offsets(d, 0.0, 40.0), d, 0.5 / d)
+    _assert_ladder(lifshitz._kappa_offsets(20.0, 0.0, 0.0), 20.0, 0.5 / 20.0)
     # the cap of a layer of thickness w at _LAYER_FRACTION/(2w)
     w = 20.0 * math.pi
     cap = 0.5 * lifshitz._LAYER_FRACTION / w
-    assert lifshitz._kappa_offsets(d, w, 40.0)[1] == lifshitz._kappa_offsets(d, w, 0.0)[1] == cap
+    _assert_ladder(lifshitz._kappa_offsets(d, w, 40.0), d, cap)
+    assert np.array_equal(lifshitz._kappa_offsets(d, w, 40.0), lifshitz._kappa_offsets(d, w, 0.0))
 
 
 def test_row_scale_at_xi_zero_keeps_the_layout():
@@ -931,6 +970,28 @@ def test_sweep_shares_the_reflection_kernel(monkeypatch):
     for d in distances:
         force_finite_T(st1, st2, gap, d, tau)
     assert shared <= 0.4 * sum(points)
+
+
+def test_sweep_shares_kappa_nodes_across_the_whole_grid(monkeypatch):
+    # every kappa panel edge lies on one ladder, so distances far apart share
+    # the starting nodes that both reach: every 4th distance of fig1d's grid
+    # (Lambda/400 to 50 Lambda) at tau = 0.01 evaluates the kernel on at most
+    # 40% of the points that 16 separate calls take (measured 33%: 334,100 of
+    # 1,022,400; 48% when each distance ended on its own cut X_CUT/(2d) and
+    # started on its own 1/(2d) above d = 10)
+    from calmir import preset_scenario
+
+    points = _kernel_points(monkeypatch)
+    scn = preset_scenario("fig1d")
+    st1, st2, gap = scn.mirror1, scn.mirror2, scn.gap
+    distances = scn.sweep.distances()[::4].tolist()
+    tau = 0.01
+    force_sweep(st1, st2, gap, distances, tau)
+    shared = sum(points)
+    points.clear()
+    for d in distances:
+        force_finite_T(st1, st2, gap, d, tau)
+    assert len(distances) == 16 and shared <= 0.4 * sum(points)
 
 
 @pytest.mark.parametrize("name, tau", [("fig1d", 0.01), ("fig1c", 0.0)])
