@@ -54,10 +54,10 @@ __all__ = [
 
 X_CUT = 60.0  # e^{-60} is far below any supported tolerance
 # Abscissae per reflection-kernel call.  Each call computes in place on this
-# thread's `scratch` arrays, sized to the block in hand (rows times at most
-# _BLOCK // rows columns) and kept for later blocks, passes and calls, so the
-# block bounds the pool's buffers; much smaller blocks pay numpy's per-call
-# overhead on every one of the kernel's few dozen operations.
+# thread's `scratch` arrays, sized to the block in hand (whole rows, at most
+# _BLOCK points unless one row is longer) and kept for later blocks, passes
+# and calls, so the block bounds the pool's buffers; much smaller blocks pay
+# numpy's per-call overhead on every one of the kernel's few dozen operations.
 _BLOCK = 1 << 15
 # First kappa panel width, as a fraction of 1/(2w) for the thickest layer w.
 _LAYER_FRACTION = 0.05
@@ -136,12 +136,20 @@ def matsubara_xi(n: int, tau: float) -> float:
 
 
 def _check_scale(d: float, tau: float) -> None:
-    """Raise ConvergenceError where the pressure integrals' raw scale, d^-4
-    at tau = 0 and d^-3 at tau > 0, underflows (d > 8.19e76 and 3.56e102):
-    they would read 0, and d^3 overflows soon after."""
+    """Raise ConvergenceError where the pressure underflows: where the
+    integrals' raw scale, d^-4 at tau = 0 and d^-3 at tau > 0, does (d >
+    8.19e76 and 3.56e102), as they would read 0 and d^3 overflows soon
+    after, or where the prefactor that turns them into F d^3, d^3 at tau = 0
+    and 2 tau d^3 at tau > 0, does (d < 2.8126e-103 at tau = 0), as the
+    tau = 0 integrals would then overflow or their target abs_tol pi/d^3
+    divide by zero, and a tau > 0 sum would need ~1/(tau d) terms that each
+    underflow."""
     power = 3 if tau > 0.0 else 4
     if d > 1.0 and (1.0 / d) ** power < sys.float_info.min:
         raise ConvergenceError(f"pressure integrals underflow: d^-{power} = {(1.0 / d) ** power:.3e} at d={d}")
+    prefactor = 2.0 * tau * d**3 if tau > 0.0 else d**3
+    if prefactor < sys.float_info.min:
+        raise ConvergenceError(f"pressure prefactor underflows: {prefactor:.3e} at tau={tau}, d={d}")
 
 
 def _damped_terms(kappa, d, gs, outs):
@@ -264,15 +272,17 @@ class _Rows:
     layer that its lowest row can see and its rows' scale) on the kernel's
     view of those rows (`ReflectionKernel.rows`), which gives their values
     value for value, as every kernel operation is elementwise; `integrals`
-    runs the engine.  Given a store, a dict {(w_max, lo, hi): (xi, g)} that
-    calls on the same starting kappa nodes share (a Matsubara round's, or
-    the first xi passes of a tau = 0 sweep), the rows' first engine callback
-    fills it for all their calls (`_fill`) and each call reads r1 r2 at its
-    starting nodes from it; without one, a call evaluates them itself, as it
-    does the panels that the engine splits.  An entry holds, for a layer
-    group (the thickest layer w_max that its rows see) and a starting panel
-    (lo, hi), the rows xi of the longest call on it, whose first rows are
-    every other call's, and r1 r2 for TE and TM there, (2, rows, 2n+1).
+    runs the engine, whose callback takes whole rows, at most _BLOCK points
+    at a time.  Given a store, a dict {(w_max, lo, hi): (xi, g)} that calls
+    on the same starting kappa nodes share (a Matsubara round's, or the
+    first xi passes of a tau = 0 sweep), the rows' first `integrals` fills
+    it for all their calls (`_fill`), and each call takes its panels'
+    entries before its engine runs and copies r1 r2 at its starting nodes
+    from them; without one, a call evaluates them itself, as it does the
+    panels that the engine splits.  An entry holds, for a layer group (the
+    thickest layer w_max that its rows see) and a starting panel (lo, hi),
+    the rows xi of the longest call on it, whose first rows are every other
+    call's, and r1 r2 for TE and TM there, (2, rows, 2n+1).
     Panel edges are ladder values (`_kappa_offsets`), the same floats at
     every distance, so calls at different distances meet on every panel
     that both their layouts hold.  The nodes are the engine's
@@ -303,31 +313,28 @@ class _Rows:
         """TE and TM kappa integrals and their error of call i, as
         `_pair_integrals`."""
         d, _, kernel, k_lo, w_max, offsets = self.calls[i]
-        stored = self._store is not None  # whether the next callback is the first
+        if self._store is not None and not self._filled:
+            self._fill()
+        # r1 r2 at the starting nodes, in the first rows of their panels' entries
+        starts = None if self._store is None else [self._store[w_max, lo, hi][1] for lo, hi in _panels(offsets)]
 
         def fvals(kappa):
-            nonlocal stored
+            nonlocal starts
             out = np.empty((2,) + kappa.shape)
-            if stored:
-                if not self._filled:
-                    self._fill()
-                # r1 r2 at the starting nodes, from the first rows of their
-                # panels' entries, turned into the damped terms in place
-                c = 0
-                for lo, hi in _panels(offsets):
-                    g = self._store[w_max, lo, hi][1]
-                    out[:, :, c : c + g.shape[2]] = g[:, : out.shape[1]]
-                    c += g.shape[2]
-            step = max(1, _BLOCK // max(1, kappa.shape[0]))
-            for c in range(0, kappa.shape[1], step):
-                kb, g = kappa[:, c : c + step], out[:, :, c : c + step]
-                if not stored:
+            step = max(1, _BLOCK // kappa.shape[1])
+            for r in range(0, len(kappa), step):
+                at = slice(r, min(r + step, len(kappa)))
+                g = out[:, at]
+                if starts:
+                    np.concatenate([e[:, at] for e in starts], axis=2, out=g)
+                else:
                     with scratch:
-                        (te1, tm1), (te2, tm2) = kernel.into_scratch(kb)
+                        rows = kernel.rows(at) if step < len(kappa) else kernel
+                        (te1, tm1), (te2, tm2) = rows.into_scratch(kappa[at])
                         np.multiply(te1, te2, out=g[0])
                         np.multiply(tm1, tm2, out=g[1])
-                _damped_terms(kb, d, g, g)
-            stored = False
+                _damped_terms(kappa[at], d, g, g)
+            starts = None
             return out
 
         cfg = self.cfg
@@ -343,7 +350,10 @@ class _Rows:
         calls need past the rows that each entry shares with them
         (`_common_prefix`), in `_BLOCK` chunks with one kernel row per pair.
         Of the calls' layer groups, the entries that no call starts on go
-        first; the other groups' entries stay for later distances."""
+        first; the other groups' entries stay for later distances.  A call
+        takes its entries after its rows' fill, and no other fill runs
+        before its engine's first callback has copied them, so rewriting an
+        entry in place never reaches a call's values."""
         self._filled = True
         store, nodes = self._store, self.cfg.kappa_nodes
         longest = {}  # key -> (row numbers, xi) of the longest call on its panel
@@ -462,18 +472,15 @@ def _matsubara_sum(d, tau, cfg):
     evaluated; they move the result only through the layout of each block,
     which follows its rows, and so only within round-off of est_error (by at
     most 7.2e-7 est_error on the tests' block schedules).  A block that
-    reaches max_matsubara without the stop raises ConvergenceError, as do at
-    once `_check_scale` and a prefactor 2 tau d^3 below the smallest normal
-    float: its terms underflow, and the sum would need ~1/(tau d) of them.
-    So does a block whose last frequency 2 pi tau n overflows when squared,
-    before it is yielded: the media's s = xi^2 eps mu would read inf.
+    reaches max_matsubara without the stop raises ConvergenceError, as does
+    `_check_scale` at once, where the raw scale d^-3 or the prefactor
+    2 tau d^3 of the terms underflows.  So does a block whose last frequency
+    2 pi tau n overflows when squared, before it is yielded: the media's
+    s = xi^2 eps mu would read inf.
     """
     asymptotics.check_distance(d)
     _check_scale(d, tau)
     d3 = d**3
-    if 2.0 * tau * d3 < sys.float_info.min:
-        raise ConvergenceError(
-            f"Matsubara terms underflow: 2 tau d^3 = {2.0 * tau * d3:.3e} at tau={tau}, d={d}")
     n0, block = 0, _first_block(tau, d, cfg.rel_tol)
     s_te = s_tm = est = s_abs = 0.0  # s_abs: sum of |term|, bounding the sums' round-off
     prev_mag, fell, tail = None, False, math.inf  # fell: whether the last comparison fell
@@ -552,12 +559,15 @@ def force_sweep(stack1, stack2, gap, distances, tau, cfg: QuadratureConfig | Non
     if tau == 0.0:
         store = {} if len(distances) > 1 else None
         return [force_zero_T(stack1, stack2, gap, d, cfg, _store=store) for d in distances]
-    results, errors = [None] * len(distances), {}
+    results, error = [None] * len(distances), None
     sums = {}  # j -> (the sum at distances[j], (n0, rows) of its next block)
 
     def fail(j, exc):
-        # the distances after j can no longer decide which error is raised
-        errors[j] = exc
+        # the distances after j can no longer decide which error is raised:
+        # they are dropped, so a later failure is at a lower j, and the last
+        # error recorded is the first failing distance's
+        nonlocal error
+        error = exc
         for k in [k for k in sums if k >= j]:
             del sums[k]
 
@@ -585,8 +595,8 @@ def force_sweep(stack1, stack2, gap, distances, tau, cfg: QuadratureConfig | Non
             except (ValueError, RuntimeError) as exc:
                 fail(j, exc)  # which drops the rest of the round
                 break
-    if errors:
-        raise errors[min(errors)]
+    if error is not None:
+        raise error
     return results
 
 

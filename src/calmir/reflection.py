@@ -136,7 +136,6 @@ class _Scratch(threading.local):
 
     def __init__(self):
         self._flat = []  # one buffer per depth
-        self._views = []  # the last view taken at each depth, reused for the same shape
         self._depth = 0
         self._frames = []
 
@@ -149,16 +148,12 @@ class _Scratch(threading.local):
     def take(self, shape):
         i = self._depth
         self._depth = i + 1
-        if i < len(self._views) and self._views[i].shape == shape:
-            return self._views[i]
         size = math.prod(shape)
         if i == len(self._flat):
             self._flat.append(np.empty(size))
-            self._views.append(None)
         elif self._flat[i].size < size:
             self._flat[i] = np.empty(size)
-        self._views[i] = self._flat[i][:size].reshape(shape)
-        return self._views[i]
+        return self._flat[i][:size].reshape(shape)
 
 
 scratch = _Scratch()

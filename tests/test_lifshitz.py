@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import sys
+import time
 import warnings
 
 import mpmath
@@ -377,11 +378,13 @@ def test_est_error_covers_kappa_roundoff(name, d, tau):
     assert abs(res.pressure_norm - ref.pressure_norm) <= res.est_error
 
 
-@pytest.mark.parametrize("block", [1 << 12, None])
+@pytest.mark.parametrize("block", [1 << 12, 1 << 9, 7, None])
 def test_blocked_pair_integrals_bit_identical(monkeypatch, block):
-    # the reflection callback evaluates its (rows x abscissae) grid in column
-    # blocks; every point's arithmetic is unchanged, so the integrals must
-    # equal the single-block evaluation bit for bit
+    # the reflection callback evaluates its (rows x abscissae) grid in blocks
+    # of whole rows, at most _BLOCK points unless one row is longer (7: one
+    # row per block, through the kernel's view of that row); every point's
+    # arithmetic is unchanged, so the integrals must equal the single-block
+    # evaluation bit for bit
     from calmir import lifshitz, preset
 
     st1, st2, gap = preset("fig1c")
@@ -1115,6 +1118,27 @@ def test_distances_whose_integrals_underflow_raise_convergence_error():
     near, far = (force_finite_T(st1, st2, gap, d, 0.01) for d in (1e4, 1e102))
     assert far.pressure_norm == pytest.approx(near.pressure_norm, rel=1e-9)
     assert far.est_error > 0.0
+
+
+def test_distances_whose_prefactor_underflows_raise_at_once():
+    # below d = 2.8126e-103 the tau = 0 prefactor d^3 is subnormal or 0: the
+    # integrals overflowed there (at d = 1e-104 the xi engine ran its whole
+    # 800-panel budget, with 788 numpy warnings, to a NaN estimate) or the
+    # engine's target abs_tol pi/d^3 divided by zero (a ZeroDivisionError
+    # from d ~ 1e-110 on)
+    from calmir import preset
+
+    st1, st2, gap = preset("fig1d")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in (1e-104, 1e-200, 5e-324):
+            start = time.perf_counter()
+            with pytest.raises(ConvergenceError, match="underflow"):
+                force_zero_T(st1, st2, gap, d)
+            assert time.perf_counter() - start < 0.1
+        # just above it F d^3 is still its short-distance limit
+        res, ref = (force_zero_T(st1, st2, gap, d) for d in (3e-103, 1e-80))
+    assert abs(res.pressure_norm - ref.pressure_norm) <= res.est_error + ref.est_error
 
 
 def test_bound_envelope_does_not_overflow_inside_the_range_guard():
