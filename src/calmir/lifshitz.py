@@ -136,20 +136,27 @@ def matsubara_xi(n: int, tau: float) -> float:
 
 
 def _check_scale(d: float, tau: float) -> None:
-    """Raise ConvergenceError where the pressure underflows: where the
-    integrals' raw scale, d^-4 at tau = 0 and d^-3 at tau > 0, does (d >
-    8.19e76 and 3.56e102), as they would read 0 and d^3 overflows soon
-    after, or where the prefactor that turns them into F d^3, d^3 at tau = 0
-    and 2 tau d^3 at tau > 0, does (d < 2.8126e-103 at tau = 0), as the
-    tau = 0 integrals would then overflow or their target abs_tol pi/d^3
-    divide by zero, and a tau > 0 sum would need ~1/(tau d) terms that each
-    underflow."""
+    """Raise ConvergenceError where the pressure integrals' raw scale, d^-4
+    at tau = 0 and d^-3 at tau > 0, underflows (d > 8.19e76 and 3.56e102):
+    they would read 0, and d^3 overflows soon after."""
     power = 3 if tau > 0.0 else 4
     if d > 1.0 and (1.0 / d) ** power < sys.float_info.min:
         raise ConvergenceError(f"pressure integrals underflow: d^-{power} = {(1.0 / d) ** power:.3e} at d={d}")
-    prefactor = 2.0 * tau * d**3 if tau > 0.0 else d**3
+
+
+def _checked_d3(d: float, tau: float) -> float:
+    """d^3, after `_check_scale`; raise ConvergenceError where the prefactor
+    that turns the integrals into F d^3, d^3 at tau = 0 and 2 tau d^3 at
+    tau > 0, falls below the smallest normal float (d < 2.8126e-103 at
+    tau = 0), as the tau = 0 integrals would then overflow or their target
+    abs_tol pi/d^3 divide by zero, and a tau > 0 sum would need ~1/(tau d)
+    terms that each underflow."""
+    _check_scale(d, tau)
+    d3 = d**3
+    prefactor = 2.0 * tau * d3 if tau > 0.0 else d3
     if prefactor < sys.float_info.min:
         raise ConvergenceError(f"pressure prefactor underflows: {prefactor:.3e} at tau={tau}, d={d}")
+    return d3
 
 
 def _damped_terms(kappa, d, gs, outs):
@@ -329,8 +336,7 @@ class _Rows:
                     np.concatenate([e[:, at] for e in starts], axis=2, out=g)
                 else:
                     with scratch:
-                        rows = kernel.rows(at) if step < len(kappa) else kernel
-                        (te1, tm1), (te2, tm2) = rows.into_scratch(kappa[at])
+                        (te1, tm1), (te2, tm2) = kernel.rows(at).into_scratch(kappa[at])
                         np.multiply(te1, te2, out=g[0])
                         np.multiply(tm1, tm2, out=g[1])
                 _damped_terms(kappa[at], d, g, g)
@@ -346,14 +352,12 @@ class _Rows:
         return vals[0] * scale, vals[1] * scale, err * scale
 
     def _fill(self):
-        """Evaluate into the store, in place, the (row, panel) pairs that the
-        calls need past the rows that each entry shares with them
-        (`_common_prefix`), in `_BLOCK` chunks with one kernel row per pair.
-        Of the calls' layer groups, the entries that no call starts on go
-        first; the other groups' entries stay for later distances.  A call
-        takes its entries after its rows' fill, and no other fill runs
-        before its engine's first callback has copied them, so rewriting an
-        entry in place never reaches a call's values."""
+        """Give every panel that the calls start on a new store entry: the
+        rows that it shares with the old one (`_common_prefix`) are copied,
+        and the (row, panel) pairs past them evaluated, in `_BLOCK` chunks
+        with one kernel row per pair.  Of the calls' layer groups, the
+        entries that no call starts on go first; the other groups' entries
+        stay for later distances."""
         self._filled = True
         store, nodes = self._store, self.cfg.kappa_nodes
         longest = {}  # key -> (row numbers, xi) of the longest call on its panel
@@ -369,12 +373,9 @@ class _Rows:
         for key, (at, xi) in longest.items():
             prev = store.get(key)
             shared = 0 if prev is None else _common_prefix(xi, prev[0])
-            if prev is not None and len(prev[0]) == len(xi):
-                g = prev[1]  # same shape: overwrite the rows past the shared ones
-            else:
-                g = np.empty((2, len(xi), 2 * nodes + 1))
-                if shared:
-                    g[:, :shared] = prev[1][:, :shared]
+            g = np.empty((2, len(xi), 2 * nodes + 1))
+            if shared:
+                g[:, :shared] = prev[1][:, :shared]
             store[key] = xi, g
             if shared < len(xi):
                 todo.append((g[:, shared:], at[shared:], key[1:]))
@@ -473,14 +474,13 @@ def _matsubara_sum(d, tau, cfg):
     which follows its rows, and so only within round-off of est_error (by at
     most 7.2e-7 est_error on the tests' block schedules).  A block that
     reaches max_matsubara without the stop raises ConvergenceError, as does
-    `_check_scale` at once, where the raw scale d^-3 or the prefactor
+    `_checked_d3` at once, where the raw scale d^-3 or the prefactor
     2 tau d^3 of the terms underflows.  So does a block whose last frequency
     2 pi tau n overflows when squared, before it is yielded: the media's
     s = xi^2 eps mu would read inf.
     """
     asymptotics.check_distance(d)
-    _check_scale(d, tau)
-    d3 = d**3
+    d3 = _checked_d3(d, tau)
     n0, block = 0, _first_block(tau, d, cfg.rel_tol)
     s_te = s_tm = est = s_abs = 0.0  # s_abs: sum of |term|, bounding the sums' round-off
     prev_mag, fell, tail = None, False, math.inf  # fell: whether the last comparison fell
@@ -633,7 +633,8 @@ def force_zero_T(stack1, stack2, gap, d, cfg: QuadratureConfig | None = None, *,
     The xi integral stops at xi_cut = X_CUT/(2d), the last of `_xi_breaks`;
     `xi_integral` states the ideal-mirror bound on the tail it drops, about
     1e-23 in F d^3 units, which est_error does not include; a d whose
-    integrals underflow raises ConvergenceError (`_check_scale`).  Each
+    integrals or prefactor d^3 underflow raises ConvergenceError
+    (`_checked_d3`).  Each
     pass of the engine splits its rows by the layers they can see
     (`_thickest_visible`): one kappa call per group, so rows above
     X_CUT/(2w) do not pay for the fine first kappa panel of a layer of
@@ -644,9 +645,8 @@ def force_zero_T(stack1, stack2, gap, d, cfg: QuadratureConfig | None = None, *,
     none.  The result is the same bit for bit.
     """
     asymptotics.check_distance(d)
-    _check_scale(d, 0.0)
+    d3 = _checked_d3(d, 0.0)
     cfg = cfg or DEFAULT_CONFIG
-    d3 = d**3
 
     def outer(xi):
         nonlocal _store
@@ -698,7 +698,7 @@ def bound_envelope(d: float, tau: float) -> tuple[float, float]:
     ceil(42/(4 pi tau d)) + 1 of them reach round-off.  The repulsive mode
     sum replaces Li_s(z) by -Li_s(-z) = Li_s(z) - 2^{1-s} Li_s(z^2), and
     z^2 = e^{-2 xi (2d)}, so mode by mode lo = -(A(d) - 2 A(2d)); A at d and
-    2d is summed together.  Above 0.02, a d whose Matsubara terms underflow
+    2d is summed together.  Above 0.02, a d whose raw scale d^-3 underflows
     raises ConvergenceError (`_check_scale`).
 
     Both branches are functions of u = tau d times 1/d: with a = 2 m d (m = k

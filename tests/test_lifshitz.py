@@ -4,7 +4,6 @@ import dataclasses
 import itertools
 import math
 import sys
-import time
 import warnings
 
 import mpmath
@@ -1120,25 +1119,41 @@ def test_distances_whose_integrals_underflow_raise_convergence_error():
     assert far.est_error > 0.0
 
 
-def test_distances_whose_prefactor_underflows_raise_at_once():
+def test_distances_whose_prefactor_underflows_raise_at_once(monkeypatch):
     # below d = 2.8126e-103 the tau = 0 prefactor d^3 is subnormal or 0: the
     # integrals overflowed there (at d = 1e-104 the xi engine ran its whole
     # 800-panel budget, with 788 numpy warnings, to a NaN estimate) or the
     # engine's target abs_tol pi/d^3 divided by zero (a ZeroDivisionError
-    # from d ~ 1e-110 on)
-    from calmir import preset
+    # from d ~ 1e-110 on); now they raise before the engine runs
+    from calmir import lifshitz, preset
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the xi engine ran")
 
     st1, st2, gap = preset("fig1d")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for d in (1e-104, 1e-200, 5e-324):
-            start = time.perf_counter()
-            with pytest.raises(ConvergenceError, match="underflow"):
-                force_zero_T(st1, st2, gap, d)
-            assert time.perf_counter() - start < 0.1
+        with monkeypatch.context() as m:
+            m.setattr(lifshitz, "xi_integral", no_engine)
+            for d in (1e-104, 1e-200, 5e-324):
+                with pytest.raises(ConvergenceError, match="underflow"):
+                    force_zero_T(st1, st2, gap, d)
         # just above it F d^3 is still its short-distance limit
         res, ref = (force_zero_T(st1, st2, gap, d) for d in (3e-103, 1e-80))
     assert abs(res.pressure_norm - ref.pressure_norm) <= res.est_error + ref.est_error
+
+
+def test_bound_envelope_at_tiny_d_keeps_its_closed_form():
+    # the envelopes are functions of u = tau d times 1/d and form no d^3, so
+    # the force paths' prefactor guard does not apply to them: d = 1e-155 at
+    # tau = 1e154 (u = 0.1, where d^3 underflows to 0) is (lo, hi) at d = 1, tau = 0.1
+    # scaled by 1/d
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lo, hi = bound_envelope(1e-155, 1e154)
+    lo1, hi1 = bound_envelope(1.0, 1e154 * 1e-155)
+    assert lo * 1e-155 == pytest.approx(lo1, rel=1e-12)
+    assert hi * 1e-155 == pytest.approx(hi1, rel=1e-12)
 
 
 def test_bound_envelope_does_not_overflow_inside_the_range_guard():
