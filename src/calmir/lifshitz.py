@@ -8,20 +8,19 @@ term carrying weight 1/2) of an integral over the gap decay constant kappa:
          sum_pol  r1 r2 e^{-2 kappa d} / (1 - r1 r2 e^{-2 kappa d})
 
 with kappa_min = xi_n sqrt(eps0 mu0) for a gap medium of response
-(eps0, mu0).  At tau = 0 the sum becomes (1/2 pi) int dxi and the prefactor
-2 tau goes over to 1/pi times the xi integral.
+(eps0, mu0), up to 2 kappa d >= 40.  At tau = 0, with rho^2 = k^2 + xi^2 for
+the transverse wavenumber k and xi = rho t,
 
-The kappa integral runs from kappa_min to 2 kappa d >= 40 (the integrand
-carries e^{-2 kappa d}), in kappa itself, on starting panels whose edges lie
-on one ladder 0.05 4^j at every distance, so that distances integrate a row
-on the same starting nodes wherever their layouts overlap; the tau = 0 xi
-integral starts on panels that distances share up to their own cuts
-X_CUT/(2d).
-`force_sweep` evaluates the reflection once where the distances of a sweep
-share nodes, through stores of r1 r2 at starting kappa nodes (`_Rows`):
-at tau > 0 one per round of the loop that drives every distance's Matsubara
-sum (`_matsubara_sum`), at tau = 0 one for the first xi passes.  Results are
-reported in the normalized form F d^3 (F d^3/(hbar Omega) in physical units).
+    F d^3 = d^3/(2 pi^2) int_0^inf drho rho^2 int_0^1 dt kappa_g
+            sum_pol g / (expm1(2 kappa_g d) + 1 - g),
+
+g = r1 r2 at xi = rho t, kappa_g = sqrt(rho^2 - xi^2 + s_gap), s_gap =
+xi^2 eps0 mu0: kappa_g = rho over a vacuum gap and kappa_g >= rho over any
+passive gap, so rho stops at 2 rho d >= 48.  kappa and rho panels start on
+one ladder 0.05 4^j at every distance, and r1 r2 does not depend on d, so
+`force_sweep` evaluates it once where distances share nodes: in a store per
+Matsubara round at tau > 0 (`_Rows`), in one table at tau = 0 (`_Table`).
+Results are reported as F d^3 (F d^3/(hbar Omega) in physical units).
 Since |r1 r2| <= 1 for passive materials, every term lies between the
 envelopes obtained for r1 r2 = +/-1, which integrate to ideal perfect-mirror
 pressures; those envelopes are returned alongside each result, and a result
@@ -38,7 +37,7 @@ import numpy as np
 
 from . import asymptotics
 from .errors import ConvergenceError
-from .quadrature import geometric_edges, panel_nodes, rowwise_panel_integral, xi_integral
+from .quadrature import adaptive_integral, kronrod_rule, panel_nodes, rowwise_panel_integral
 from .reflection import Kinematics, Pol, ReflectionKernel, scratch
 
 __all__ = [
@@ -61,10 +60,12 @@ X_CUT = 60.0  # e^{-60} is far below any supported tolerance
 _BLOCK = 1 << 15
 # First kappa panel width, as a fraction of 1/(2w) for the thickest layer w.
 _LAYER_FRACTION = 0.05
-# The kappa integral stops at the first panel edge at or past this 2 kappa d.
+# The kappa integral stops at the first panel edge at or past this 2 kappa d,
+# and the tau = 0 rho integral at this 2 rho d.
 _KAPPA_REACH = 40.0
-# Growth of the coarse starting panels of the tau = 0 xi integral.
-_XI_RATIO = 8.0
+_RHO_REACH = 48.0
+# The largest xi = rho t of a rho panel's first t panel (`_t_edges`).
+_XI_FIRST = 0.05
 # Matsubara blocks: the first reaches _GAP_MARGIN times the index where
 # e^{-2 xi_n d} falls to rel_tol, later ones double; none exceeds _MAX_BLOCK.
 _GAP_MARGIN = 1.2
@@ -75,14 +76,12 @@ _MAX_BLOCK = 256
 class QuadratureConfig:
     """Tolerances and node counts for the pressure integrals.
 
-    `kappa_nodes` and `xi_nodes` are the Gauss orders n of the Gauss-Kronrod
-    panels of the kappa integral and of the tau = 0 xi integral; each panel
-    costs 2n + 1 integrand points (25 and 33 by default).  Both integrals
-    start on coarse geometric panels (`_kappa_offsets`, `_xi_breaks`) that the
-    engine splits until the tolerance is met.  The kappa order and the two
-    growth ratios (4 on the kappa ladder, 8 in xi) come from scans of
-    reflection points and time per pressure (the kappa-rule and panel-layout
-    entries of CHANGES.md).
+    `kappa_nodes` is the Gauss order n of the Gauss-Kronrod panels of the
+    kappa and tau = 0 rho integrals, which start on a ladder of coarse panels
+    (`_kappa_offsets`) that the engine splits, `xi_nodes` that of the fixed
+    tau = 0 t panels (xi = rho t); a panel costs 2n + 1 points (25 by
+    default).  Orders and ladder come from scans of reflection points and
+    time per pressure (CHANGES.md).
     `max_matsubara` is the highest Matsubara index the tau > 0 sum may reach:
     a sum not converged after its max_matsubara + 1 terms (n = 0 ... max)
     raises ConvergenceError.
@@ -92,7 +91,7 @@ class QuadratureConfig:
     abs_tol: float = 1e-14
     max_matsubara: int = 10**6
     kappa_nodes: int = 12
-    xi_nodes: int = 16
+    xi_nodes: int = 12
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
@@ -113,7 +112,7 @@ class ForceResult:
     `bound_lo`/`bound_hi` are the ideal-mirror envelopes at the same (d, tau)
     in the same units; any passive result lies between them.  For finite
     temperature `n_terms_used` counts Matsubara terms; at tau = 0 it counts
-    outer frequency evaluations.
+    the evaluations of the outer rho integral.
     """
 
     pressure_norm: float
@@ -136,9 +135,9 @@ def matsubara_xi(n: int, tau: float) -> float:
 
 
 def _check_scale(d: float, tau: float) -> None:
-    """Raise ConvergenceError where the pressure integrals' raw scale, d^-4
-    at tau = 0 and d^-3 at tau > 0, underflows (d > 8.19e76 and 3.56e102):
-    they would read 0, and d^3 overflows soon after."""
+    """Raise ConvergenceError where the raw pressure's scale, d^-4 at
+    tau = 0 and d^-3 at tau > 0, underflows (d > 8.19e76 and 3.56e102): F
+    itself would read 0, and d^3 overflows soon after."""
     power = 3 if tau > 0.0 else 4
     if d > 1.0 and (1.0 / d) ** power < sys.float_info.min:
         raise ConvergenceError(f"pressure integrals underflow: d^-{power} = {(1.0 / d) ** power:.3e} at d={d}")
@@ -148,9 +147,9 @@ def _checked_d3(d: float, tau: float) -> float:
     """d^3, after `_check_scale`; raise ConvergenceError where the prefactor
     that turns the integrals into F d^3, d^3 at tau = 0 and 2 tau d^3 at
     tau > 0, falls below the smallest normal float (d < 2.8126e-103 at
-    tau = 0), as the tau = 0 integrals would then overflow or their target
-    abs_tol pi/d^3 divide by zero, and a tau > 0 sum would need ~1/(tau d)
-    terms that each underflow."""
+    tau = 0), as the tau = 0 integrand's factor rho^2 d^3 would lose
+    precision, and a tau > 0 sum would need ~1/(tau d) terms that each
+    underflow."""
     _check_scale(d, tau)
     d3 = d**3
     prefactor = 2.0 * tau * d3 if tau > 0.0 else d3
@@ -159,9 +158,10 @@ def _checked_d3(d: float, tau: float) -> float:
     return d3
 
 
-def _damped_terms(kappa, d, gs, outs):
-    """Write kappa^2 g e^{-2 kappa d} / (1 - g e^{-2 kappa d}) for each g into
-    the matching array of `outs`, as kappa^2 g / (expm1(2 kappa d) + (1 - g)).
+def _damped_terms(kappa, d, gs, outs, weight=None):
+    """Write w g e^{-2 kappa d} / (1 - g e^{-2 kappa d}), w = `weight` or
+    kappa^2, for each g into the matching array of `outs`, as
+    w g / (expm1(2 kappa d) + (1 - g)).
 
     The denominator is a sum of two non-negative terms for g <= 1, so it
     never cancels; where e^{2 kappa d} overflows it is inf, and the term 0,
@@ -171,16 +171,17 @@ def _damped_terms(kappa, d, gs, outs):
     """
     shape = outs[0].shape
     with scratch:
-        grow, k2, den = (scratch.take(shape) for _ in range(3))
+        grow, den = scratch.take(shape), scratch.take(shape)
         with np.errstate(over="ignore"):
             np.expm1(np.multiply(kappa, 2.0 * d, out=grow), out=grow)
-        np.multiply(kappa, kappa, out=k2)
+        if weight is None:
+            weight = np.multiply(kappa, kappa, out=scratch.take(shape))
         for g, out in zip(gs, outs):
             np.add(grow, np.subtract(1.0, g, out=den), out=den)
             # fmin skips NaN, as any(den <= 0.0) does
             if den.size and np.fmin.reduce(den, axis=None) <= 0.0:
                 raise RuntimeError("internal invariant violated: r1 r2 e^{-2 kappa d} >= 1")
-            np.divide(np.multiply(k2, g, out=out), den, out=out)
+            np.divide(np.multiply(weight, g, out=out), den, out=out)
     return outs
 
 
@@ -196,19 +197,24 @@ def integrand(stack1, stack2, gap, pol: Pol, d: float, kin: Kinematics):
     return float(out) if out.ndim == 0 else out
 
 
-def _thickest_visible(stacks, xi):
-    """The thickest layer of `stacks` that a row at frequency xi sees, 0.0 if
-    none; an array for an array xi.
+def _products(kernel, kappa, g):
+    """g, with r1 r2 of `kernel`'s stacks at the gap's kappa in g[0] (TE) and g[1] (TM)."""
+    with scratch:
+        (te1, tm1), (te2, tm2) = kernel.into_scratch(kappa)
+        np.multiply(te1, te2, out=g[0])
+        np.multiply(tm1, tm2, out=g[1])
+    return g
+
+
+def _thickest_visible(stacks, xi: float) -> float:
+    """The thickest layer of `stacks` that a row at frequency xi sees, or 0.0.
 
     A layer of thickness w enters the reflection only through
     e^{-2 kappa_b w} <= e^{-2 xi w}, as kappa_b >= xi in any passive medium
     whatever the gap, so a row sees the layer while 2 xi w < X_CUT.
     """
-    xi = np.asarray(xi, dtype=float)
-    w_max = np.zeros(xi.shape)
-    for w in (layer.thickness for st in stacks for layer in st.layers):
-        w_max = np.maximum(w_max, np.where(2.0 * xi * w < X_CUT, w, 0.0))
-    return w_max
+    return max((layer.thickness for st in stacks for layer in st.layers
+                if 2.0 * xi * layer.thickness < X_CUT), default=0.0)
 
 
 def _row_scale(kernel, k_lo) -> float:
@@ -230,10 +236,10 @@ def _row_scale(kernel, k_lo) -> float:
     return float((k_lo * (kernel.s_min[:, 0] / s_gap)).min())
 
 
-def _kappa_offsets(d: float, w_max: float, k_row: float) -> np.ndarray:
+def _kappa_offsets(d: float, w_max: float, k_row: float, reach: float = _KAPPA_REACH) -> np.ndarray:
     """Starting panel edges of the kappa integral, as offsets from each row's
     lower limit: 0, then values of the ladder 0.05 4^j (j an integer) from
-    the first panel's width up to the first at or past 2 kappa d = _KAPPA_REACH.
+    the first panel's width up to the first at or past 2 kappa d = reach.
 
     Reflection data varies on kappa scales of order the material resonances,
     i.e. of order 1, and on the rows' own scale k_row (`_row_scale`, 0 for a
@@ -263,67 +269,55 @@ def _kappa_offsets(d: float, w_max: float, k_row: float) -> np.ndarray:
     j = math.floor(math.log(delta / 0.05, 4.0))
     j += (math.ldexp(0.05, 2 * j + 2) <= delta) - (math.ldexp(0.05, 2 * j) > delta)
     edges = [0.0, math.ldexp(0.05, 2 * j)]
-    while 2.0 * edges[-1] * d < _KAPPA_REACH:
+    while 2.0 * edges[-1] * d < reach:
         j += 1
         edges.append(math.ldexp(0.05, 2 * j))
     return np.array(edges)
 
 
 class _Rows:
-    """Frequency rows xi, with one `ReflectionKernel`, shared by kappa calls
-    at one or more distances.
+    """Matsubara rows xi, with one `ReflectionKernel`, shared by the kappa
+    calls of one round at one or more distances.
 
-    A call integrates the rows that its index selects at one distance d: the
-    first rows of a Matsubara round (a slice) at tau > 0, a layer group (a
-    mask) at tau = 0.  `add` lays it out (`_kappa_offsets` for the thickest
-    layer that its lowest row can see and its rows' scale) on the kernel's
-    view of those rows (`ReflectionKernel.rows`), which gives their values
-    value for value, as every kernel operation is elementwise; `integrals`
-    runs the engine, whose callback takes whole rows, at most _BLOCK points
-    at a time.  Given a store, a dict {(w_max, lo, hi): (xi, g)} that calls
-    on the same starting kappa nodes share (a Matsubara round's, or the
-    first xi passes of a tau = 0 sweep), the rows' first `integrals` fills
-    it for all their calls (`_fill`), and each call takes its panels'
-    entries before its engine runs and copies r1 r2 at its starting nodes
-    from them; without one, a call evaluates them itself, as it does the
-    panels that the engine splits.  An entry holds, for a layer group (the
-    thickest layer w_max that its rows see) and a starting panel (lo, hi),
-    the rows xi of the longest call on it, whose first rows are every other
-    call's, and r1 r2 for TE and TM there, (2, rows, 2n+1).
-    Panel edges are ladder values (`_kappa_offsets`), the same floats at
-    every distance, so calls at different distances meet on every panel
-    that both their layouts hold.  The nodes are the engine's
-    (`panel_nodes`), bit for bit, so no result depends on which other calls
-    share the rows or the store.
+    A call integrates the first m rows at one distance d.  `add` lays it out
+    (`_kappa_offsets` for the thickest layer that its lowest row can see and
+    its rows' scale) on the kernel's view of those rows
+    (`ReflectionKernel.rows`), which gives their values value for value, as
+    every kernel operation is elementwise; `integrals` runs the engine, whose
+    callback takes whole rows, at most _BLOCK points at a time.  With more
+    than one call, the first `integrals` evaluates r1 r2 at the starting
+    nodes of all of them once (`_fill`); a lone call evaluates them itself,
+    as every call does the panels that the engine splits.  Calls at
+    different distances meet on every ladder panel that both layouts hold,
+    on the engine's nodes (`panel_nodes`) bit for bit, so no result depends
+    on which other calls share the rows.
     """
 
-    def __init__(self, stacks, gap, xi, cfg, store=None):
+    def __init__(self, stacks, gap, xi, cfg):
         self.xi = np.atleast_1d(np.asarray(xi, dtype=float))
         self.kernel = ReflectionKernel(stacks, gap, self.xi[:, None])
         self.k_lo = np.sqrt(self.kernel.s_gap[:, 0])  # each row's kappa_min
-        self.cfg = cfg
-        self.calls = []  # (d, index, kernel view, k_lo, w_max, offsets)
-        self._stacks, self._store = stacks, store
-        self._filled = False  # whether the store holds every call's starting values
+        self.cfg, self._stacks = cfg, stacks
+        self.calls = []  # (d, rows m, kernel view, k_lo, offsets, panels (lo, hi))
+        self._store = None  # {(lo, hi): r1 r2 at the panel's nodes}, filled by `_fill`
 
-    def add(self, d, index) -> int:
-        """Lay out the kappa call of the rows that `index` selects at distance
-        d; returns its number.  A store is filled for the calls added before
-        the first `integrals`."""
-        kernel, k_lo = self.kernel.rows(index), self.k_lo[index]
-        w_max = float(_thickest_visible(self._stacks, self.xi[index].min()))
+    def add(self, d, m) -> int:
+        """Lay out the kappa call of the first m rows at distance d; returns
+        its number.  Every call is added before the first `integrals`."""
+        kernel, k_lo = self.kernel.rows(slice(m)), self.k_lo[:m]
+        w_max = _thickest_visible(self._stacks, self.xi[:m].min())
         offsets = _kappa_offsets(d, w_max, _row_scale(kernel, k_lo))
-        self.calls.append((d, index, kernel, k_lo, w_max, offsets))
+        self.calls.append((d, m, kernel, k_lo, offsets, list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))))
         return len(self.calls) - 1
 
     def integrals(self, i):
         """TE and TM kappa integrals and their error of call i, as
         `_pair_integrals`."""
-        d, _, kernel, k_lo, w_max, offsets = self.calls[i]
-        if self._store is not None and not self._filled:
+        d, _, kernel, k_lo, offsets, panels = self.calls[i]
+        if self._store is None and len(self.calls) > 1:
             self._fill()
         # r1 r2 at the starting nodes, in the first rows of their panels' entries
-        starts = None if self._store is None else [self._store[w_max, lo, hi][1] for lo, hi in _panels(offsets)]
+        starts = None if self._store is None else [self._store[panel] for panel in panels]
 
         def fvals(kappa):
             nonlocal starts
@@ -335,10 +329,7 @@ class _Rows:
                 if starts:
                     np.concatenate([e[:, at] for e in starts], axis=2, out=g)
                 else:
-                    with scratch:
-                        (te1, tm1), (te2, tm2) = kernel.rows(at).into_scratch(kappa[at])
-                        np.multiply(te1, te2, out=g[0])
-                        np.multiply(tm1, tm2, out=g[1])
+                    _products(kernel.rows(at), kappa[at], g)
                 _damped_terms(kappa[at], d, g, g)
             starts = None
             return out
@@ -352,65 +343,26 @@ class _Rows:
         return vals[0] * scale, vals[1] * scale, err * scale
 
     def _fill(self):
-        """Give every panel that the calls start on a new store entry: the
-        rows that it shares with the old one (`_common_prefix`) are copied,
-        and the (row, panel) pairs past them evaluated, in `_BLOCK` chunks
-        with one kernel row per pair.  Of the calls' layer groups, the
-        entries that no call starts on go first; the other groups' entries
-        stay for later distances."""
-        self._filled = True
-        store, nodes = self._store, self.cfg.kappa_nodes
-        longest = {}  # key -> (row numbers, xi) of the longest call on its panel
-        # shortest call first, so that the longest call on a panel sets its rows
-        for _, index, _, _, w_max, offsets in sorted(self.calls, key=lambda call: len(call[3])):
-            at = np.arange(len(self.xi))[index]
-            for lo, hi in _panels(offsets):
-                longest[w_max, lo, hi] = at, self.xi[at]
-        groups = {key[0] for key in longest}
-        for key in [key for key in store if key[0] in groups and key not in longest]:
-            del store[key]
-        todo = []  # (g, row numbers, panel) still to evaluate
-        for key, (at, xi) in longest.items():
-            prev = store.get(key)
-            shared = 0 if prev is None else _common_prefix(xi, prev[0])
-            g = np.empty((2, len(xi), 2 * nodes + 1))
-            if shared:
-                g[:, :shared] = prev[1][:, :shared]
-            store[key] = xi, g
-            if shared < len(xi):
-                todo.append((g[:, shared:], at[shared:], key[1:]))
-        if not todo:
-            return
-        x, _ = panel_nodes(*np.array([panel for *_, panel in todo]).T, nodes)
-        pair_rows = np.concatenate([a for _, a, _ in todo])  # in todo order
-        ends = np.cumsum([0] + [len(a) for _, a, _ in todo]).tolist()
+        """Evaluate r1 r2 at the nodes of every panel (lo, hi) that the calls
+        start on, once: its store entry, (2, m, 2n + 1), holds the m rows of
+        the longest call on it, whose first rows are every other call's.
+        The (row, panel) pairs, one kernel row each, run in `_BLOCK` chunks
+        into one fresh array, of which the entries are views."""
+        nodes = self.cfg.kappa_nodes
+        rows = {}  # panel -> rows of the longest call on it
+        for _, m, _, _, _, panels in self.calls:
+            for panel in panels:
+                rows[panel] = max(m, rows.get(panel, 0))
+        x, _ = panel_nodes(*np.array(list(rows)).T, nodes)
+        pair_rows = np.concatenate([np.arange(m) for m in rows.values()])  # panel after panel
+        kappa = np.concatenate([self.k_lo[:m, None] + nodes_j for m, nodes_j in zip(rows.values(), x)])
+        g = np.empty((2,) + kappa.shape)
         step = max(1, _BLOCK // (2 * nodes + 1))
-        for c in range(0, len(pair_rows), step):
-            chunk = pair_rows[c : c + step]
-            # its pieces: the pairs a ... b - 1, a run of the rows of entry j
-            pieces = [(j, a, b) for j, (e0, e1) in enumerate(zip(ends, ends[1:]))
-                      for a, b in [(max(c, e0), min(c + step, e1))] if a < b]
-            with scratch:
-                kappa = scratch.take((len(chunk), 2 * nodes + 1))
-                for j, a, b in pieces:
-                    np.add(self.k_lo[pair_rows[a:b], None], x[j], out=kappa[a - c : b - c])
-                (te1, tm1), (te2, tm2) = self.kernel.rows(chunk).into_scratch(kappa)
-                for j, a, b in pieces:
-                    g, r = todo[j][0][:, a - ends[j] : b - ends[j]], slice(a - c, b - c)
-                    np.multiply(te1[r], te2[r], out=g[0])
-                    np.multiply(tm1[r], tm2[r], out=g[1])
-
-
-def _panels(offsets):
-    """The (lo, hi) pairs of starting panel edges `offsets`."""
-    return zip(offsets[:-1].tolist(), offsets[1:].tolist())
-
-
-def _common_prefix(a, b) -> int:
-    """The number of leading entries on which 1-D arrays a and b agree."""
-    m = min(len(a), len(b))
-    differ = np.flatnonzero(a[:m] != b[:m])
-    return int(differ[0]) if differ.size else m
+        for c in range(0, len(kappa), step):
+            at = slice(c, c + step)
+            _products(self.kernel.rows(pair_rows[at]), kappa[at], g[:, at])
+        ends = np.cumsum([0] + list(rows.values())).tolist()
+        self._store = {panel: g[:, lo:hi] for panel, lo, hi in zip(rows, ends, ends[1:])}
 
 
 def _pair_integrals(stack1, stack2, gap, d, xi, cfg):
@@ -426,11 +378,89 @@ def _pair_integrals(stack1, stack2, gap, d, xi, cfg):
     (a row sees fewer layers as xi grows) and for the smallest row scale
     (`_row_scale`, the lowest row's over a vacuum gap), so the rows share
     one layout, set by the row that needs the finest.  This is one `_Rows`
-    call on all the rows, with no store; `force_sweep` shares rows and
-    starting nodes between distances.
+    call on all the rows; `force_sweep` shares rows and starting nodes
+    between distances.
     """
     rows = _Rows((stack1, stack2), gap, xi, cfg)
-    return rows.integrals(rows.add(d, slice(None)))
+    return rows.integrals(rows.add(d, len(rows.xi)))
+
+
+class _Table:
+    """kappa_g and g = r1 r2 (TE, TM) on the (rho, t) nodes of the tau = 0
+    integral of one pair of mirrors across one gap, for every distance.
+
+    An entry per rho panel, keyed by its nodes (the same floats at every
+    distance: edges are ladder values and their bisections), holds them at
+    each row's t nodes (`_t_edges`), flat, row after row, and the rows' t
+    panel half-widths.  `_fill` makes it, `integrals` damps it for one d,
+    both in chunks of whole panels, at most _BLOCK points unless one panel
+    is larger, on `scratch`.
+    """
+
+    def __init__(self, stacks, gap, cfg):
+        self.stacks, self.gap, self.nodes, self.entries = stacks, gap, cfg.xi_nodes, {}
+        self.rows = 2 * cfg.kappa_nodes + 1  # rho nodes per panel
+        self.w_max = _thickest_visible(stacks, 0.0)  # at t -> 0 every layer is seen
+
+    def integrals(self, rho, d, d3):
+        """(3, M) at the M nodes `rho` of whole rho panels: for TE and TM
+        d^3 rho^2 int_0^1 dt kappa_g g/(expm1(2 kappa_g d) + 1 - g) on the t
+        panels, and the summed |K - G| of their sum over the t panels."""
+        panels = rho.reshape(-1, self.rows)
+        self._fill([p for p in panels if p.tobytes() not in self.entries])
+        entries = [self.entries[p.tobytes()] for p in panels]
+        rule = kronrod_rule(self.nodes)[1]
+        weights = rule[:, 0].copy(), rule[:, 0] - rule[:, 1]  # K, K - G
+        out = np.empty((3, len(rho)))
+        for a, b, size in _chunks([e[0].size for e in entries]):
+            with scratch:
+                kappa = np.concatenate([e[0] for e in entries[a:b]], out=scratch.take((size,)))
+                g = np.concatenate([e[1] for e in entries[a:b]], axis=1, out=scratch.take((2, size)))
+                _damped_terms(kappa, d, g, g, kappa)
+                # K and K - G of each (polarization, row, t panel), by einsum, which
+                # unlike a matrix product sums each alike in any chunk
+                kron, diff = (np.einsum("ijk,k->ij", g.reshape(2, -1, len(rule)), w) for w in weights)
+            half = np.concatenate([e[2] for e in entries[a:b]])
+            firsts = np.cumsum([0] + [len(e[2]) // self.rows for e in entries[a:b] for _ in range(self.rows)])
+            out[:2, a * self.rows : b * self.rows] = np.add.reduceat(kron * half, firsts[:-1], axis=1)
+            out[2, a * self.rows : b * self.rows] = np.add.reduceat(np.abs(diff.sum(axis=0)) * half, firsts[:-1])
+        return out * (rho * rho * d3)
+
+    def _fill(self, panels):
+        """Make the entries of the rho panels `panels` (their nodes), one kernel per chunk."""
+        layouts = [panel_nodes(e[:-1], e[1:], self.nodes) for e in (_t_edges(p[-1]) for p in panels)]
+        for a, b, _ in _chunks([self.rows * t.size for t, _ in layouts]):
+            rho = np.concatenate([np.repeat(p, t.size) for p, (t, _) in zip(panels[a:b], layouts[a:b])])
+            t = np.concatenate([np.tile(t.ravel(), self.rows) for t, _ in layouts[a:b]])
+            kernel = ReflectionKernel(self.stacks, self.gap, rho * t)
+            kappa = np.sqrt(rho * rho * (1.0 - t * t) + kernel.s_gap)
+            # the kernel takes kappa_m^2 = kappa_g^2 + (s_m - s_gap): where that square
+            # rounds below s_gap (s_gap >> rho^2), one ulp up keeps it >= 0
+            np.nextafter(kappa, np.inf, out=kappa, where=kappa * kappa < kernel.s_gap)
+            g = _products(kernel, kappa, np.empty((2, len(kappa))))
+            for p, (t_p, half) in zip(panels[a:b], layouts[a:b]):
+                n = self.rows * t_p.size
+                self.entries[p.tobytes()] = kappa[:n], g[:, :n], np.tile(half, self.rows)
+                kappa, g = kappa[n:], g[:, n:]
+
+
+def _t_edges(rho_max: float) -> np.ndarray:
+    """Edges 0, 4^-k, ..., 1/4, 1 of the t panels of a rho panel whose
+    largest node is rho_max, the first at or below _XI_FIRST/rho_max:
+    reflection data varies on xi scales of order 1 (the resonances), so the
+    first panel holds xi = rho t <= _XI_FIRST, and the others grow by 4."""
+    k = max(0, math.ceil(math.log(rho_max / _XI_FIRST, 4.0)))
+    return np.array([0.0] + [math.ldexp(1.0, -2 * j) for j in range(k, -1, -1)])
+
+
+def _chunks(sizes):
+    """(a, b, size) of runs a:b of items whose sizes sum to at most _BLOCK, or
+    of one item that alone is larger."""
+    ends, a = np.cumsum([0] + sizes), 0
+    while a < len(sizes):
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] + _BLOCK, side="right")) - 1)
+        yield a, b, int(ends[b] - ends[a])
+        a = b
 
 
 def _result(te, tm, n_terms_used, est, d, tau) -> ForceResult:
@@ -529,27 +559,21 @@ def force_sweep(stack1, stack2, gap, distances, tau, cfg: QuadratureConfig | Non
     Each result equals `force_zero_T` or `force_finite_T` at its distance
     bit for bit, whichever other distances are swept with it and in which
     order; the sweep only evaluates the reflection products r1 r2, which
-    depend on (xi, kappa) alone, once where distances share their nodes,
-    through stores of r1 r2 at the starting kappa nodes of their calls
-    (dicts that `_Rows` fills and reads).
+    depend on (xi, kappa) alone, once where distances share their nodes.
 
     At tau = 0 the distances run one after another, each through
-    `force_zero_T`, and one store serves the first xi pass of each: each of
-    its kappa calls reuses r1 r2 on the rows and starting panels that it
-    shares with the last call of its layer group, so neighbouring distances
-    of a sweep grid share most of their first pass.
+    `force_zero_T`, on one `_Table` of r1 r2 over (rho, t): a distance
+    evaluates only the rho panels that no distance before it has reached.
 
     At tau > 0 every distance keeps its own Matsubara sum (`_matsubara_sum`:
     block schedule, stop rule, error estimate, Matsubara budget and envelope
     check), but the sums run in one loop over the rows xi_n = 2 pi n tau,
     which are the same at every distance: each round takes the distances
     whose next block starts at the lowest row and lays out their kappa calls
-    on one `_Rows`, with a store of its own when it has more than one call
-    (no later round starts on the same rows), so that r1 r2 are evaluated
-    once at the starting nodes that the distances share: the panels that
-    both layouts of a layer group hold, as every edge lies on one ladder
-    (`_kappa_offsets`).  A distance's rows, kappa layout, engine target and
-    stop rule are its own.
+    on one `_Rows`, which evaluates r1 r2 once at the starting nodes that
+    the distances share: the panels that both layouts hold, as every edge
+    lies on one ladder (`_kappa_offsets`).  A distance's rows, kappa
+    layout, engine target and stop rule are its own.
 
     The sweep raises the error of its first failing distance, in sweep
     order; the distances after it stop when it fails.
@@ -557,8 +581,8 @@ def force_sweep(stack1, stack2, gap, distances, tau, cfg: QuadratureConfig | Non
     asymptotics.check_tau(tau)
     cfg = cfg or DEFAULT_CONFIG
     if tau == 0.0:
-        store = {} if len(distances) > 1 else None
-        return [force_zero_T(stack1, stack2, gap, d, cfg, _store=store) for d in distances]
+        table = _Table((stack1, stack2), gap, cfg)
+        return [force_zero_T(stack1, stack2, gap, d, cfg, _table=table) for d in distances]
     results, error = [None] * len(distances), None
     sums = {}  # j -> (the sum at distances[j], (n0, rows) of its next block)
 
@@ -582,9 +606,8 @@ def force_sweep(stack1, stack2, gap, distances, tau, cfg: QuadratureConfig | Non
         n0 = min(n for _, (n, _) in sums.values())
         group = {j: m for j, (_, (n, m)) in sums.items() if n == n0}
         ns = np.arange(n0, n0 + max(group.values()))
-        rows = _Rows((stack1, stack2), gap, 2.0 * math.pi * tau * ns, cfg,
-                     {} if len(group) > 1 else None)
-        calls = {j: rows.add(distances[j], slice(m)) for j, m in group.items()}
+        rows = _Rows((stack1, stack2), gap, 2.0 * math.pi * tau * ns, cfg)
+        calls = {j: rows.add(distances[j], m) for j, m in group.items()}
         for j, call in calls.items():  # ascending j
             s = sums[j][0]
             try:
@@ -619,53 +642,29 @@ def force_finite_T(stack1, stack2, gap, d, tau, cfg: QuadratureConfig | None = N
     return force_sweep(stack1, stack2, gap, (d,), tau, cfg)[0]
 
 
-def _xi_breaks(d: float) -> np.ndarray:
-    """Starting panel edges in xi for the tau = 0 integral (`xi_integral` maps
-    them): geometric from 0.02 by _XI_RATIO up to xi_cut = X_CUT/(2d), the
-    last edge and the integral's upper limit, beyond which every kappa row
-    starts at x >= X_CUT; the engine splits as needed."""
-    return geometric_edges(0.02, 0.5 * X_CUT / d, _XI_RATIO)
+def force_zero_T(stack1, stack2, gap, d, cfg: QuadratureConfig | None = None, *, _table=None) -> ForceResult:
+    """Zero-temperature pressure: (1/2 pi^2) int drho of `_Table.integrals`.
 
-
-def force_zero_T(stack1, stack2, gap, d, cfg: QuadratureConfig | None = None, *, _store=None) -> ForceResult:
-    """Zero-temperature pressure: (1/pi) int_0^xi_cut dxi of the kappa integral.
-
-    The xi integral stops at xi_cut = X_CUT/(2d), the last of `_xi_breaks`;
-    `xi_integral` states the ideal-mirror bound on the tail it drops, about
-    1e-23 in F d^3 units, which est_error does not include; a d whose
-    integrals or prefactor d^3 underflow raises ConvergenceError
-    (`_checked_d3`).  Each
-    pass of the engine splits its rows by the layers they can see
-    (`_thickest_visible`): one kappa call per group, so rows above
-    X_CUT/(2w) do not pay for the fine first kappa panel of a layer of
-    thickness w; each pass is one `_Rows`, whose calls read their rows from
-    its one kernel.  `force_sweep` passes its store, `_store` (a dict that
-    `_Rows` fills), to the first pass, whose calls take r1 r2 at their
-    starting nodes from it; later passes, this distance's own splits, get
-    none.  The result is the same bit for bit.
+    The rho engine starts on `_kappa_offsets` for the thickest layer of
+    either stack, up to 2 rho d >= _RHO_REACH: between ideal mirrors the
+    part past 2 rho d = X is (X^3 + 3X^2 + 6X + 6) e^{-X}/6 = 2.8e-17 of
+    the pressure at X = 48, below the round-off floor in est_error, N eps
+    (|te| + |tm|) for the N >= 100 rho nodes (`n_terms_used`).  est_error
+    adds the rho and t panels' |K - G|.  A d whose integrals or prefactor
+    d^3 underflow raises ConvergenceError (`_checked_d3`).  `force_sweep`
+    shares its `_table`; the result is the same bit for bit.
     """
     asymptotics.check_distance(d)
     d3 = _checked_d3(d, 0.0)
     cfg = cfg or DEFAULT_CONFIG
-
-    def outer(xi):
-        nonlocal _store
-        rows = _Rows((stack1, stack2), gap, xi, cfg, _store)
-        w_max = _thickest_visible((stack1, stack2), xi)
-        groups = [(at, rows.add(d, at)) for at in (w_max == w for w in np.unique(w_max))]
-        out = np.empty((3, len(xi)))
-        for at, i in groups:
-            out[:, at] = rows.integrals(i)
-        _store = None  # the rows of later passes are this distance's own splits
-        return out
-
-    breaks = _xi_breaks(d)
-    total, qerr, n_rows = xi_integral(outer, breaks, breaks[-1], nodes=cfg.xi_nodes,
-                                      rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol * math.pi / d3,
-                                      n_control=2)
-    te, tm, inner_err = (total / math.pi * d3).tolist()
-    est = qerr / math.pi * d3 + abs(inner_err)
-    return _result(te, tm, n_rows, est, d, 0.0)
+    table = _table or _Table((stack1, stack2), gap, cfg)
+    total, qerr, n_eval = adaptive_integral(lambda rho: table.integrals(rho, d, d3),
+                                            _kappa_offsets(d, table.w_max, 0.0, _RHO_REACH),
+                                            nodes=cfg.kappa_nodes, rel_tol=cfg.rel_tol,
+                                            abs_tol=cfg.abs_tol * 2.0 * math.pi**2, n_control=2)
+    te, tm, t_err = (total / (2.0 * math.pi**2)).tolist()
+    est = qerr / (2.0 * math.pi**2) + abs(t_err) + n_eval * sys.float_info.epsilon * (abs(te) + abs(tm))
+    return _result(te, tm, n_eval, est, d, 0.0)
 
 
 # At and below this tau d the low-temperature closed form is exact to

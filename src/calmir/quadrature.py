@@ -19,8 +19,7 @@ it needs; the integrand may split that call into smaller blocks internally.
 `rowwise_panel_integral` adapts the engine to panels shifted to a per-row
 lower limit; it is the kappa integral's named entry point, through which the
 benchmark's per-layer trace (benchmarks/spans.py) sees the reflection
-callback.  `xi_integral` runs the engine over [0, upper) on t = xi/(1 + xi),
-upper = inf by default.
+callback.  `xi_integral` runs the engine over [0, inf) on t = xi/(1 + xi).
 Processing order depends only on the inputs, and running out of the panel
 budget raises `ConvergenceError`.
 """
@@ -118,13 +117,6 @@ def panel_nodes(a, b, nodes):
     return (0.5 * (a + b))[:, None] + half[:, None] * kronrod_rule(nodes)[0], half
 
 
-def _pairs(u, v):
-    """Interleave 1-D u and v: u[0], v[0], u[1], v[1], ..."""
-    out = np.empty(2 * len(u))
-    out[::2], out[1::2] = u, v
-    return out
-
-
 def adaptive_integral(f, edges, *, nodes, rel_tol, abs_tol, n_control=None, max_panels=800):
     """Adaptively integrate f over the panels in `edges`.
 
@@ -178,7 +170,8 @@ def adaptive_integral(f, edges, *, nodes, rel_tol, abs_tol, n_control=None, max_
         split = np.zeros(len(a), dtype=bool)
         split[order[: np.count_nonzero(left) + 1]] = True
         m = 0.5 * (a[split] + b[split])
-        ca, cb = _pairs(a[split], m), _pairs(m, b[split])
+        # each split panel's halves, in its place: a, m then m, b
+        ca, cb = np.stack((a[split], m), axis=1).ravel(), np.stack((m, b[split]), axis=1).ravel()
         cvalue, cchange = panels(ca, cb)
         keep = ~split
         a, b = np.concatenate([a[keep], ca]), np.concatenate([b[keep], cb])
@@ -204,20 +197,16 @@ def rowwise_panel_integral(fvals, x_lo, offsets, *, nodes, rel_tol):
     )
 
 
-def xi_integral(f, breaks, upper=math.inf, **engine):
-    """int_0^upper f(xi) dxi: `adaptive_integral` (given the keywords) on t = xi/(1 + xi).
+def xi_integral(f, breaks, **engine):
+    """int_0^inf f(xi) dxi: `adaptive_integral` (given the keywords) on t = xi/(1 + xi).
 
-    The panel edges are t = 0, the mapped `breaks` below `upper` and the
-    mapped `upper` (t = 1 for the default, infinity); f's (C, ..., M) values,
-    abscissae last, are multiplied by the Jacobian 1/(1 - t)^2.  Panels are
-    split by the engine's rule: each pass the fewest worst ones, at most
-    _BATCH, that would leave every row within the target.  `force_zero_T`
-    stops at xi_cut = X_CUT/(2d): between ideal mirrors the dropped tail is
-    at most (Y^2 + 4Y + 6) e^{-Y}/(16 pi^2 d (1 - e^{-Y})) in F d^3 units,
-    Y = X_CUT, about 1.4e-23 at d = Lambda/400.
+    The panel edges are t = 0, the mapped `breaks` and t = 1; f's
+    (C, ..., M) values, abscissae last, are multiplied by the Jacobian
+    1/(1 - t)^2.  Panels are split by the engine's rule: each pass the
+    fewest worst ones, at most _BATCH, that would leave every row within
+    the target.
     """
-    top = 1.0 if math.isinf(upper) else upper / (1.0 + upper)
-    edges = np.array(sorted({0.0, top} | {b / (1.0 + b) for b in breaks if b < upper}))
+    edges = np.array(sorted({0.0, 1.0} | {b / (1.0 + b) for b in breaks}))
 
     def mapped(t):
         return f(t / (1.0 - t)) * (1.0 / (1.0 - t) ** 2)

@@ -284,9 +284,9 @@ class ReflectionKernel:
 
     def rows(self, index):
         """The kernel of the rows of this one's xi grid (an array of rows) that
-        `index` selects: a slice, a boolean mask or row numbers.  It is built
-        from this kernel's response samples, not new ones, and its
-        coefficients equal those of the selected rows, value for value."""
+        `index` selects: a slice or row numbers.  It is built from this
+        kernel's response samples, not new ones, and its coefficients equal
+        those of the selected rows, value for value."""
         view = copy.copy(self)
         view._samples = [ResponseSample(smp.kind, smp.eps[index], smp.mu[index], smp.s[index],
                                         smp.eps_pole, smp.mu_pole) for smp in self._samples]

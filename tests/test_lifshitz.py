@@ -608,86 +608,68 @@ def test_coated_stack_kappa_points_under_ceiling(monkeypatch, d):
     assert new <= ceiling < old
 
 
-def _fixed_xi_breaks(d):
-    # the earlier tau = 0 xi layout: fixed breaks up to 20, then doublings
-    # from 40 up to xi_cut
-    xi_cut = 0.5 * lifshitz.X_CUT / d
-    breaks = [b for b in (0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0) if b < 3.0 * xi_cut]
-    v = 40.0
-    while v < xi_cut:
-        breaks.append(v)
-        v *= 2.0
-    return breaks + [xi_cut]
+def _fixed_t_edges(rho_max):
+    # every rho panel on one t layout, fine enough for the largest rho of a
+    # sweep down to Lambda/400: 0, then 1e-5 4^j up to 1
+    return np.concatenate(([0.0], 1e-5 * 4.0 ** np.arange(9), [1.0]))
 
 
-def _outer_rows_to_infinity(st1, st2, gap, d, breaks):
-    # the earlier tau = 0 xi integral: every row of a pass in one kappa call,
-    # up to xi = infinity
-    from calmir.quadrature import xi_integral
-
-    cfg = lifshitz.DEFAULT_CONFIG
-
-    def outer(xi):
-        return np.stack(lifshitz._pair_integrals(st1, st2, gap, d, xi, cfg))
-
-    _, _, n_rows = xi_integral(outer, breaks, nodes=cfg.xi_nodes, rel_tol=cfg.rel_tol,
-                               abs_tol=cfg.abs_tol * math.pi / d**3, n_control=2)
-    return n_rows
-
-
-def test_coated_stack_outer_rows_under_ceiling():
-    # rows do not depend on the machine: the tau = 0 xi integral on fig1c
-    # needs 231, 198 and 132 outer rows at these distances, and the fixed
-    # breaks integrated to infinity 594, 462 and 363
+def test_coated_stack_table_points_under_ceiling(monkeypatch):
+    # points do not depend on the machine: a lone tau = 0 pressure on fig1c
+    # evaluates 30,625, 20,000 and 11,875 (rho, t) points at these
+    # distances, on 325, 275 and 225 rho nodes, as each rho panel's t
+    # panels start at xi = rho t <= 0.05; the fixed t layout takes 81,250,
+    # 68,750 and 56,250
     from calmir import preset
 
-    ceiling = 250
+    ceiling = 32_000
     st1, st2, gap = preset("fig1c")
     distances = (LAMBDA / 400.0, LAMBDA / 20.0, LAMBDA)
-    new = [force_zero_T(st1, st2, gap, d).n_terms_used for d in distances]
-    old = [_outer_rows_to_infinity(st1, st2, gap, d, _fixed_xi_breaks(d)) for d in distances]
+    points = _kernel_points(monkeypatch)
+    new = []
+    for d in distances:
+        points.clear()
+        assert force_zero_T(st1, st2, gap, d).n_terms_used <= 325
+        new.append(sum(points))
+    monkeypatch.setattr(lifshitz, "_t_edges", _fixed_t_edges)
+    old = []
+    for d in distances:
+        points.clear()
+        force_zero_T(st1, st2, gap, d)
+        old.append(sum(points))
     assert max(new) <= ceiling < min(old)
 
 
-def _tail_bound(d):
-    # ideal-mirror bound on the tau = 0 pressure from xi > X_CUT/(2d), F d^3 units
-    y = lifshitz.X_CUT
-    return (y * y + 4.0 * y + 6.0) * math.exp(-y) / (16.0 * math.pi**2 * d * -math.expm1(-y))
+def _rho_tail(x):
+    # between ideal mirrors, the share of the tau = 0 pressure past 2 rho d = x
+    # is at most int_x^inf s^3 e^{-s} ds / 3! of it
+    return (x**3 + 3.0 * x * x + 6.0 * x + 6.0) * math.exp(-x) / 6.0
 
 
-def _without_cut(monkeypatch):
-    # force_zero_T's xi integral runs on to infinity, as it did before the cut
-    from calmir import quadrature
-
-    monkeypatch.setattr(lifshitz, "xi_integral",
-                        lambda f, breaks, upper, **engine: quadrature.xi_integral(f, breaks, **engine))
-
-
-@pytest.mark.parametrize("name", ["fig1a", "fig1b", "fig1c", "fig1d", "fig3c"])
-def test_zero_T_cut_drops_only_the_tail(monkeypatch, name):
-    # the xi panel beyond X_CUT/(2d) holds 33 rows below e^{-X_CUT} (at
-    # larger d the engine may also split it): without layers the pressure is
-    # the same bit for bit, and on fig1c it moves by less than the tail's
-    # ideal-mirror bound (1.4e-23 at Lambda/400)
-    from calmir import preset
-
-    st1, st2, gap = preset(name)
-    distances = (LAMBDA / 400.0, LAMBDA / 20.0, LAMBDA)
-    cut = [force_zero_T(st1, st2, gap, d) for d in distances]
-    _without_cut(monkeypatch)
-    full = [force_zero_T(st1, st2, gap, d) for d in distances]
-    assert _tail_bound(LAMBDA / 400.0) == pytest.approx(1.36e-23, rel=0.01)
-    for d, a, b in zip(distances, cut, full):
-        assert b.n_terms_used - a.n_terms_used == 33
-        if st1.layers or st2.layers:
-            assert abs(a.pressure_norm - b.pressure_norm) <= _tail_bound(d)
-        else:
-            assert (a.te_part, a.tm_part) == (b.te_part, b.tm_part)
+def test_rho_cut_drops_less_than_the_round_off_floor():
+    # the last rho edge reaches 2 rho d >= _RHO_REACH, and a layout of at
+    # least 4 panels of 2n + 1 >= 25 points gives est_error a round-off floor
+    # of at least 100 eps of the pressure, which is larger than the tail; the
+    # kappa integral's reach of 40 would not do for the rho^3 of a pressure
+    x = lifshitz._RHO_REACH
+    assert _rho_tail(x) < 100.0 * sys.float_info.epsilon < _rho_tail(40.0)
+    assert 2 * lifshitz.DEFAULT_CONFIG.kappa_nodes + 1 >= 25
+    for d in _grid_distances() + [1e-4, 1e4, 1e76]:
+        for w_max in (0.0, 20.0 * math.pi):
+            edges = lifshitz._kappa_offsets(d, w_max, 0.0, x)
+            assert 2.0 * edges[-1] * d >= x and len(edges) - 1 >= 4
+    # the floor is part of est_error: between ideal mirrors, where the panels'
+    # |K - G| is all but 0, est_error still covers the tail
+    for d in (LAMBDA / 400.0, 1.0, 10.0 * LAMBDA):
+        res = force_zero_T(PE, PE, VACUUM, d)
+        assert res.est_error >= _rho_tail(x) * res.pressure_norm
+        assert res.pressure_norm * d == pytest.approx(F_C_COEF, rel=1e-12)
 
 
-def test_rows_are_grouped_by_the_layers_they_can_see(monkeypatch):
-    # a layer of thickness w is visible below xi = X_CUT/(2w): 3 for w = 10,
-    # 30 for w = 1; force_zero_T makes one kappa call per group of a pass
+def test_zero_T_layout_follows_the_thickest_layer(monkeypatch):
+    # a layer of thickness w is visible below xi = X_CUT/(2w) (3 for w = 10,
+    # 30 for w = 1); the t integral reaches xi = 0 on every rho row, so the
+    # tau = 0 rho panels are laid out for the thickest layer of either stack
     from calmir import Layer
 
     coat = ResponseModel.lorentz(0.1, 1.0, 0.3, 1.0)
@@ -695,16 +677,17 @@ def test_rows_are_grouped_by_the_layers_they_can_see(monkeypatch):
     thick = MirrorStack((Layer(coat, 10.0),), metal)
     thin = MirrorStack((Layer(coat, 1.0),), metal)
     bare = MirrorStack.homogeneous(metal)
-    xi = np.array([0.0, 2.9, 3.0, 29.0, 30.0, 100.0])
-    assert lifshitz._thickest_visible((bare, bare), xi).tolist() == [0.0] * 6
-    assert lifshitz._thickest_visible((bare, thick), xi).tolist() == [10.0, 10.0, 0.0, 0.0, 0.0, 0.0]
-    assert lifshitz._thickest_visible((thick, thin), xi).tolist() == [10.0, 10.0, 1.0, 1.0, 0.0, 0.0]
+    visible = [lifshitz._thickest_visible((thick, thin), x) for x in (0.0, 2.9, 3.0, 29.0, 30.0, 100.0)]
+    assert visible == [10.0, 10.0, 1.0, 1.0, 0.0, 0.0]
     assert lifshitz._thickest_visible((thin, thick), 2.9) == 10.0
-    calls = _count_pair_integrals(monkeypatch)
-    force_zero_T(thick, thin, VACUUM, 0.1)  # xi_cut = 300
-    groups = [set(lifshitz._thickest_visible((thick, thin), x).tolist()) for x in calls]
-    assert all(len(g) == 1 for g in groups)
-    assert set().union(*groups) == {10.0, 1.0, 0.0}
+    assert lifshitz._thickest_visible((bare, bare), 0.0) == 0.0
+    seen = []
+    layout = lifshitz._kappa_offsets
+    monkeypatch.setattr(lifshitz, "_kappa_offsets",
+                        lambda d, w_max, k_row, reach: seen.append(w_max) or layout(d, w_max, k_row, reach))
+    for st1, st2 in ((thick, thin), (thin, thick), (bare, thin), (bare, bare)):
+        force_zero_T(st1, st2, VACUUM, 0.1)
+    assert seen == [10.0, 10.0, 1.0, 0.0]
 
 
 @pytest.mark.parametrize("gap", [VACUUM, ResponseModel.lorentz(0.5, 2.0)])
@@ -718,7 +701,7 @@ def test_a_row_that_cannot_see_a_layer_sees_a_half_space(gap):
     metal = ResponseModel.drude(3.0)
     bare, coated_stack = MirrorStack.homogeneous(metal), MirrorStack((Layer(coat, 10.0),), metal)
     xi = np.geomspace(3.0, 30.0, 8)
-    assert not lifshitz._thickest_visible((bare, coated_stack), xi).any()
+    assert not any(lifshitz._thickest_visible((bare, coated_stack), x) for x in xi)
     cfg, d = lifshitz.DEFAULT_CONFIG, 0.5
     coated = lifshitz._pair_integrals(bare, coated_stack, gap, d, xi, cfg)
     bulk = lifshitz._pair_integrals(bare, MirrorStack.homogeneous(coat), gap, d, xi, cfg)
@@ -809,14 +792,14 @@ def test_row_scale_moves_block_results_by_round_off(monkeypatch, name, d, tau, s
 
 
 def _count_pair_integrals(monkeypatch):
-    # records the xi array of every kappa call of force_finite_T or
-    # force_zero_T: call i of `_Rows` integrates the rows its index selects
+    # records the xi array of every kappa call of force_finite_T: call i of
+    # `_Rows` integrates its first m rows
     calls = []
     integrals = lifshitz._Rows.integrals
 
     def counted(rows, i):
-        _, index, *_ = rows.calls[i]
-        calls.append(np.array(rows.xi[index]))
+        _, m, *_ = rows.calls[i]
+        calls.append(np.array(rows.xi[:m]))
         return integrals(rows, i)
 
     monkeypatch.setattr(lifshitz._Rows, "integrals", counted)
@@ -860,7 +843,7 @@ def test_sweep_rows_equal_force_zero_T(name):
     assert _hexed(force_sweep(st1, st2, gap, repeated, 0.0)) == [alone[_SWEEP_DISTANCES.index(d)] for d in repeated]
 
 
-@pytest.mark.parametrize("name, tau", [("fig1c", 0.0), ("fig1d", 0.01)])
+@pytest.mark.parametrize("name, tau", [("fig1d", 0.01)])
 def test_sweep_store_chunks_bit_identical(monkeypatch, name, tau):
     # the store evaluates its missing (row, panel) pairs in chunks of _BLOCK
     # points, a chunk running across the rows of several panels; chunks of
@@ -870,6 +853,21 @@ def test_sweep_store_chunks_bit_identical(monkeypatch, name, tau):
     want = _hexed(force_sweep(st1, st2, gap, distances, tau))
     monkeypatch.setattr(lifshitz, "_BLOCK", 7 * (2 * lifshitz.DEFAULT_CONFIG.kappa_nodes + 1))
     assert _hexed(force_sweep(st1, st2, gap, distances, tau)) == want
+
+
+@pytest.mark.parametrize("block", [1, 3 * 25 * 25, 1 << 40])
+def test_zero_T_table_chunks_bit_identical(monkeypatch, block):
+    # the table evaluates its new rho panels, and a distance damps and sums
+    # its panels, in chunks of whole panels, at most _BLOCK points each: one
+    # panel per chunk (1), a few (a rho panel holds 25 rows of 25 to 250 t
+    # points) or all of them leave every row of a sweep the same, bit for bit
+    from calmir import preset
+
+    st1, st2, gap = preset("fig1c")
+    distances = _SWEEP_DISTANCES[:6]
+    want = _hexed(force_sweep(st1, st2, gap, distances, 0.0))
+    monkeypatch.setattr(lifshitz, "_BLOCK", block)
+    assert _hexed(force_sweep(st1, st2, gap, distances, 0.0)) == want
 
 
 def _kernel_points(monkeypatch):
@@ -888,10 +886,11 @@ def _kernel_points(monkeypatch):
 
 
 def test_zero_T_sweep_shares_the_reflection_kernel(monkeypatch):
-    # each distance of fig1c's 64-point sweep grid reuses r1 r2 on the rows
-    # and starting kappa panels it shares with its neighbour: the sweep
-    # evaluates the kernel on at most 50% of the points that 64 separate
-    # calls take (measured 34.6%: 737,325 of 2,130,825)
+    # r1 r2 over (rho, t) does not depend on d: fig1c's 64-point sweep grid
+    # evaluates the kernel once for the table that all its distances read,
+    # on at most 5% of the points that 64 separate calls take (measured
+    # 3.3%: 30,625 of 934,375; 34.6% when each distance reused the first xi
+    # pass of its neighbour)
     from calmir import preset_scenario
 
     points = _kernel_points(monkeypatch)
@@ -903,54 +902,59 @@ def test_zero_T_sweep_shares_the_reflection_kernel(monkeypatch):
     points.clear()
     for d in distances:
         force_zero_T(st1, st2, gap, d)
-    assert shared <= 0.5 * sum(points)
+    assert shared <= 0.05 * sum(points)
 
 
-def test_shuffled_zero_T_sweep_keeps_the_other_layer_groups(monkeypatch):
-    # a distance's first pass drops only the entries of its own layer groups
-    # that it does not start on, so a group that skips a distance finds its
-    # last call's rows again: fig1c's sweep grid in a shuffled order took
-    # 1,182,450 kernel points when each pass dropped every other group's
-    # entries, and takes 1,150,725
+def test_zero_T_sweep_table_does_not_depend_on_order(monkeypatch):
+    # a distance adds to the table only the rho panels that no distance
+    # before it reached, and drops none: fig1c's sweep grid in a shuffled or
+    # reversed order evaluates the kernel on as many points as in grid order
+    # (30,625; a shuffled order took 1,150,725 when each xi pass kept only
+    # the entries of its neighbour's layer groups)
     from calmir import preset_scenario
 
     points = _kernel_points(monkeypatch)
     scn = preset_scenario("fig1c")
     distances = scn.sweep.distances()
-    distances = distances[np.random.default_rng(5).permutation(len(distances))].tolist()
-    force_sweep(scn.mirror1, scn.mirror2, scn.gap, distances, 0.0)
-    assert sum(points) <= 1_150_725
+    counts = []
+    for order in (distances, distances[::-1], distances[np.random.default_rng(5).permutation(len(distances))]):
+        points.clear()
+        force_sweep(scn.mirror1, scn.mirror2, scn.gap, order.tolist(), 0.0)
+        counts.append(sum(points))
+    assert counts == [counts[0]] * 3 and counts[0] <= 32_000
 
 
 def _entries_on_fill(monkeypatch):
-    # the number of entries that each `_Rows._fill` finds in its store
-    found = []
-    fill = lifshitz._Rows._fill
+    # the number of entries that each `_Rows._fill` finds in its rows' store
+    # (none: a store is made by its fill) and that each `_Table._fill` finds
+    # in the table
+    found = {"rows": [], "table": []}
+    for cls, key in ((lifshitz._Rows, "rows"), (lifshitz._Table, "table")):
+        def counted(obj, *args, _fill=cls._fill, _key=key):
+            store = obj.entries if _key == "table" else obj._store
+            found[_key].append(0 if store is None else len(store))
+            return _fill(obj, *args)
 
-    def counted(rows):
-        found.append(len(rows._store))
-        return fill(rows)
-
-    monkeypatch.setattr(lifshitz._Rows, "_fill", counted)
+        monkeypatch.setattr(cls, "_fill", counted)
     return found
 
 
 def test_store_lives_as_long_as_its_reuse(monkeypatch):
     # no Matsubara round can reuse an earlier round's rows, so each round
     # fills a store of its own, empty (a sweep-wide store held 138, 36, 25,
-    # ... entries of the round before on fig1d); at tau = 0 each distance's
-    # first pass finds the entries of the distances before it
+    # ... entries of the round before on fig1d); at tau = 0 each distance
+    # finds the table's entries of the distances before it, and keeps them
     from calmir import preset_scenario
 
     found = _entries_on_fill(monkeypatch)
-    for name, tau in (("fig1d", 0.01), ("fig1c", 0.0)):
-        scn = preset_scenario(name)
-        found.clear()
-        force_sweep(scn.mirror1, scn.mirror2, scn.gap, scn.sweep.distances().tolist(), tau)
-        if tau > 0.0:
-            assert found and not any(found)
-        else:
-            assert len(found) == len(scn.sweep.distances()) and found[0] == 0 and all(found[1:])
+    scn = preset_scenario("fig1d")
+    force_sweep(scn.mirror1, scn.mirror2, scn.gap, scn.sweep.distances().tolist(), 0.01)
+    assert found["rows"] and not any(found["rows"])
+    scn = preset_scenario("fig1c")
+    force_sweep(scn.mirror1, scn.mirror2, scn.gap, scn.sweep.distances().tolist(), 0.0)
+    table = found["table"]
+    assert len(table) == len(scn.sweep.distances()) and table[0] == 0 and all(table[1:])
+    assert table == sorted(table)
 
 
 def test_sweep_shares_the_reflection_kernel(monkeypatch):
@@ -996,11 +1000,11 @@ def test_sweep_shares_kappa_nodes_across_the_whole_grid(monkeypatch):
     assert len(distances) == 16 and shared <= 0.4 * sum(points)
 
 
-@pytest.mark.parametrize("name, tau", [("fig1d", 0.01), ("fig1c", 0.0)])
+@pytest.mark.parametrize("name, tau", [("fig1d", 0.01)])
 def test_sweep_builds_one_kernel_per_rows(monkeypatch, name, tau):
-    # each `_Rows` (a Matsubara round at tau > 0, an xi pass at tau = 0)
-    # samples the media once, for all of its calls; a kernel per row count
-    # took 39 kernels in 10 rounds on fig1d at tau = 0.01
+    # each `_Rows` (a Matsubara round) samples the media once, for all of
+    # its calls; a kernel per row count took 39 kernels in 10 rounds on fig1d
+    # at tau = 0.01
     from calmir import preset_scenario
     from calmir.reflection import ReflectionKernel
 
@@ -1014,6 +1018,23 @@ def test_sweep_builds_one_kernel_per_rows(monkeypatch, name, tau):
     scn = preset_scenario(name)
     force_sweep(scn.mirror1, scn.mirror2, scn.gap, scn.sweep.distances().tolist(), tau)
     assert built["rows"] > 1 and built["kernels"] == built["rows"]
+
+
+def test_zero_T_sweep_builds_one_kernel_per_table_chunk(monkeypatch):
+    # the table samples the media once per chunk of new rho panels (at most
+    # _BLOCK points): fig1c's 64-point sweep builds one kernel, for the rho
+    # panels of its first distance, which hold every other distance's; the
+    # xi passes built 66-79 per sweep
+    from calmir import preset_scenario
+    from calmir.reflection import ReflectionKernel
+
+    built = []
+    init = ReflectionKernel.__init__
+    monkeypatch.setattr(ReflectionKernel, "__init__",
+                        lambda kernel, *args: built.append(np.size(args[-1])) or init(kernel, *args))
+    scn = preset_scenario("fig1c")
+    force_sweep(scn.mirror1, scn.mirror2, scn.gap, scn.sweep.distances().tolist(), 0.0)
+    assert len(built) == 1 and built[0] <= lifshitz._BLOCK
 
 
 def test_sweep_raises_the_error_of_its_first_failing_distance():
@@ -1124,17 +1145,19 @@ def test_distances_whose_prefactor_underflows_raise_at_once(monkeypatch):
     # integrals overflowed there (at d = 1e-104 the xi engine ran its whole
     # 800-panel budget, with 788 numpy warnings, to a NaN estimate) or the
     # engine's target abs_tol pi/d^3 divided by zero (a ZeroDivisionError
-    # from d ~ 1e-110 on); now they raise before the engine runs
+    # from d ~ 1e-110 on); now they raise before the table is made or the
+    # rho engine runs
     from calmir import lifshitz, preset
 
     def no_engine(*args, **kwargs):
-        raise AssertionError("the xi engine ran")
+        raise AssertionError("the rho engine ran")
 
     st1, st2, gap = preset("fig1d")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with monkeypatch.context() as m:
-            m.setattr(lifshitz, "xi_integral", no_engine)
+            m.setattr(lifshitz, "adaptive_integral", no_engine)
+            m.setattr(lifshitz, "_Table", no_engine)
             for d in (1e-104, 1e-200, 5e-324):
                 with pytest.raises(ConvergenceError, match="underflow"):
                     force_zero_T(st1, st2, gap, d)
@@ -1216,6 +1239,43 @@ def test_matsubara_sum_runs_past_a_sign_change():
     te, tm, _ = lifshitz._pair_integrals(st1, st2, gap, d, 2.0 * math.pi * tau * n, lifshitz.DEFAULT_CONFIG)
     full = 2.0 * tau * d**3 * float(np.sum(np.where(n == 0, 0.5, 1.0) * (te + tm)))
     assert abs(res.pressure_norm - full) <= res.est_error
+
+
+def _layered_mirror_1(name, material, w):
+    # a preset's mirrors with a layer of `material`, w thick, on mirror 1
+    from calmir import Layer, preset
+
+    st1, st2, gap = preset(name)
+    return MirrorStack((Layer(material, w),) + st1.layers, st1.substrate), st2, gap
+
+
+def test_a_vacuum_layer_on_a_mirror_shifts_the_distance():
+    # a layer of gap medium w thick on mirror 1 moves its surface back by w:
+    # F at d equals the bare F at d + w, so F d^3 is the bare F d^3 at d + w
+    # times (d/(d + w))^3; fig1b at Lambda/400 with w = 2d raised
+    # ConvergenceError after 803 kappa panels when the xi rows above the
+    # layer's reach ran on their own
+    from calmir import preset
+
+    d = LAMBDA / 400.0
+    w = 2.0 * d
+    res = force_zero_T(*_layered_mirror_1("fig1b", VACUUM, w), d)
+    bare = force_zero_T(*preset("fig1b"), d + w)
+    scale = (d / (d + w)) ** 3
+    assert abs(res.pressure_norm - bare.pressure_norm * scale) <= res.est_error + bare.est_error * scale
+
+
+def test_a_layer_of_a_mirrors_own_substrate_changes_nothing():
+    # the same stack, physically: fig1b at Lambda/400 with a 2d layer of its
+    # own substrate material on mirror 1 raised ConvergenceError as the
+    # vacuum layer did
+    from calmir import preset
+
+    st1, st2, gap = preset("fig1b")
+    d = LAMBDA / 400.0
+    res = force_zero_T(*_layered_mirror_1("fig1b", st1.substrate, 2.0 * d), d)
+    bare = force_zero_T(st1, st2, gap, d)
+    assert abs(res.pressure_norm - bare.pressure_norm) <= res.est_error + bare.est_error
 
 
 def test_identical_mirrors_attract():

@@ -10,10 +10,12 @@ x tau in {0, 0.01, 0.1}.  Each default result (`force_zero_T` or
 * at tau = 0, the xi integral of `lifshitz._pair_integrals` rows with
   order-64 kappa and xi rules at rel_tol 1e-11, or 1e-10 where 1e-11 raises
   ConvergenceError, so the reference does not lean on the coarse default
-  panel layouts.  It is built here from `quadrature.xi_integral` up to
-  infinity, with one kappa call for all rows of a pass, so it shares
-  neither `force_zero_T`'s cut at X_CUT/(2d) nor its grouping of rows by
-  the layers they can see;
+  panel layouts.  The two integrate in different orders: `force_zero_T`
+  takes rho = sqrt(k^2 + xi^2) outside and t = xi/rho inside, on a table of
+  r1 r2 over (rho, t), and the reference xi outside and kappa inside.  The
+  reference is built here from `quadrature.xi_integral` up to infinity, on
+  its own xi breaks (geometric from 0.02 by 8 up to X_CUT/(2d)), with one
+  kappa call for all rows of a pass;
 * at tau > 0, an explicit Matsubara sum of `lifshitz._pair_integrals` rows
   (default config), run until the ideal-mirror bound on the omitted terms,
   |r1 r2| <= 1 over a vacuum gap, is below 1e-3 est_error.  Far rows sit at
@@ -25,9 +27,9 @@ x tau in {0, 0.01, 0.1}.  Each default result (`force_zero_T` or
 
 Both references are computed with `lifshitz._row_scale` held at 0
 (`reference`), so each of their kappa calls is laid out by d and the layers
-alone, as a call holding xi = 0 is.  The default results size the first
-kappa panel of later Matsubara blocks and xi passes by their rows' own
-scale as well; the references do not share that layout.
+alone, as a call holding xi = 0 is.  The default tau > 0 results size the
+first kappa panel of later Matsubara blocks by their rows' own scale as
+well; the references do not share that layout.
 
 It prints the worst |p - p_ref|/est_error per preset and exits 1 when a point
 outside KNOWN exceeds 1, or when a point in KNOWN no longer does.  KNOWN
@@ -91,7 +93,8 @@ def zero_T_reference(m1, m2, gap, d: float, cfg: QuadratureConfig) -> tuple[floa
     def outer(xi):
         return np.stack(lifshitz._pair_integrals(m1, m2, gap, d, xi, cfg))
 
-    total, _, rows = quadrature.xi_integral(outer, lifshitz._xi_breaks(d), nodes=cfg.xi_nodes,
+    breaks = quadrature.geometric_edges(0.02, 0.5 * lifshitz.X_CUT / d, 8.0)
+    total, _, rows = quadrature.xi_integral(outer, breaks, nodes=cfg.xi_nodes,
                                             rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol * math.pi / d**3,
                                             n_control=2)
     te, tm, _ = (total / math.pi * d**3).tolist()
