@@ -346,23 +346,26 @@ class _Rows:
         """Evaluate r1 r2 at the nodes of every panel (lo, hi) that the calls
         start on, once: its store entry, (2, m, 2n + 1), holds the m rows of
         the longest call on it, whose first rows are every other call's.
-        The (row, panel) pairs, one kernel row each, run in `_BLOCK` chunks
-        into one fresh array, of which the entries are views."""
-        nodes = self.cfg.kappa_nodes
-        rows = {}  # panel -> rows of the longest call on it
-        for _, m, _, _, _, panels in self.calls:
-            for panel in panels:
-                rows[panel] = max(m, rows.get(panel, 0))
-        x, _ = panel_nodes(*np.array(list(rows)).T, nodes)
-        pair_rows = np.concatenate([np.arange(m) for m in rows.values()])  # panel after panel
-        kappa = np.concatenate([self.k_lo[:m, None] + nodes_j for m, nodes_j in zip(rows.values(), x)])
-        g = np.empty((2,) + kappa.shape)
-        step = max(1, _BLOCK // (2 * nodes + 1))
-        for c in range(0, len(kappa), step):
-            at = slice(c, c + step)
-            _products(self.kernel.rows(pair_rows[at]), kappa[at], g[:, at])
-        ends = np.cumsum([0] + list(rows.values())).tolist()
-        self._store = {panel: g[:, lo:hi] for panel, lo, hi in zip(rows, ends, ends[1:])}
+        Runs of whole entries (`_chunks`), one kernel row per (row, panel)
+        pair, are evaluated on `scratch`, and each entry's products go to an
+        array of its own: one array of them all is large enough for malloc
+        to map it fresh in every round, and the page faults made a sweep's
+        time vary from run to run."""
+        nodes = 2 * self.cfg.kappa_nodes + 1
+        # panel -> rows of the longest call on it, which comes last
+        rows = {panel: m for _, m, *_, panels in sorted(self.calls, key=lambda call: call[1]) for panel in panels}
+        keys, ms = list(rows), list(rows.values())
+        x, _ = panel_nodes(*np.array(keys).T, self.cfg.kappa_nodes)
+        self._store = {}
+        for a, b, size in _chunks([m * nodes for m in ms]):
+            with scratch:
+                kappa = np.concatenate([self.k_lo[:m, None] + x[j] for j, m in enumerate(ms[a:b], a)],
+                                       out=scratch.take((size // nodes, nodes)))
+                kernel = self.kernel.rows(np.concatenate([np.arange(m) for m in ms[a:b]]))
+                (te1, tm1), (te2, tm2) = kernel.into_scratch(kappa)
+                ends = np.cumsum([0] + ms[a:b]).tolist()
+                for key, lo, hi in zip(keys[a:b], ends, ends[1:]):
+                    self._store[key] = np.stack((te1[lo:hi] * te2[lo:hi], tm1[lo:hi] * tm2[lo:hi]))
 
 
 def _pair_integrals(stack1, stack2, gap, d, xi, cfg):
