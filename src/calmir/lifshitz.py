@@ -37,7 +37,7 @@ import numpy as np
 
 from . import asymptotics
 from .errors import ConvergenceError
-from .quadrature import adaptive_integral, kronrod_rule, panel_nodes, rowwise_panel_integral
+from .quadrature import adaptive_integral, geometric_edges, kronrod_rule, panel_nodes, rowwise_panel_integral
 from .reflection import Kinematics, Pol, ReflectionKernel, scratch
 
 __all__ = [
@@ -77,11 +77,13 @@ class QuadratureConfig:
     """Tolerances and node counts for the pressure integrals.
 
     `kappa_nodes` is the Gauss order n of the Gauss-Kronrod panels of the
-    kappa and tau = 0 rho integrals, which start on a ladder of coarse panels
-    (`_kappa_offsets`) that the engine splits, `xi_nodes` that of the fixed
-    tau = 0 t panels (xi = rho t); a panel costs 2n + 1 points (25 by
-    default).  Orders and ladder come from scans of reflection points and
-    time per pressure (CHANGES.md).
+    tau = 0 rho integral and of the first Matsubara block's kappa integrals,
+    which start on a ladder of coarse panels (`_kappa_offsets`) that the
+    engine splits; later Matsubara rounds derive a lower order from it
+    (`_kappa_order`).  `xi_nodes` is that of the fixed tau = 0 t panels
+    (xi = rho t); a panel costs 2n + 1 points (25 by default).  Orders and
+    ladder come from scans of reflection points and time per pressure
+    (CHANGES.md).
     `max_matsubara` is the highest Matsubara index the tau > 0 sum may reach:
     a sum not converged after its max_matsubara + 1 terms (n = 0 ... max)
     raises ConvergenceError.
@@ -277,7 +279,7 @@ def _kappa_offsets(d: float, w_max: float, k_row: float, reach: float = _KAPPA_R
 
 class _Rows:
     """Matsubara rows xi, with one `ReflectionKernel`, shared by the kappa
-    calls of one round at one or more distances.
+    calls of one round at one or more distances on Gauss order `nodes`.
 
     A call integrates the first m rows at one distance d.  `add` lays it out
     (`_kappa_offsets` for the thickest layer that its lowest row can see and
@@ -293,27 +295,28 @@ class _Rows:
     on which other calls share the rows.
     """
 
-    def __init__(self, stacks, gap, xi, cfg):
+    def __init__(self, stacks, gap, xi, cfg, nodes):
         self.xi = np.atleast_1d(np.asarray(xi, dtype=float))
         self.kernel = ReflectionKernel(stacks, gap, self.xi[:, None])
         self.k_lo = np.sqrt(self.kernel.s_gap[:, 0])  # each row's kappa_min
-        self.cfg, self._stacks = cfg, stacks
-        self.calls = []  # (d, rows m, kernel view, k_lo, offsets, panels (lo, hi))
+        self.cfg, self.nodes, self._stacks = cfg, nodes, stacks
+        self.calls = []  # (d, rows m, kernel view, k_lo, offsets, abs_tol, panels (lo, hi))
         self._store = None  # {(lo, hi): r1 r2 at the panel's nodes}, filled by `_fill`
 
-    def add(self, d, m) -> int:
-        """Lay out the kappa call of the first m rows at distance d; returns
-        its number.  Every call is added before the first `integrals`."""
+    def add(self, d, m, abs_tol=0.0) -> int:
+        """Lay out the kappa call of the first m rows at distance d, whose
+        engine target per row is at least `abs_tol`; returns its number.
+        Every call is added before the first `integrals`."""
         kernel, k_lo = self.kernel.rows(slice(m)), self.k_lo[:m]
         w_max = _thickest_visible(self._stacks, self.xi[:m].min())
         offsets = _kappa_offsets(d, w_max, _row_scale(kernel, k_lo))
-        self.calls.append((d, m, kernel, k_lo, offsets, list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))))
+        self.calls.append((d, m, kernel, k_lo, offsets, abs_tol, list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))))
         return len(self.calls) - 1
 
     def integrals(self, i):
         """TE and TM kappa integrals and their error of call i, as
         `_pair_integrals`."""
-        d, _, kernel, k_lo, offsets, panels = self.calls[i]
+        d, _, kernel, k_lo, offsets, abs_tol, panels = self.calls[i]
         if self._store is None and len(self.calls) > 1:
             self._fill()
         # r1 r2 at the starting nodes, in the first rows of their panels' entries
@@ -334,9 +337,8 @@ class _Rows:
             starts = None
             return out
 
-        cfg = self.cfg
-        vals, err, n_eval = rowwise_panel_integral(fvals, k_lo, offsets,
-                                                   nodes=cfg.kappa_nodes, rel_tol=0.1 * cfg.rel_tol)
+        vals, err, n_eval = rowwise_panel_integral(fvals, k_lo, offsets, nodes=self.nodes,
+                                                   rel_tol=0.1 * self.cfg.rel_tol, abs_tol=abs_tol)
         # never report less than the rounding error of summing a row's points
         err = err + n_eval // len(k_lo) * sys.float_info.epsilon * np.abs(vals).sum(axis=0)
         scale = 1.0 / (2.0 * math.pi)
@@ -351,11 +353,11 @@ class _Rows:
         array of its own: one array of them all is large enough for malloc
         to map it fresh in every round, and the page faults made a sweep's
         time vary from run to run."""
-        nodes = 2 * self.cfg.kappa_nodes + 1
+        nodes = 2 * self.nodes + 1
         # panel -> rows of the longest call on it, which comes last
         rows = {panel: m for _, m, *_, panels in sorted(self.calls, key=lambda call: call[1]) for panel in panels}
         keys, ms = list(rows), list(rows.values())
-        x, _ = panel_nodes(*np.array(keys).T, self.cfg.kappa_nodes)
+        x, _ = panel_nodes(*np.array(keys).T, self.nodes)
         self._store = {}
         for a, b, size in _chunks([m * nodes for m in ms]):
             with scratch:
@@ -384,7 +386,7 @@ def _pair_integrals(stack1, stack2, gap, d, xi, cfg):
     call on all the rows; `force_sweep` shares rows and starting nodes
     between distances.
     """
-    rows = _Rows((stack1, stack2), gap, xi, cfg)
+    rows = _Rows((stack1, stack2), gap, xi, cfg, cfg.kappa_nodes)
     return rows.integrals(rows.add(d, len(rows.xi)))
 
 
@@ -453,7 +455,7 @@ def _t_edges(rho_max: float) -> np.ndarray:
     reflection data varies on xi scales of order 1 (the resonances), so the
     first panel holds xi = rho t <= _XI_FIRST, and the others grow by 4."""
     k = max(0, math.ceil(math.log(rho_max / _XI_FIRST, 4.0)))
-    return np.array([0.0] + [math.ldexp(1.0, -2 * j) for j in range(k, -1, -1)])
+    return geometric_edges(math.ldexp(1.0, -2 * k), 1.0, 4.0)
 
 
 def _chunks(sizes):
@@ -492,20 +494,38 @@ def _first_block(tau: float, d: float, rel_tol: float) -> int:
     return min(_MAX_BLOCK, max(4, math.ceil(n_gap) + 3))
 
 
+def _kappa_order(n0: int, nodes: int) -> int:
+    """Gauss order of a Matsubara round's kappa panels from row n0 on:
+    `nodes` for the first block, then ceil(2 nodes/3) up to row _MAX_BLOCK
+    and nodes // 2 (at least 2) beyond: with its block's budget
+    (`_matsubara_sum`) the coarser rule mostly meets its target unsplit."""
+    if n0 == 0:
+        return nodes
+    return -(-2 * nodes // 3) if n0 <= _MAX_BLOCK else max(2, nodes // 2)
+
+
 def _matsubara_sum(d, tau, cfg):
-    """The Matsubara sum at one distance: a generator that yields (n0, rows)
-    for its next block of rows n0 ... n0 + rows - 1, is sent that block's
-    kappa integrals (te, tm, qerr), one kappa call per block, and returns
-    the ForceResult.
+    """The Matsubara sum at one distance: a generator that yields
+    (n0, rows, budget) for its next block of rows n0 ... n0 + rows - 1, is
+    sent that block's kappa integrals (te, tm, qerr), one kappa call per
+    block, and returns the ForceResult.
 
     The first block is sized by `_first_block`, so that a sum ended by the
     gap factor takes one call, and later blocks double up to _MAX_BLOCK,
-    never past max_matsubara.  A block's terms are read one by one, in
-    order, until the running term and a geometric tail estimate drop below
-    tolerance, so the block sizes decide how many rows past the stop are
-    evaluated; they move the result only through the layout of each block,
-    which follows its rows, and so only within round-off of est_error (by at
-    most 7.2e-7 est_error on the tests' block schedules).  A block that
+    never past max_matsubara.  `budget` is the least engine target per row
+    of the block's kappa call: its share of the sum's tolerance,
+    0.1 rel_tol |s| rows/(n0 + rows) for the sum s of the earlier blocks,
+    spread over its rows.  The first block's is 0, so a sum that ends there
+    meets the relative target alone; as rows/(n0 + rows) <= ln(1 + rows/n0),
+    the shares of a sum that evaluates N rows add up to at most
+    0.1 ln(N/first block) rel_tol |s| for the largest running |s|, and
+    est_error carries what the engine reports.  A block's terms are read one
+    by one, in order, until the running term and a geometric tail estimate
+    drop below tolerance, so the block sizes decide how many rows past the
+    stop are evaluated and which rows start a round, whose kappa order
+    (`_kappa_order`), layout and budget follow: they move the result within
+    the engine's error (by at most 3.7e-7 est_error on the tests' block
+    schedules), not the stop.  A block that
     reaches max_matsubara without the stop raises ConvergenceError, as does
     `_checked_d3` at once, where the raw scale d^-3 or the prefactor
     2 tau d^3 of the terms underflows.  So does a block whose last frequency
@@ -522,7 +542,9 @@ def _matsubara_sum(d, tau, cfg):
         xi_last = 2.0 * math.pi * tau * (n0 + rows - 1)
         if xi_last * xi_last == math.inf:
             raise ConvergenceError(f"Matsubara frequency xi = {xi_last:.3e} overflows when squared at tau={tau}")
-        te, tm, qerr = yield n0, rows
+        # per row, in kappa-integral units: a term is tau d^3/pi times its integrals
+        budget = 0.1 * cfg.rel_tol * abs(s_te + s_tm) / (tau * d3) * math.pi / (n0 + rows)
+        te, tm, qerr = yield n0, rows, budget
         for n, te_n, tm_n, qerr_n in zip(range(n0, n0 + len(te)),
                                          te.tolist(), tm.tolist(), qerr.tolist()):
             w = 0.5 if n == 0 else 1.0
@@ -572,11 +594,13 @@ def force_sweep(stack1, stack2, gap, distances, tau, cfg: QuadratureConfig | Non
     block schedule, stop rule, error estimate, Matsubara budget and envelope
     check), but the sums run in one loop over the rows xi_n = 2 pi n tau,
     which are the same at every distance: each round takes the distances
-    whose next block starts at the lowest row and lays out their kappa calls
-    on one `_Rows`, which evaluates r1 r2 once at the starting nodes that
-    the distances share: the panels that both layouts hold, as every edge
-    lies on one ladder (`_kappa_offsets`).  A distance's rows, kappa
-    layout, engine target and stop rule are its own.
+    whose next block starts at the lowest row n0 and lays out their kappa
+    calls on one `_Rows`, on the Gauss order `_kappa_order` gives n0, which
+    evaluates r1 r2 once at the starting nodes that the distances share: the
+    panels that both layouts hold, as every edge lies on one ladder
+    (`_kappa_offsets`).  The order depends on n0 alone, so a distance meets
+    the same rules in a sweep as alone; its rows, kappa layout, engine
+    target (relative, and its block's budget) and stop rule are its own.
 
     The sweep raises the error of its first failing distance, in sweep
     order; the distances after it stop when it fails.
@@ -587,7 +611,7 @@ def force_sweep(stack1, stack2, gap, distances, tau, cfg: QuadratureConfig | Non
         table = _Table((stack1, stack2), gap, cfg)
         return [force_zero_T(stack1, stack2, gap, d, cfg, _table=table) for d in distances]
     results, error = [None] * len(distances), None
-    sums = {}  # j -> (the sum at distances[j], (n0, rows) of its next block)
+    sums = {}  # j -> (the sum at distances[j], (n0, rows, budget) of its next block)
 
     def fail(j, exc):
         # the distances after j can no longer decide which error is raised:
@@ -606,11 +630,11 @@ def force_sweep(stack1, stack2, gap, distances, tau, cfg: QuadratureConfig | Non
             fail(j, exc)
             break
     while sums:
-        n0 = min(n for _, (n, _) in sums.values())
-        group = {j: m for j, (_, (n, m)) in sums.items() if n == n0}
-        ns = np.arange(n0, n0 + max(group.values()))
-        rows = _Rows((stack1, stack2), gap, 2.0 * math.pi * tau * ns, cfg)
-        calls = {j: rows.add(distances[j], m) for j, m in group.items()}
+        n0 = min(n for _, (n, *_) in sums.values())
+        group = {j: block for j, (_, (n, *block)) in sums.items() if n == n0}
+        ns = np.arange(n0, n0 + max(m for m, _ in group.values()))
+        rows = _Rows((stack1, stack2), gap, 2.0 * math.pi * tau * ns, cfg, _kappa_order(n0, cfg.kappa_nodes))
+        calls = {j: rows.add(distances[j], *block) for j, block in group.items()}
         for j, call in calls.items():  # ascending j
             s = sums[j][0]
             try:
@@ -637,8 +661,9 @@ def force_finite_T(stack1, stack2, gap, d, tau, cfg: QuadratureConfig | None = N
     whose scale is 0, so it is laid out by d and the layers alone, and a sum
     that ends in it does not depend on the row scale.  The other coupling between the rows
     of a block is the kappa engine's target, relative to the block's
-    largest row, and it acts only where a panel is split; at the default
-    tolerance the rows converge on their starting panels almost everywhere.
+    largest row or its share of the sum's budget, whichever is larger, and
+    it acts only where a panel is split; at the default tolerance the rows
+    converge on their starting panels almost everywhere.
     """
     if tau == 0.0:
         raise ValueError("tau must be > 0 (use force_zero_T at tau = 0)")

@@ -179,21 +179,22 @@ def adaptive_integral(f, edges, *, nodes, rel_tol, abs_tol, n_control=None, max_
         change = np.concatenate([change[keep], cchange])
 
 
-def rowwise_panel_integral(fvals, x_lo, offsets, *, nodes, rel_tol):
+def rowwise_panel_integral(fvals, x_lo, offsets, *, nodes, rel_tol, abs_tol=0.0):
     """Integrate over [x_lo[r], x_lo[r] + offsets[-1]] for every row r.
 
     `fvals(x2d)` maps an (R, M) array of abscissae to (C, R, M) values,
     abscissae last.  The rows share the panel offsets and their splits, and
-    one target, rel_tol times the largest row's |sum of components|: each
-    pass splits the fewest worst panels, at most _BATCH, whose errors taken
-    out would bring every row within it (`adaptive_integral`).
+    one target per row, the larger of `abs_tol` and rel_tol times the
+    largest row's |sum of components|: each pass splits the fewest worst
+    panels, at most _BATCH, whose errors taken out would bring every row
+    within it (`adaptive_integral`).
     Returns (I, err, n_eval) as `adaptive_integral` does: I of shape (C, R),
     err of shape (R,), and n_eval counting each (abscissa, row) point.
     """
     x_lo = np.asarray(x_lo, dtype=float)[:, None]
     return adaptive_integral(
         lambda x: fvals(x_lo + x),
-        offsets, nodes=nodes, rel_tol=rel_tol, abs_tol=0.0,
+        offsets, nodes=nodes, rel_tol=rel_tol, abs_tol=abs_tol,
     )
 
 

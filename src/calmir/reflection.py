@@ -259,7 +259,9 @@ class ReflectionKernel:
     returns one (r_TE, r_TM) pair per stack, evaluated substrate outward.
     `s_gap` is the gap's s = xi^2 eps mu on the grid, and `s_min` the
     smallest s of any sampled medium (the gap's included, so s_min <= s_gap;
-    a perfect mirror's s = +inf never is the smallest).
+    a perfect mirror's s = +inf never is the smallest).  A gap whose eps and
+    mu both carry zero-frequency poles, s_gap ~ 1/xi^2, raises
+    UnsupportedConfigurationError on any grid, at T = 0 as at tau > 0.
     """
 
     def __init__(self, stacks, gap: ResponseModel, xi):
@@ -274,7 +276,7 @@ class ReflectionKernel:
         ]
         self._samples = [response_sample(m, xi) for m in media]
         self.s_gap = self._samples[0].s
-        if np.any(np.isinf(self.s_gap)):
+        if self._samples[0].eps_pole > 0.0 and self._samples[0].mu_pole > 0.0:
             raise UnsupportedConfigurationError(
                 "gap medium with a doubly metallic response has no propagation band"
             )
